@@ -26,7 +26,7 @@ ENV_FLAG = "EFGP_DISABLE_NUMBA"
 try:
     from numba import njit as _njit
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     HAVE_NUMBA = False
 
 

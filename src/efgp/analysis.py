@@ -31,7 +31,7 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
-from .spectral import EigenvalueSet
+from .spectral import EigenvalueSet, theorem_weight
 
 STABILIZATION_THRESHOLD = 0.05
 _FREQ_TOL = 1e-9
@@ -40,11 +40,6 @@ _FREQ_TOL = 1e-9
 # --------------------------------------------------------------------------
 # eigenvalue-sum bound
 # --------------------------------------------------------------------------
-
-def theorem_weight(E: float) -> float:
-    """Weight 1 - E^2/4 of an eigenvalue; equals sin^2(x) for E = 2cos(x)."""
-    return 1.0 - E * E / 4.0
-
 
 def theorem_bound(C: float) -> float:
     """Right-hand side (C^2 + 2)/2 for envelope constant C >= 0."""

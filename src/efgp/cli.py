@@ -327,7 +327,7 @@ def _classify_record(spec, E, checkpoints):
     if -2.0 < E < 2.0:
         return spectral.classify_point_spectrum(spec, E, checkpoints)
     return spectral.EigenvalueRecord(
-        E=float(E), x=None, weight=analysis.theorem_weight(E),
+        E=float(E), x=None, weight=spectral.theorem_weight(E),
         certificate=spectral.Certificate(n_star=0, rn_sq=float("nan"),
                                          passed=False))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, solve_banded
 
 from . import _kernels
 from .errors import (
@@ -37,40 +37,36 @@ def sturm_count(J: JacobiMatrix, E: float) -> int:
     return int(out[0])
 
 
-def _counts(J: JacobiMatrix, shifts: np.ndarray) -> np.ndarray:
-    return _kernels.sturm_counts(J.diagonal, shifts, _kernels.PIVMIN)
-
-
 def eigenvalues_in_window(J: JacobiMatrix, window: tuple, tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues inside the open window, bisected to width <= tol.
+    """Eigenvalues of J in the window, ascending, each within tol/2 of its
+    eigenvalue.
 
-    Runs one bisection per eigenvalue index, batched so each sweep costs a
-    single Sturm pass over all pending midpoints.
+    The window is the index set fixed by guarded Sturm counts at its ends:
+    indices [count(lo), count(hi)), so an eigenvalue exactly at lo is kept
+    and one exactly at hi is dropped.  LAPACK's Sturm bisection (stebz)
+    then locates those indices to interval width <= tol.
     """
     lo, hi = float(window[0]), float(window[1])
-    if tol <= 0.0:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParamOutOfRange(f"window ends must be finite, got ({lo}, {hi})")
+    if not tol > 0.0:
         raise ParamOutOfRange("tol must be positive")
     min_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     if tol < min_tol:
         raise TolTooSmall(f"tol {tol} below machine resolution {min_tol:.3e}")
-    c_lo, c_hi = (int(v) for v in _counts(J, np.array([lo, hi])))
-    m = c_hi - c_lo
-    if m <= 0:
+    d = J.diagonal
+    if not np.isfinite(d).all():
+        raise ParamOutOfRange("Jacobi diagonal must be finite")
+    c_lo, c_hi = (int(v) for v in
+                  _kernels.sturm_counts(d, np.array([lo, hi]), _kernels.PIVMIN))
+    if c_hi <= c_lo:
         return np.empty(0)
-    a = np.full(m, lo)
-    b = np.full(m, hi)
-    ks = np.arange(c_lo, c_hi)
-    while True:
-        width = b - a
-        active = width > tol
-        if not active.any():
-            break
-        mid = 0.5 * (a[active] + b[active])
-        cnt = _counts(J, mid)
-        below = cnt <= ks[active]
-        a[active] = np.where(below, mid, a[active])
-        b[active] = np.where(below, b[active], mid)
-    return 0.5 * (a + b)
+    try:
+        return eigvalsh_tridiagonal(
+            d, np.ones(d.size - 1), select="i", select_range=(c_lo, c_hi - 1),
+            lapack_driver="stebz", tol=tol)
+    except LinAlgError as exc:
+        raise NoConvergence(f"stebz: {exc}") from exc
 
 
 def eigenvector(J: JacobiMatrix, E: float, max_iter: int = 50) -> np.ndarray:
@@ -126,7 +122,8 @@ class EigenvalueRecord:
     """One candidate eigenvalue with its decay evidence.
 
     weight = 1 - E^2/4 = sin^2(x); decay_exponent is the negated
-    least-squares slope of ln R against ln n (positive means decay).
+    least-squares slope of ln R against ln n (positive means decay), None
+    when the fit window holds fewer than two sites.
     """
 
     E: float
@@ -145,7 +142,8 @@ class EigenvalueSet:
     tolerance: float = 1e-8
 
 
-def theorem_weight_of(E: float) -> float:
+def theorem_weight(E: float) -> float:
+    """Weight 1 - E^2/4 of an eigenvalue; equals sin^2(x) for E = 2cos(x)."""
     return 1.0 - E * E / 4.0
 
 
@@ -220,11 +218,12 @@ def classify_point_spectrum(spec: OperatorSpec, E: float,
             best = (margin, c, rn_sq)
     _, n_star, rn_sq = best
     fit_lo = max(2, spec.n // 2)
-    decay = _fit_decay_exponent(ln_rel, fit_lo, spec.n)
+    # a slope needs at least two sites (the window is a single site at N=2)
+    decay = _fit_decay_exponent(ln_rel, fit_lo, spec.n) if spec.n > fit_lo else None
     return EigenvalueRecord(
         E=float(E),
         x=param.x,
-        weight=theorem_weight_of(E),
+        weight=theorem_weight(E),
         certificate=Certificate(n_star=n_star, rn_sq=rn_sq,
                                 passed=rn_sq <= 1.0 / n_star),
         decay_exponent=decay,

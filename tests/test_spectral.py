@@ -1,8 +1,11 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+import efgp
 from efgp import (
     Certificate,
     EigenvalueRecord,
@@ -19,6 +22,7 @@ from efgp import (
     sturm_count,
 )
 from efgp.prufer import SpectralParam, evolve_trajectory
+from efgp import analysis, spectral
 from efgp.spectral import default_checkpoints
 
 PI = math.pi
@@ -90,6 +94,59 @@ def test_window_tol_too_small():
         eigenvalues_in_window(free_jacobi(5), (-2.0, 2.0), 0.0)
 
 
+def test_window_endpoint_rule_free_n3():
+    # eigenvalues -sqrt(2), 0, sqrt(2): one exactly at lo is kept, one
+    # exactly at hi is dropped
+    tol = 1e-12
+    got = eigenvalues_in_window(free_jacobi(3), (0.0, 1.0), tol)
+    assert got.shape == (1,)
+    assert abs(got[0]) <= tol
+    assert eigenvalues_in_window(free_jacobi(3), (-1.0, 0.0), tol).size == 0
+
+
+@pytest.mark.parametrize("window", [(math.nan, 1.0), (-1.0, math.nan),
+                                    (-math.inf, 1.0), (-1.0, math.inf)])
+def test_window_rejects_nonfinite_ends(window):
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvalues_in_window(free_jacobi(3), window, 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_window_rejects_nonfinite_diagonal(bad):
+    d = np.zeros(5)
+    d[2] = bad
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvalues_in_window(JacobiMatrix(d), (-2.0, 2.0), 1e-12)
+
+
+def test_window_rejects_nan_tol():
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvalues_in_window(free_jacobi(5), (-2.0, 2.0), math.nan)
+
+
+def test_window_stebz_failure_is_no_convergence(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz did not converge")
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", failing)
+    with pytest.raises(errors.NoConvergence):
+        eigenvalues_in_window(free_jacobi(5), (-2.0, 2.0), 1e-12)
+
+
+def test_window_coulomb_n2000_matches_dense():
+    jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=2.0), 1.0, 2000))
+    w = np.linalg.eigvalsh(jac.to_dense())
+    t0 = time.perf_counter()
+    for lo, hi in ((-2.0, 2.0), (0.5, 0.51)):
+        got = eigenvalues_in_window(jac, (lo, hi), 1e-12)
+        expect = w[(w >= lo) & (w < hi)]
+        assert got.size == expect.size > 0
+        assert np.max(np.abs(got - expect)) <= 1e-10
+    # a floor on every backend: stebz needs about a second for this
+    # matrix, a pure-Python Sturm bisection about a minute
+    assert time.perf_counter() - t0 < 10.0
+
+
 def test_interlacing_random_potentials():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -157,6 +214,20 @@ def test_classify_validates_inputs():
         classify_point_spectrum(spec, 0.0, checkpoints=[1, 10])
     with pytest.raises(errors.ParamOutOfRange):
         classify_point_spectrum(spec, 0.0, checkpoints=[2000])
+
+
+def test_classify_n2_has_no_decay_fit():
+    spec = OperatorSpec(make_potential("coulomb", c=1.0), PI / 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = classify_point_spectrum(spec, 0.3)
+    assert rec.decay_exponent is None
+    assert rec.certificate.n_star == 2
+
+
+def test_theorem_weight_single_definition():
+    assert efgp.theorem_weight is analysis.theorem_weight is spectral.theorem_weight
+    assert not hasattr(spectral, "theorem_weight_of")
 
 
 def test_resonance_predicted_exponent_trivial():
