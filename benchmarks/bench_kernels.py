@@ -45,7 +45,8 @@ def main():
     cases = {
         "solve_forward": (V, E, 1.0, 0.5),
         "prufer_forward": (V, E, cosx, sinx, x, 1.0, 0.5),
-        "backward_resonant": (2.5, 2.0 * x, 0.3, E, cosx, sinx, 4 * n, n),
+        "backward_resonant": (2.5, 2.0 * x, 0.3, E, cosx, sinx, 4 * n, n,
+                              0.0, 1.0),
         "sturm_counts": (diag, shifts, _kernels.PIVMIN),
         "kahan_cumsum": (terms,),
     }

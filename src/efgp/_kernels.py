@@ -117,8 +117,9 @@ def _prufer_forward(V, E, cosx, sinx, x, u0, u1):
     return theta, lnr, -1
 
 
-def _backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record):
-    """Run the recurrence backwards from (u(M+1), u(M)) = (0, 1).
+def _backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record,
+                       u_next, u_launch):
+    """Run the recurrence backwards from (u(M+1), u(M)) = (u_next, u_launch).
 
     The potential amp*sin(omega*n + delta)/n is evaluated on the fly so the
     launch site M = n_launch can sit far beyond the recorded range without
@@ -129,8 +130,8 @@ def _backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record):
     """
     lnr = np.empty(n_record + 1)
     lnr[0] = np.nan
-    a = 0.0  # u(n+1)
-    b = 1.0  # u(n)
+    a = u_next  # u(n+1)
+    b = u_launch  # u(n)
     sigma = 0.0
     for n in range(n_launch, 0, -1):
         v = amp * math.sin(omega * n + delta) / n
@@ -241,6 +242,6 @@ def warmup():
     v = np.zeros(8)
     solve_forward(v, 1.0, 1.0, 0.5)
     prufer_forward(v, 1.0, 0.5, math.sqrt(0.75), math.acos(0.5), 1.0, 0.5)
-    backward_resonant(1.0, 1.0, 0.0, 1.0, 0.5, math.sqrt(0.75), 16, 8)
+    backward_resonant(1.0, 1.0, 0.0, 1.0, 0.5, math.sqrt(0.75), 16, 8, 0.0, 1.0)
     sturm_counts(np.zeros(4), np.array([0.5]), PIVMIN)
     kahan_cumsum(np.ones(4))

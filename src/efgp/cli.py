@@ -276,7 +276,8 @@ def _write_json(path: Path, obj):
 
 
 def _record_dict(rec: spectral.EigenvalueRecord) -> dict:
-    return {
+    # strict JSON has no NaN/Infinity tokens: non-finite floats become null
+    fields = {
         "E": rec.E,
         "weight": rec.weight,
         "x": rec.x,
@@ -286,6 +287,8 @@ def _record_dict(rec: spectral.EigenvalueRecord) -> dict:
         "decay_exponent": rec.decay_exponent,
         "r1": rec.r1,
     }
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in fields.items()}
 
 
 _SPECTRUM_COLS = ("E", "weight", "x", "certificate_N", "certificate_RNsq",

@@ -101,6 +101,8 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
         raise UnknownFamily(f"unknown potential family {family!r}")
     if not math.isfinite(c):
         raise ParamOutOfRange("amplitude must be finite")
+    if not (math.isfinite(omega) and math.isfinite(delta)):
+        raise ParamOutOfRange(f"omega and delta must be finite, got {omega}, {delta}")
     if n0 < 1:
         raise ParamOutOfRange("onset n0 must be >= 1")
     table = ()
@@ -108,6 +110,8 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
         if values is None or len(values) == 0:
             raise EmptyTable("table family requires a nonempty value sequence")
         table = tuple(float(v) for v in values)
+        if not all(math.isfinite(v) for v in table):
+            raise ParamOutOfRange("table values must be finite")
     return Potential(family=fam, amplitude=float(c), omega=float(omega),
                      delta=float(delta), seed=int(seed), table=table,
                      onset=int(n0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import _kernels
 from .errors import (
@@ -69,43 +69,29 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple, tol: float = 1e-12) ->
         raise NoConvergence(f"stebz: {exc}") from exc
 
 
-def eigenvector(J: JacobiMatrix, E: float, max_iter: int = 50) -> np.ndarray:
-    """Unit eigenvector by inverse iteration on the shifted tridiagonal.
+def eigenvector(J: JacobiMatrix, E: float) -> np.ndarray:
+    """Unit eigenvector of the eigenvalue of J nearest E, largest component
+    positive.
 
-    E must sit within bisection tolerance of a true eigenvalue; the
-    residual target is 1e-10 * (max|d| + 2).
+    E must sit within t = 1e-10 * (max|d| + 2) of a true eigenvalue; LAPACK
+    (stebz + stein) finds the eigenpairs in (E - t, E + t].
     """
-    n = J.size
-    norm_est = float(np.max(np.abs(J.diagonal))) + 2.0
-    target = 1e-10 * norm_est
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0
-    ab[1, :] = J.diagonal - E
-    ab[2, :-1] = 1.0
-    # a tiny diagonal nudge keeps the factorization nonsingular at an
-    # exact eigenvalue without moving the iteration off target
-    ab[1, :] += 1e-14 * norm_est
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        try:
-            w = solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            ab[1, :] += 1e-12 * norm_est
-            continue
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            ab[1, :] += 1e-12 * norm_est
-            continue
-        v = w / nw
-        resid = np.linalg.norm(J.apply(v) - E * v)
-        if resid <= target:
-            if v[np.argmax(np.abs(v))] < 0:
-                v = -v
-            return v
-    raise NoConvergence(
-        f"inverse iteration residual above {target:.3e} after {max_iter} steps")
+    E = float(E)
+    if not math.isfinite(E):
+        raise ParamOutOfRange(f"E must be finite, got {E}")
+    d = J.diagonal
+    if not np.isfinite(d).all():
+        raise ParamOutOfRange("Jacobi diagonal must be finite")
+    t = 1e-10 * (float(np.max(np.abs(d))) + 2.0)
+    try:
+        w, vecs = eigh_tridiagonal(d, np.ones(d.size - 1), select="v",
+                                   select_range=(E - t, E + t))
+    except LinAlgError as exc:
+        raise NoConvergence(f"stein: {exc}") from exc
+    if w.size == 0:
+        raise NoConvergence(f"no eigenvalue within {t:.3e} of {E}")
+    v = vecs[:, int(np.argmin(np.abs(w - E)))]
+    return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
 @dataclass(frozen=True)
@@ -243,56 +229,35 @@ class ResonanceConstruction:
     delta: float
 
 
-def _backward_lnr(pot_c: float, omega: float, delta: float,
-                  param: SpectralParam, n_launch: int, n_record: int):
-    return _kernels.backward_resonant(
-        pot_c, omega, delta, param.E, param.cos_x, param.sin_x,
-        n_launch, n_record)
-
-
-def _decay_objective(pot_c, omega, delta, param, n_launch, n_record, fit_lo):
-    lnr, _, _ = _backward_lnr(pot_c, omega, delta, param, n_launch, n_record)
-    return _fit_decay_exponent(lnr, fit_lo, n_record)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo, hi, iters=28):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def resonance_construct(x: float, c: float, n: int,
-                        coarse_points: int = 64) -> ResonanceConstruction:
+def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     """Engineer a potential with a decaying solution at E = 2 cos(x).
 
-    The potential family is c*sin(2x*n + delta)/n; amplitude-to-frequency
-    resonance locks the Prufer angle so that ln R of one solution drifts
-    like -(c / (4 sin x)) ln n, which is square-summable when the exponent
-    exceeds 1/2, i.e. when c > 2 sin(x).  delta is tuned by a 64-point
-    coarse scan plus golden-section refinement so the fitted decay of the
-    backward-launched solution realizes that law.  (At generic x the rate
-    is phase-independent and the scan only cleans up transients; at the
-    degenerate frequency 2x = pi the family collapses to an alternating
-    potential whose rate c*|sin(delta)|/2 does depend on the phase, and the
-    scan pins the one matching the generic law.)  The boundary phase phi is
-    then read off the decaying solution's (u(0), u(1)).
+    The potential family is c*sin(2x*n + delta)/n.  Amplitude-to-frequency
+    resonance locks the Prufer angle of one solution at
+    theta(n) + x = x*n + delta/2, and along it ln R drifts like
+    -(c / (4 sin x)) ln n for every delta, except at the degenerate
+    frequency 2x = pi, where the rate is c*|sin(delta)|/2.  The decay is
+    square-summable when the exponent exceeds 1/2, i.e. when c > 2 sin(x).
+
+    Both facts are used in closed form.  The phase is
+    delta = pi + copysign(pi/6, cos x): |sin(delta)| = 1/2 makes the
+    degenerate rate equal the generic law, and giving sin(delta) the sign
+    opposite to cos(x) keeps R(N)/R(1) small near the band edges (the
+    family is mirror-symmetric under x -> pi - x, delta -> -delta).  One
+    backward pass is launched at M = 16N on the locked angle
+    theta(M+1) = x*M + delta/2, so it starts on the decaying branch; the
+    fitted exponent is the negated slope of ln R against ln n over
+    [min(1000, max(10, N/100)), N].  The boundary phase phi is read off the
+    solution's (u(0), u(1)).
+
+    Known limit: near the degenerate frequency, for
+    0.1 <~ |pi - 2x| * N <~ 10, the fit window sees neither regime and the
+    fitted exponent can miss the law by far more than 5%.
     """
     if not 0.0 < x < math.pi:
         raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
+    if not math.isfinite(c):
+        raise ParamOutOfRange(f"amplitude c must be finite, got {c}")
     param = SpectralParam.from_x(x)
     if c <= 2.0 * param.sin_x:
         raise SubcriticalAmplitude(
@@ -300,32 +265,18 @@ def resonance_construct(x: float, c: float, n: int,
     if n < 100:
         raise ParamOutOfRange(f"need N >= 100, got {n}")
     omega = 2.0 * x
-    predicted = c / (4.0 * param.sin_x)
+    delta = math.pi + math.copysign(math.pi / 6.0, param.cos_x)
 
-    # stage 1: coarse/refined phase scan at reduced length; the backward
-    # launch sits well beyond the fit window so the decaying branch is clean
-    n_scan = min(n, 10 ** 5)
-    launch_scan = 8 * n_scan
-    fit_lo_scan = max(50, n_scan // 100)
-
-    def objective(delta):
-        fit = _decay_objective(c, omega, delta, param,
-                               launch_scan, n_scan, fit_lo_scan)
-        return -abs(fit - predicted)
-
-    grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    vals = [objective(d) for d in grid]
-    k = int(np.argmax(vals))
-    span = 2.0 * math.pi / coarse_points
-    delta = _golden_max(objective, grid[k] - span, grid[k] + span)
-    delta = float(np.mod(delta, 2.0 * math.pi))
-
-    # stage 2: final backward pass at full length, launched 16x beyond N so
-    # contamination by the growing branch stays below a percent at site N
+    # the launch sits 16x beyond N so contamination by the other branch
+    # stays below a percent at site N
     launch = 16 * n
-    fit_lo = min(1000, max(10, n // 100))
-    lnr, u0, u1 = _backward_lnr(c, omega, delta, param, launch, n)
-    fitted = _fit_decay_exponent(lnr, fit_lo, n)
+    theta = x * launch + 0.5 * delta
+    u_launch = math.sin(theta) / param.sin_x
+    u_next = math.cos(theta) + u_launch * param.cos_x
+    lnr, u0, u1 = _kernels.backward_resonant(
+        c, omega, delta, param.E, param.cos_x, param.sin_x, launch, n,
+        u_next, u_launch)
+    fitted = _fit_decay_exponent(lnr, min(1000, max(10, n // 100)), n)
     if u0 == 0.0 and u1 == 0.0:
         raise ZeroInitial("backward evolution returned the zero solution")
     phi = math.atan2(-u1, u0) % math.pi
@@ -336,7 +287,7 @@ def resonance_construct(x: float, c: float, n: int,
         potential=make_potential("resonant", c=c, omega=omega, delta=delta),
         phi=phi,
         E=param.E,
-        predicted_exponent=predicted,
+        predicted_exponent=c / (4.0 * param.sin_x),
         fitted_exponent=fitted,
         delta=delta,
     )

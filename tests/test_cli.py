@@ -189,6 +189,41 @@ def test_report_json_stable_and_versioned(tmp_path):
     assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
 
 
+def test_nonfinite_potential_parameter_exit_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="prufer",
+                         potential={"family": "resonant", "c": 1.0,
+                                    "omega": float("nan")},
+                         phi=1.0, N=10, x_values=[1.0],
+                         output_dir=str(tmp_path / "o")))
+    assert '"omega": NaN' in path.read_text()
+    assert main([str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "potential" in err and "Traceback" not in err
+
+
+def test_report_json_strict_with_out_of_band_records(tmp_path):
+    out = tmp_path / "o"
+    cfg = parse_config(_cfg(command="spectrum",
+                            potential={"family": "coulomb", "c": 5.0},
+                            phi=PI / 2, N=50, window=[-4.0, 6.0],
+                            output_dir=str(out)))
+    run(cfg)
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    out_of_band = [r for r in rep["payload"]["records"] if not -2 < r["E"] < 2]
+    assert len(out_of_band) == 9
+    assert all(r["certificate_RNsq"] is None and r["x"] is None
+               for r in out_of_band)
+    # the CSV keeps its nan cells for the same records
+    rows = [ln.split(",") for ln in
+            (out / "spectrum.csv").read_text().splitlines()[2:]]
+    assert sum(r[4] == "nan" for r in rows) == 9
+
+
 def test_threads_give_same_results(tmp_path):
     base = _cfg(command="lemma-sums",
                 potential={"family": "coulomb", "c": 1.0},

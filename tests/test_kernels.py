@@ -53,8 +53,8 @@ def test_backward_resonant_paths_agree():
     E, cosx, sinx = 2 * math.cos(x), math.cos(x), math.sin(x)
     py = _kernels.python_impls()["backward_resonant"]
     nb = _kernels.compiled_impls()["backward_resonant"]
-    l1, a1, b1 = py(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000)
-    l2, a2, b2 = nb(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000)
+    l1, a1, b1 = py(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
+    l2, a2, b2 = nb(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
     np.testing.assert_allclose(l1[1:], l2[1:], rtol=0, atol=1e-10)
     assert a1 == pytest.approx(a2, rel=1e-10)
     assert b1 == pytest.approx(b2, rel=1e-10)

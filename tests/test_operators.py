@@ -71,6 +71,17 @@ def test_amplitude_must_be_finite():
         make_potential("coulomb", c=float("inf"))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"omega": float("nan")},
+    {"delta": float("inf")},
+    {"values": [0.5, float("nan")]},
+])
+def test_nonfinite_parameters_rejected(kwargs):
+    family = "table" if "values" in kwargs else "resonant"
+    with pytest.raises(errors.ParamOutOfRange):
+        make_potential(family, c=1.0, **kwargs)
+
+
 def test_envelope_coulomb_is_one():
     p = make_potential("coulomb", c=1.0)
     assert envelope_constant(p, 1, 1000) == pytest.approx(1.0, abs=0)

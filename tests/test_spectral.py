@@ -22,7 +22,7 @@ from efgp import (
     sturm_count,
 )
 from efgp.prufer import SpectralParam, evolve_trajectory
-from efgp import analysis, spectral
+from efgp import _kernels, analysis, spectral
 from efgp.spectral import default_checkpoints
 
 PI = math.pi
@@ -187,7 +187,24 @@ def test_eigenvector_residual_coulomb():
 
 def test_eigenvector_no_convergence_off_spectrum():
     with pytest.raises(errors.NoConvergence):
-        eigenvector(free_jacobi(10), 5.0, max_iter=8)
+        eigenvector(free_jacobi(10), 5.0)
+
+
+def test_eigenvector_rejects_nonfinite_inputs():
+    for e in (float("nan"), float("inf")):
+        with pytest.raises(errors.ParamOutOfRange):
+            eigenvector(free_jacobi(3), e)
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvector(JacobiMatrix(np.array([0.0, float("nan"), 0.0])), 0.0)
+
+
+def test_eigenvector_lapack_failure_is_no_convergence(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("stein did not converge")
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", failing)
+    with pytest.raises(errors.NoConvergence):
+        eigenvector(free_jacobi(3), 0.0)
 
 
 def test_default_checkpoints():
@@ -265,6 +282,43 @@ def test_certificate_monotone_in_evidence():
     ln_rel = traj.ln_R - traj.ln_R[1]
     for c in (10 ** 3, 10 ** 4, 10 ** 5):
         assert c * math.exp(2.0 * ln_rel[c]) <= 1.0
+
+
+@pytest.mark.parametrize("x", [2.295428242706648, 2.3416])
+def test_resonance_above_half_pi_meets_law(x):
+    # a searched phase with a (0, 1) launch fitted -0.308 and 0.597
+    # against 0.635 at these points
+    n = 4 * 10 ** 4
+    res = resonance_construct(x, 2.54 * math.sin(x), n)
+    assert abs(res.fitted_exponent / res.predicted_exponent - 1.0) <= 0.05
+    rec = classify_point_spectrum(OperatorSpec(res.potential, res.phi, n), res.E)
+    assert rec.certificate.passed
+
+
+@pytest.mark.parametrize("x", [0.02, PI - 0.02])
+def test_resonance_band_edges_certify(x):
+    # at the band edges a searched phase left N * R(N)^2 at about 42
+    n = 2000
+    res = resonance_construct(x, 2.54 * math.sin(x), n)
+    rec = classify_point_spectrum(OperatorSpec(res.potential, res.phi, n), res.E)
+    assert rec.certificate.passed
+
+
+def test_resonance_construct_is_one_backward_pass(monkeypatch):
+    calls = []
+    kernel = _kernels.backward_resonant
+
+    def counting(*args):
+        calls.append(args[6])  # n_launch
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "backward_resonant", counting)
+    t0 = time.perf_counter()
+    resonance_construct(PI / 3, 2.2, 10 ** 5)
+    # a floor on every backend: one pass of 1.6e6 sites takes about a
+    # second in pure Python, a 94-run phase search about 40 s
+    assert time.perf_counter() - t0 < 10.0
+    assert calls == [16 * 10 ** 5]
 
 
 def test_eigenvalue_set_merges_duplicates():
