@@ -1,15 +1,11 @@
-"""Sequential numeric kernels, JIT-compiled with numba when available.
+"""Sequential numeric kernels, JIT-compiled with numba when it is installed.
 
 Everything here is a loop-carried recurrence (each step depends on the
-previous one), which is exactly what numpy cannot vectorize.  The same
-source is executed either way:
-
-* default: compiled with ``numba.njit(cache=True, nogil=True)``,
-* fallback: plain Python over numpy arrays, selected by setting the
-  environment variable ``EFGP_DISABLE_NUMBA=1`` (or when numba is not
-  importable).
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+previous one), which is exactly what numpy cannot vectorize.  Each kernel
+is defined once; with numba importable it is compiled with
+``numba.njit(cache=True, nogil=True)`` (the plain Python source stays
+reachable as ``<kernel>.py_func``), otherwise the same source runs as plain
+Python over numpy arrays.
 
 Array layout convention: per-site arrays are indexed by the lattice site n
 itself, so ``V[n]`` is the potential at site n (slot 0 unused) and outputs
@@ -17,24 +13,19 @@ itself, so ``V[n]`` is the potential at site n (slot 0 unused) and outputs
 """
 
 import math
-import os
 
 import numpy as np
 
-ENV_FLAG = "EFGP_DISABLE_NUMBA"
-
 try:
-    from numba import njit as _njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
+    from numba import njit
+except ImportError:  # numba is an optional extra
+    _BACKEND = "numpy"
 
-
-def _env_disabled():
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes"}
-
-
-USE_NUMBA = HAVE_NUMBA and not _env_disabled()
+    def _jit(fn):
+        return fn
+else:
+    _BACKEND = "numba"
+    _jit = njit(cache=True, nogil=True)
 
 # Guarded Sturm recurrence replaces |pivot| <= PIVMIN by +PIVMIN: keeps
 # 1/pivot finite in float64 and breaks exact ties upward, so an eigenvalue
@@ -49,11 +40,8 @@ _RESCALE_LO = 1e-100
 _TWO_PI = 2.0 * math.pi
 
 
-# --------------------------------------------------------------------------
-# kernel sources (plain Python; compiled below when numba is enabled)
-# --------------------------------------------------------------------------
-
-def _solve_forward(V, E, u0, u1):
+@_jit
+def solve_forward(V, E, u0, u1):
     """Three-term recurrence u(n+1) = (E - V(n)) u(n) - u(n-1).
 
     V has length N+1 with V[n] the potential at site n (V[0] ignored).
@@ -72,7 +60,8 @@ def _solve_forward(V, E, u0, u1):
     return u, -1
 
 
-def _prufer_forward(V, E, cosx, sinx, x, u0, u1):
+@_jit
+def prufer_forward(V, E, cosx, sinx, x, u0, u1):
     """Evolve Prufer variables for the boundary-condition solution.
 
     Uses the amplitude/angle representation directly so the iteration can
@@ -117,8 +106,9 @@ def _prufer_forward(V, E, cosx, sinx, x, u0, u1):
     return theta, lnr, -1
 
 
-def _backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record,
-                       u_next, u_launch):
+@_jit
+def backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record,
+                      u_next, u_launch):
     """Run the recurrence backwards from (u(M+1), u(M)) = (u_next, u_launch).
 
     The potential amp*sin(omega*n + delta)/n is evaluated on the fly so the
@@ -155,7 +145,8 @@ def _backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record,
     return lnr, b, a
 
 
-def _sturm_counts(diag, shifts, pivmin):
+@_jit
+def sturm_counts(diag, shifts, pivmin):
     """Number of eigenvalues below each shift, by Sturm sign changes.
 
     diag is the Jacobi diagonal (0-based), off-diagonal entries are 1.
@@ -182,7 +173,8 @@ def _sturm_counts(diag, shifts, pivmin):
     return out
 
 
-def _kahan_cumsum(terms):
+@_jit
+def kahan_cumsum(terms):
     """Running sums of terms in ascending order with Kahan compensation."""
     out = np.empty_like(terms)
     s = 0.0
@@ -196,45 +188,9 @@ def _kahan_cumsum(terms):
     return out
 
 
-_SOURCES = {
-    "solve_forward": _solve_forward,
-    "prufer_forward": _prufer_forward,
-    "backward_resonant": _backward_resonant,
-    "sturm_counts": _sturm_counts,
-    "kahan_cumsum": _kahan_cumsum,
-}
-
-_compiled = {}
-
-
-def compiled_impls():
-    """JIT-compiled kernels (ignores the env flag); {} if numba is absent."""
-    if HAVE_NUMBA and not _compiled:
-        for name, fn in _SOURCES.items():
-            _compiled[name] = _njit(cache=True, nogil=True)(fn)
-    return _compiled
-
-
-def python_impls():
-    """The uncompiled kernels, always available."""
-    return dict(_SOURCES)
-
-
-if USE_NUMBA:
-    _active = compiled_impls()
-else:
-    _active = _SOURCES
-
-solve_forward = _active["solve_forward"]
-prufer_forward = _active["prufer_forward"]
-backward_resonant = _active["backward_resonant"]
-sturm_counts = _active["sturm_counts"]
-kahan_cumsum = _active["kahan_cumsum"]
-
-
 def backend():
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend fixed at import: 'numba' or 'numpy'."""
+    return _BACKEND
 
 
 def warmup():

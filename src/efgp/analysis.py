@@ -31,6 +31,7 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
+from .prufer import common_onset
 from .spectral import EigenvalueSet, theorem_weight
 
 STABILIZATION_THRESHOLD = 0.05
@@ -239,22 +240,6 @@ class SumDiagnostics:
         }
 
 
-def _common_onset(trajs, n_max: int) -> tuple:
-    """First site from which every |nu_j| stays below 1/2, and whether one
-    exists within range (the angle-increment hypothesis)."""
-    n0 = 1
-    ok = True
-    for traj in trajs:
-        a = np.abs(traj.nu[1:n_max + 1])
-        rev = np.maximum.accumulate(a[::-1])[::-1]
-        idx = np.nonzero(rev < 0.5)[0]
-        if idx.size == 0:
-            ok = False
-        else:
-            n0 = max(n0, int(idx[0]) + 1)
-    return n0, ok
-
-
 def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     """Cross and diagonal oscillatory sums over a family of trajectories.
 
@@ -278,7 +263,7 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
                 raise DegenerateFrequencies(
                     f"x_{j + 1} +/- x_{k + 1} is a multiple of pi")
 
-    n0, hyp_ok = _common_onset(trajs, n_max)
+    n0, hyp_ok = common_onset(trajs, n_max)
     sites = np.arange(n0, n_max + 1, dtype=np.float64)
     sins = [np.sin(2.0 * t.theta_bar[n0:n_max + 1]) for t in trajs]
     log_n = np.log(sites)

@@ -282,6 +282,22 @@ def angle_increment_check(traj: PruferTrajectory, nu=None) -> list:
     return [int(i) + 1 for i in np.nonzero(bad)[0]]
 
 
+def common_onset(trajs, n_max: int) -> tuple:
+    """First site from which every |nu_j| stays below 1/2, and whether one
+    exists within range (the angle-increment hypothesis)."""
+    n0 = 1
+    ok = True
+    for traj in trajs:
+        a = np.abs(traj.nu[1:n_max + 1])
+        rev = np.maximum.accumulate(a[::-1])[::-1]
+        idx = np.nonzero(rev < 0.5)[0]
+        if idx.size == 0:
+            ok = False
+        else:
+            n0 = max(n0, int(idx[0]) + 1)
+    return n0, ok
+
+
 def corrupt_theta(traj: PruferTrajectory, site: int, offset: float) -> PruferTrajectory:
     """Copy of the trajectory with theta(site) shifted (fault injection)."""
     theta = traj.theta.copy()

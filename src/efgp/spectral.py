@@ -13,6 +13,7 @@ pretending to decide square-summability.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,12 +29,25 @@ from .errors import (
     ZeroInitial,
 )
 from .operators import JacobiMatrix, OperatorSpec, Potential, make_potential
-from .prufer import SpectralParam, evolve_trajectory
+from .prufer import SpectralParam, common_onset, evolve_trajectory
+
+
+def _checked_diagonal(J: JacobiMatrix) -> np.ndarray:
+    d = J.diagonal
+    if d.size == 0:
+        raise ParamOutOfRange("Jacobi matrix must not be empty")
+    if not np.isfinite(d).all():
+        raise ParamOutOfRange("Jacobi diagonal must be finite")
+    return d
 
 
 def sturm_count(J: JacobiMatrix, E: float) -> int:
     """Number of eigenvalues of J strictly below E (guarded Sturm count)."""
-    out = _kernels.sturm_counts(J.diagonal, np.array([float(E)]), _kernels.PIVMIN)
+    E = float(E)
+    if not math.isfinite(E):
+        raise ParamOutOfRange(f"E must be finite, got {E}")
+    out = _kernels.sturm_counts(_checked_diagonal(J), np.array([E]),
+                                _kernels.PIVMIN)
     return int(out[0])
 
 
@@ -54,9 +68,7 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple, tol: float = 1e-12) ->
     min_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     if tol < min_tol:
         raise TolTooSmall(f"tol {tol} below machine resolution {min_tol:.3e}")
-    d = J.diagonal
-    if not np.isfinite(d).all():
-        raise ParamOutOfRange("Jacobi diagonal must be finite")
+    d = _checked_diagonal(J)
     c_lo, c_hi = (int(v) for v in
                   _kernels.sturm_counts(d, np.array([lo, hi]), _kernels.PIVMIN))
     if c_hi <= c_lo:
@@ -79,10 +91,13 @@ def eigenvector(J: JacobiMatrix, E: float) -> np.ndarray:
     E = float(E)
     if not math.isfinite(E):
         raise ParamOutOfRange(f"E must be finite, got {E}")
-    d = J.diagonal
-    if not np.isfinite(d).all():
-        raise ParamOutOfRange("Jacobi diagonal must be finite")
-    t = 1e-10 * (float(np.max(np.abs(d))) + 2.0)
+    d = _checked_diagonal(J)
+    bound = float(np.max(np.abs(d))) + 2.0  # Gershgorin: |eigenvalue| <= bound
+    t = 1e-10 * bound
+    # beyond the bound no eigenvalue is near, and (E - t, E + t) may round
+    # to an empty interval that LAPACK rejects
+    if abs(E) > bound + t:
+        raise NoConvergence(f"{E} lies outside the spectral bound {bound:.6g}")
     try:
         w, vecs = eigh_tridiagonal(d, np.ones(d.size - 1), select="v",
                                    select_range=(E - t, E + t))
@@ -177,17 +192,23 @@ def classify_point_spectrum(spec: OperatorSpec, E: float,
                             checkpoints=None) -> EigenvalueRecord:
     """Evolve at E and test the tail-norm certificate at each checkpoint.
 
-    The certificate passes if R(N*)^2 <= 1/N* at some checkpoint N*, with
-    R measured relative to R(1).  The recorded (N*, R(N*)^2) pair is the
-    checkpoint with the best margin, so passed <=> rn_sq <= 1/n_star holds
-    for the stored values either way.
+    The certificate passes if R(N*)^2 <= 1/N* at some eligible checkpoint
+    N*, with R measured relative to R(1).  A checkpoint is eligible from the
+    hypothesis onset on, the first site from which |nu| stays below 1/2:
+    before it R may merely dip during a slow rotation.  The recorded
+    (N*, R(N*)^2) pair is the eligible checkpoint with the best margin, so
+    passed <=> rn_sq <= 1/n_star holds for the stored values either way;
+    with no eligible checkpoint it is (0, nan) and the certificate fails.
     """
     E = float(E)
     if not -2.0 < E < 2.0:
         raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
     if checkpoints is None:
         checkpoints = default_checkpoints(spec.n)
-    cps = sorted(int(c) for c in checkpoints)
+    try:
+        cps = sorted(operator.index(c) for c in checkpoints)
+    except TypeError:
+        raise ParamOutOfRange("checkpoints must be integers") from None
     if not cps:
         raise ParamOutOfRange("need at least one checkpoint")
     if cps[0] < 2 or cps[-1] > spec.n:
@@ -196,11 +217,17 @@ def classify_point_spectrum(spec: OperatorSpec, E: float,
     param = SpectralParam.from_energy(E)
     traj = evolve_trajectory(spec, param)
     ln_rel = traj.ln_R - traj.ln_R[1]
-    best = None
+    onset, hyp_ok = common_onset([traj], spec.n)
+    best = (None, 0, math.nan)
     for c in cps:
-        rn_sq = math.exp(2.0 * ln_rel[c])
+        if not hyp_ok or c < onset:
+            continue
+        try:
+            rn_sq = math.exp(2.0 * ln_rel[c])
+        except OverflowError:  # R grew past the float range by site c
+            rn_sq = math.inf
         margin = c * rn_sq  # <= 1 means the certificate holds here
-        if best is None or margin < best[0]:
+        if best[0] is None or margin < best[0]:
             best = (margin, c, rn_sq)
     _, n_star, rn_sq = best
     fit_lo = max(2, spec.n // 2)
@@ -211,7 +238,7 @@ def classify_point_spectrum(spec: OperatorSpec, E: float,
         x=param.x,
         weight=theorem_weight(E),
         certificate=Certificate(n_star=n_star, rn_sq=rn_sq,
-                                passed=rn_sq <= 1.0 / n_star),
+                                passed=n_star > 0 and rn_sq <= 1.0 / n_star),
         decay_exponent=decay,
         r1=traj.r1,
     )

@@ -39,7 +39,7 @@ from efgp.analysis import normalize_weighted
 from efgp.cli import main as cli_main
 
 PI = math.pi
-TIMED = _kernels.USE_NUMBA  # wall-clock floors only make sense when JIT'd
+TIMED = _kernels.backend() == "numba"  # wall-clock floors only make sense when JIT'd
 
 FAMILIES = ("coulomb", "alternating", "resonant", "random_sign")
 

@@ -1,18 +1,15 @@
-"""Cross-checks between the JIT-compiled kernels and the Python fallback."""
+"""Cross-checks between the JIT-compiled kernels and their Python source."""
 
+import importlib.util
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from efgp import _kernels
 
-HAVE_NUMBA = bool(_kernels.compiled_impls())
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+needs_numba = pytest.mark.skipif(_kernels.backend() != "numba",
+                                 reason="numba unavailable")
 
 
 def _case_inputs():
@@ -27,8 +24,8 @@ def _case_inputs():
 @needs_numba
 def test_solve_forward_paths_agree():
     V, E, _, _, _ = _case_inputs()
-    py = _kernels.python_impls()["solve_forward"]
-    nb = _kernels.compiled_impls()["solve_forward"]
+    py = _kernels.solve_forward.py_func
+    nb = _kernels.solve_forward
     u1, f1 = py(V, E, 1.0, 0.5)
     u2, f2 = nb(V, E, 1.0, 0.5)
     assert f1 == f2 == -1
@@ -38,8 +35,8 @@ def test_solve_forward_paths_agree():
 @needs_numba
 def test_prufer_forward_paths_agree():
     V, E, cosx, sinx, x = _case_inputs()
-    py = _kernels.python_impls()["prufer_forward"]
-    nb = _kernels.compiled_impls()["prufer_forward"]
+    py = _kernels.prufer_forward.py_func
+    nb = _kernels.prufer_forward
     t1, l1, f1 = py(V, E, cosx, sinx, x, 1.0, 0.5)
     t2, l2, f2 = nb(V, E, cosx, sinx, x, 1.0, 0.5)
     assert f1 == f2 == -1
@@ -51,8 +48,8 @@ def test_prufer_forward_paths_agree():
 def test_backward_resonant_paths_agree():
     x = 1.1
     E, cosx, sinx = 2 * math.cos(x), math.cos(x), math.sin(x)
-    py = _kernels.python_impls()["backward_resonant"]
-    nb = _kernels.compiled_impls()["backward_resonant"]
+    py = _kernels.backward_resonant.py_func
+    nb = _kernels.backward_resonant
     l1, a1, b1 = py(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
     l2, a2, b2 = nb(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
     np.testing.assert_allclose(l1[1:], l2[1:], rtol=0, atol=1e-10)
@@ -65,8 +62,8 @@ def test_sturm_counts_paths_identical():
     rng = np.random.default_rng(5)
     d = rng.uniform(-2, 2, 300)
     shifts = np.linspace(-4, 4, 37)
-    py = _kernels.python_impls()["sturm_counts"](d, shifts, _kernels.PIVMIN)
-    nb = _kernels.compiled_impls()["sturm_counts"](d, shifts, _kernels.PIVMIN)
+    py = _kernels.sturm_counts.py_func(d, shifts, _kernels.PIVMIN)
+    nb = _kernels.sturm_counts(d, shifts, _kernels.PIVMIN)
     assert np.array_equal(py, nb)
 
 
@@ -75,8 +72,8 @@ def test_kahan_cumsum_paths_bitwise_identical():
     # pure add/sub sequence: both paths must match bit for bit
     rng = np.random.default_rng(6)
     terms = rng.standard_normal(50000) / np.arange(1, 50001)
-    py = _kernels.python_impls()["kahan_cumsum"](terms)
-    nb = _kernels.compiled_impls()["kahan_cumsum"](terms)
+    py = _kernels.kahan_cumsum.py_func(terms)
+    nb = _kernels.kahan_cumsum(terms)
     assert np.array_equal(py, nb)
 
 
@@ -89,23 +86,6 @@ def test_kahan_cumsum_accuracy():
     assert got == pytest.approx(exact, abs=1e-14)
 
 
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import efgp, numpy as np, math\n"
-        "assert efgp.backend() == 'numpy'\n"
-        "p = efgp.make_potential('coulomb', c=1.0)\n"
-        "spec = efgp.OperatorSpec(p, math.pi/2, 500)\n"
-        "traj = efgp.evolve_trajectory(spec, efgp.SpectralParam.from_x(1.0))\n"
-        "assert efgp.angle_increment_check(traj) == []\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, EFGP_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
 def test_backend_reports_numba_by_default():
-    if HAVE_NUMBA and not _kernels._env_disabled():
-        assert _kernels.backend() == "numba"
+    installed = importlib.util.find_spec("numba") is not None
+    assert _kernels.backend() == ("numba" if installed else "numpy")

@@ -21,7 +21,7 @@ from efgp import (
     resonance_construct,
     sturm_count,
 )
-from efgp.prufer import SpectralParam, evolve_trajectory
+from efgp.prufer import SpectralParam, common_onset, evolve_trajectory
 from efgp import _kernels, analysis, spectral
 from efgp.spectral import default_checkpoints
 
@@ -117,6 +117,18 @@ def test_window_rejects_nonfinite_diagonal(bad):
     d[2] = bad
     with pytest.raises(errors.ParamOutOfRange):
         eigenvalues_in_window(JacobiMatrix(d), (-2.0, 2.0), 1e-12)
+    with pytest.raises(errors.ParamOutOfRange):
+        sturm_count(JacobiMatrix(d), 0.0)
+    with pytest.raises(errors.ParamOutOfRange):
+        sturm_count(free_jacobi(5), bad)
+
+
+def test_empty_jacobi_rejected():
+    empty = free_jacobi(0)
+    with pytest.raises(errors.ParamOutOfRange):
+        sturm_count(empty, 0.0)
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvalues_in_window(empty, (-2.0, 2.0), 1e-12)
 
 
 def test_window_rejects_nan_tol():
@@ -196,6 +208,8 @@ def test_eigenvector_rejects_nonfinite_inputs():
             eigenvector(free_jacobi(3), e)
     with pytest.raises(errors.ParamOutOfRange):
         eigenvector(JacobiMatrix(np.array([0.0, float("nan"), 0.0])), 0.0)
+    with pytest.raises(errors.ParamOutOfRange):
+        eigenvector(free_jacobi(0), 0.0)
 
 
 def test_eigenvector_lapack_failure_is_no_convergence(monkeypatch):
@@ -231,6 +245,38 @@ def test_classify_validates_inputs():
         classify_point_spectrum(spec, 0.0, checkpoints=[1, 10])
     with pytest.raises(errors.ParamOutOfRange):
         classify_point_spectrum(spec, 0.0, checkpoints=[2000])
+    for cps in ([math.nan], [math.inf], [99.9], [100, 500.0]):
+        with pytest.raises(errors.ParamOutOfRange):
+            classify_point_spectrum(spec, 0.0, checkpoints=cps)
+
+
+def test_certificate_waits_for_hypothesis_onset():
+    # near the band edge |nu(n)| = 2/(n sin x) stays above 1/2 well past
+    # N* = 100, where R merely dips during the slow rotation
+    spec = OperatorSpec(make_potential("coulomb", c=2.0), 1.0, 4000)
+    for k, onset in ((0, 801), (1, 259), (2, 155)):
+        x = 0.005 + k * (PI - 0.01) / 299
+        rec = classify_point_spectrum(spec, 2.0 * math.cos(x))
+        traj = evolve_trajectory(spec, SpectralParam.from_x(x))
+        assert common_onset([traj], spec.n) == (onset, True)
+        assert rec.certificate.n_star >= onset
+        assert not rec.certificate.passed
+
+
+def test_certificate_without_eligible_checkpoint():
+    spec = OperatorSpec(make_potential("coulomb", c=2.0), 1.0, 4000)
+    rec = classify_point_spectrum(spec, 2.0 * math.cos(0.005), checkpoints=[100])
+    assert rec.certificate.n_star == 0
+    assert math.isnan(rec.certificate.rn_sq)
+    assert not rec.certificate.passed
+
+
+def test_certificate_survives_overflowing_growth():
+    # R(N)/R(1) ~ e^2000 before the onset at n ~ 4000: past the float range
+    spec = OperatorSpec(make_potential("coulomb", c=2000.0), 1.0, 10 ** 4)
+    rec = classify_point_spectrum(spec, 0.0)
+    assert rec.certificate == Certificate(n_star=10 ** 4, rn_sq=math.inf,
+                                          passed=False)
 
 
 def test_classify_n2_has_no_decay_fit():
@@ -239,7 +285,9 @@ def test_classify_n2_has_no_decay_fit():
         warnings.simplefilter("error")
         rec = classify_point_spectrum(spec, 0.3)
     assert rec.decay_exponent is None
-    assert rec.certificate.n_star == 2
+    # |nu(2)| = 1/(2 sin x) > 1/2: no checkpoint reaches the hypothesis onset
+    assert rec.certificate.n_star == 0
+    assert not rec.certificate.passed
 
 
 def test_theorem_weight_single_definition():
