@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     NegativeConstant,
     NotUnitVectors,
+    ParamOutOfRange,
     PreconditionFailed,
     RangeMismatch,
     ResonantFrequency,
@@ -46,7 +47,10 @@ def theorem_bound(C: float) -> float:
     """Right-hand side (C^2 + 2)/2 for envelope constant C >= 0."""
     if C < 0.0:
         raise NegativeConstant(f"envelope constant must be >= 0, got {C}")
-    return (C * C + 2.0) / 2.0
+    rhs = (C * C + 2.0) / 2.0
+    if not math.isfinite(rhs):
+        raise ParamOutOfRange(f"(C^2 + 2)/2 is not finite for C = {C}")
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,7 @@ class PairSum:
     k: int
     sup_abs: float
     dyadic: tuple
-
-    @property
-    def stabilized(self) -> bool:
-        return dyadic_stabilized(self.dyadic)
+    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,7 @@ class DiagonalSum:
     j: int
     sup_abs: float
     dyadic: tuple
-
-    @property
-    def stabilized(self) -> bool:
-        return dyadic_stabilized(self.dyadic)
+    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -240,13 +238,17 @@ class SumDiagnostics:
         }
 
 
-def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
+def prufer_sum_diagnostics(trajs, n_max: int,
+                           threshold: float = STABILIZATION_THRESHOLD
+                           ) -> SumDiagnostics:
     """Cross and diagonal oscillatory sums over a family of trajectories.
 
     The spectral parameters must be non-degenerate: 2 x_j and x_j +/- x_k
     may not sit within 1e-9 of a multiple of pi.  Sums start at the first
     site from which every |nu_j| < 1/2, mirroring the angle-increment
-    hypothesis; hypothesis_ok reports whether such a site exists.
+    hypothesis; hypothesis_ok reports whether such a site exists.  Each
+    sum is flagged stabilized when its dyadic sup grew by less than
+    threshold over the last window.
     """
     m = len(trajs)
     if m == 0:
@@ -272,8 +274,9 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     for j in range(m):
         partial = _kernels.kahan_cumsum(sins[j] * sins[j] / sites)
         dev = np.abs(0.5 * log_n - partial)
-        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()),
-                                dyadic=tuple(dyadic_profile(dev))))
+        prof = tuple(dyadic_profile(dev))
+        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()), dyadic=prof,
+                                stabilized=dyadic_stabilized(prof, threshold)))
 
     cross = np.zeros((m, m))
     pairs = []
@@ -283,8 +286,9 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
             mods = np.abs(partial)
             sup = float(mods.max())
             cross[j, k] = cross[k, j] = sup
-            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup,
-                                 dyadic=tuple(dyadic_profile(mods))))
+            prof = tuple(dyadic_profile(mods))
+            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup, dyadic=prof,
+                                 stabilized=dyadic_stabilized(prof, threshold)))
 
     return SumDiagnostics(cross=cross, pair_sums=tuple(pairs),
                           diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)

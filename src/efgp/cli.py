@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -62,7 +61,9 @@ class ExperimentConfig:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # an integer beyond the float range would overflow float(v)
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_int(v) -> bool:
@@ -122,6 +123,8 @@ def _parse_potential(obj, path: str = "potential") -> Potential:
             raise ValidationError(f"{path}.values", "must be a list of numbers")
         values = obj["values"]
     if "values_file" in obj:
+        if not isinstance(obj["values_file"], str):
+            raise ValidationError(f"{path}.values_file", "must be a string")
         try:
             text = Path(obj["values_file"]).read_text(encoding="utf-8")
         except OSError as exc:
@@ -142,13 +145,22 @@ def _parse_potential(obj, path: str = "potential") -> Potential:
         raise ValidationError(path, str(exc))
 
 
+def _finite_float(token: str) -> float:
+    v = float(token)
+    if not math.isfinite(v):
+        raise ParseError(f"config holds the non-finite number {token}")
+    return v
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON experiment document into an ExperimentConfig.
 
-    Strict mode: unknown fields anywhere are rejected with their path.
+    Strict mode: unknown fields anywhere are rejected with their path, and
+    so are the NaN and Infinity tokens and floats that overflow (1e999).
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_finite_float,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not well-formed JSON: {exc}")
     if not isinstance(obj, dict):
@@ -303,13 +315,6 @@ def _record_row(rec: spectral.EigenvalueRecord) -> tuple:
             rec.decay_exponent if rec.decay_exponent is not None else float("nan"))
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(v) for v in items]
-
-
 class _Stages:
     """Per-stage wall-clock bookkeeping; rewraps errors with the stage name."""
 
@@ -335,10 +340,6 @@ def _classify_record(spec, E, checkpoints):
                                          passed=False))
 
 
-def _window_eigenvalues(jac, cfg):
-    return spectral.eigenvalues_in_window(jac, cfg.window, cfg.tol)
-
-
 # --------------------------------------------------------------------------
 # command pipelines
 # --------------------------------------------------------------------------
@@ -347,7 +348,9 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
     """Execute a validated config; writes outputs and returns the report.
 
     The report carries "exit_code": 0, or 2 when a bound-check found the
-    inequality violated.
+    inequality violated.  Every command runs on the calling thread.  The
+    ``threads`` keyword does nothing; it stays only because
+    ``perfbench/worker.py`` passes ``threads=1``.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,26 +369,42 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
 
     payload: dict = {}
 
-    if cfg.command == "spectrum":
+    if cfg.command in ("spectrum", "bound-check"):
         spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
-        jac = stages.run("build_jacobi", build_jacobi, spec)
-        eigs = stages.run("bisection", _window_eigenvalues, jac, cfg)
-        note(f"spectrum: {eigs.size} eigenvalues in window")
-        records = stages.run(
-            "classify", _map_ordered,
-            lambda E: _classify_record(spec, E, cfg.checkpoints), list(eigs),
-            threads)
+        energies = [2.0 * math.cos(xv) for xv in cfg.x_values]
+        if cfg.window is not None:
+            jac = stages.run("build_jacobi", build_jacobi, spec)
+            eigs = stages.run("bisection", spectral.eigenvalues_in_window,
+                              jac, cfg.window, cfg.tol)
+            energies.extend(float(v) for v in eigs)
+        records = stages.run("classify", lambda: [
+            _classify_record(spec, E, cfg.checkpoints) for E in energies])
         eset = spectral.make_eigenvalue_set(records, cfg.distinct_tol)
         _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
                    [_record_row(r) for r in eset.records], stamp)
-        payload = {"count": len(eset.records),
-                   "records": [_record_dict(r) for r in eset.records]}
+        record_dicts = [_record_dict(r) for r in eset.records]
+        if cfg.command == "spectrum":
+            note(f"spectrum: {len(energies)} eigenvalues in window")
+            payload = {"count": len(record_dicts), "records": record_dicts}
+        else:
+            if cfg.C is not None:
+                c_used = cfg.C
+            else:
+                lo, hi = cfg.envelope_range or (1, cfg.n)
+                c_used = stages.run("envelope", envelope_constant,
+                                    cfg.potential, lo, hi)
+            report = stages.run("check_theorem", analysis.check_theorem,
+                                eset, c_used, cfg.certified_only)
+            payload = report.to_json_dict(records=record_dicts)
+            if not report.satisfied:
+                exit_code = 2
+            note(f"bound-check: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
+                 f"satisfied={report.satisfied}")
 
     elif cfg.command == "prufer":
         spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
 
-        def one(jx):
-            j, xval = jx
+        def one(j, xval):
             traj = evolve_trajectory(spec, SpectralParam.from_x(xval))
             u = traj.u_values()
             rows = zip(range(1, traj.n + 1), u[1:].tolist(),
@@ -399,48 +418,17 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
                     "theta_final": float(traj.theta[-1]),
                     "file": f"trajectory_{j}.csv"}
 
-        summaries = stages.run(
-            "trajectories", _map_ordered, one,
-            list(enumerate(cfg.x_values, 1)), threads)
+        summaries = stages.run("trajectories", lambda: [
+            one(j, xv) for j, xv in enumerate(cfg.x_values, 1)])
         payload = {"trajectories": summaries}
-
-    elif cfg.command == "bound-check":
-        spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
-        energies = [2.0 * math.cos(xv) for xv in cfg.x_values]
-        if cfg.window is not None:
-            jac = stages.run("build_jacobi", build_jacobi, spec)
-            eigs = stages.run("bisection", _window_eigenvalues, jac, cfg)
-            energies.extend(float(v) for v in eigs)
-        records = stages.run(
-            "classify", _map_ordered,
-            lambda E: _classify_record(spec, E, cfg.checkpoints),
-            energies, threads)
-        eset = spectral.make_eigenvalue_set(records, cfg.distinct_tol)
-        if cfg.C is not None:
-            c_used = cfg.C
-        else:
-            lo, hi = cfg.envelope_range or (1, cfg.n)
-            c_used = stages.run("envelope", envelope_constant,
-                                cfg.potential, lo, hi)
-        report = stages.run("check_theorem", analysis.check_theorem,
-                            eset, c_used, cfg.certified_only)
-        _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
-                   [_record_row(r) for r in eset.records], stamp)
-        payload = report.to_json_dict(
-            records=[_record_dict(r) for r in eset.records])
-        if not report.satisfied:
-            exit_code = 2
-        note(f"bound-check: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-             f"satisfied={report.satisfied}")
 
     elif cfg.command == "lemma-sums":
         spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
-        trajs = stages.run(
-            "trajectories", _map_ordered,
-            lambda xv: evolve_trajectory(spec, SpectralParam.from_x(xv)),
-            list(cfg.x_values), threads)
+        trajs = stages.run("trajectories", lambda: [
+            evolve_trajectory(spec, SpectralParam.from_x(xv))
+            for xv in cfg.x_values])
         diag = stages.run("diagnostics", analysis.prufer_sum_diagnostics,
-                          trajs, cfg.n)
+                          trajs, cfg.n, cfg.stabilization_threshold)
         payload = diag.to_json_dict()
         payload["x_values"] = list(cfg.x_values)
         payload["stabilization_threshold"] = cfg.stabilization_threshold
@@ -495,11 +483,15 @@ def main(argv=None) -> int:
                     "operators with Coulomb-decay potentials")
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--output-dir", help="override the config's output_dir")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for independent spectral parameters")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a violated bound
+        if exc.code == 0:
+            raise
+        return 1
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -510,7 +502,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.output_dir:
             cfg.output_dir = args.output_dir
-        report = run(cfg, threads=max(1, args.threads), quiet=args.quiet)
+        report = run(cfg, quiet=args.quiet)
     except EfgpError as exc:
         print(f"error in {args.config}: {exc}", file=sys.stderr)
         return 1

@@ -83,6 +83,8 @@ class Potential:
             raise UnknownFamily(self.family)
         if self.onset > 1:
             v = np.where(n < self.onset, 0.0, v)
+        if not np.isfinite(v).all():  # resonant omega*n beyond the float range
+            raise ParamOutOfRange(f"V(n) is not finite on [{n_lo}, {n_hi}]")
         return v
 
     def value_array(self, n_max: int) -> np.ndarray:

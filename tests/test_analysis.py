@@ -51,6 +51,10 @@ def test_theorem_bound_values():
     assert theorem_bound(2.5) == 4.125
     with pytest.raises(errors.NegativeConstant):
         theorem_bound(-0.1)
+    # an infinite or nan right side is no bound and not strict JSON
+    for C in (1e200, math.inf, math.nan):
+        with pytest.raises(errors.ParamOutOfRange):
+            theorem_bound(C)
 
 
 def test_check_theorem_empty_set():

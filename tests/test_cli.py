@@ -234,7 +234,76 @@ def test_threads_give_same_results(tmp_path):
     cfg1 = parse_config(base.replace("PLACEHOLDER", str(tmp_path / "s")))
     cfg2 = parse_config(base.replace("PLACEHOLDER", str(tmp_path / "t")))
     run(cfg1, threads=1)
-    run(cfg2, threads=3)
+    run(cfg2)
     d1 = (tmp_path / "s" / "diagnostics.json").read_text()
     d2 = (tmp_path / "t" / "diagnostics.json").read_text()
     assert d1 == d2
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # 2 is reserved for a violated bound, so argparse's own 2 is mapped to 1
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="prufer", potential={"family": "coulomb"},
+                         phi=1.0, N=10, x_values=[1.0],
+                         output_dir=str(tmp_path / "o")))
+    for argv in ([], ["--bogus", str(path)], ["--jobs", "2", str(path)],
+                 ["--quiet=yes", str(path)]):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("key", ["C", "stabilization_threshold"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_nonfinite_config_numbers_exit_1(tmp_path, capsys, key, token):
+    command = "bound-check" if key == "C" else "lemma-sums"
+    doc = _cfg(command=command, potential={"family": "coulomb", "c": 1.0},
+               phi=1.0, N=50, x_values=[1.0], output_dir=str(tmp_path / "o"))
+    doc = doc[:-1] + f', "{key}": {token}}}'
+    with pytest.raises(errors.ParseError):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    assert main([str(path), "--quiet"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_bound_exit_1(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="bound-check",
+                         potential={"family": "coulomb", "c": 1.0}, phi=1.0,
+                         N=50, x_values=[1.0], C=1e300,
+                         output_dir=str(tmp_path / "o")))
+    assert main([str(path), "--quiet"]) == 1
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [5, None, ["t.txt"]])
+def test_values_file_must_be_a_string(value):
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(_cfg(command="prufer",
+                          potential={"family": "table", "values_file": value},
+                          phi=1.0, N=10, x_values=[1.0]))
+    assert exc.value.field == "potential.values_file"
+
+
+@pytest.mark.parametrize("potential, threshold, c1_stabilized", [
+    ({"family": "coulomb", "c": 1.0}, None, True),
+    ({"family": "coulomb", "c": 1.0}, 1e-6, False),  # grew by 0.00172
+    ({"family": "random_sign", "c": 1.0, "seed": 3}, None, False),
+    ({"family": "random_sign", "c": 1.0, "seed": 3}, 1.0, True),  # by 0.353
+])
+def test_stabilization_threshold_applied(tmp_path, potential, threshold,
+                                         c1_stabilized):
+    doc = dict(command="lemma-sums", potential=potential, phi=1.0, N=1000,
+               x_values=[1.5605, 1.5805], output_dir=str(tmp_path / "o"))
+    if threshold is not None:
+        doc["stabilization_threshold"] = threshold
+    run(parse_config(_cfg(**doc)))
+    diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+    assert diag["c1"][0]["stabilized"] is c1_stabilized
+    assert diag["stabilization_threshold"] == (threshold or 0.05)

@@ -82,6 +82,13 @@ def test_nonfinite_parameters_rejected(kwargs):
         make_potential(family, c=1.0, **kwargs)
 
 
+def test_overflowing_resonant_phase_rejected():
+    p = make_potential("resonant", c=1.0, omega=1.2e307)
+    assert np.isfinite(p.values(1, 14)).all()
+    with pytest.raises(errors.ParamOutOfRange):
+        p.values(1, 16)  # omega * 15 overflows, sin(inf) is nan
+
+
 def test_envelope_coulomb_is_one():
     p = make_potential("coulomb", c=1.0)
     assert envelope_constant(p, 1, 1000) == pytest.approx(1.0, abs=0)
