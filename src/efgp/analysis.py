@@ -204,7 +204,10 @@ class PairSum:
     k: int
     sup_abs: float
     dyadic: tuple
-    stabilized: bool
+
+    @property
+    def stabilized(self) -> bool:
+        return dyadic_stabilized(self.dyadic)
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,10 @@ class DiagonalSum:
     j: int
     sup_abs: float
     dyadic: tuple
-    stabilized: bool
+
+    @property
+    def stabilized(self) -> bool:
+        return dyadic_stabilized(self.dyadic)
 
 
 @dataclass(frozen=True)
@@ -238,17 +244,13 @@ class SumDiagnostics:
         }
 
 
-def prufer_sum_diagnostics(trajs, n_max: int,
-                           threshold: float = STABILIZATION_THRESHOLD
-                           ) -> SumDiagnostics:
+def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     """Cross and diagonal oscillatory sums over a family of trajectories.
 
     The spectral parameters must be non-degenerate: 2 x_j and x_j +/- x_k
     may not sit within 1e-9 of a multiple of pi.  Sums start at the first
     site from which every |nu_j| < 1/2, mirroring the angle-increment
-    hypothesis; hypothesis_ok reports whether such a site exists.  Each
-    sum is flagged stabilized when its dyadic sup grew by less than
-    threshold over the last window.
+    hypothesis; hypothesis_ok reports whether such a site exists.
     """
     m = len(trajs)
     if m == 0:
@@ -274,9 +276,8 @@ def prufer_sum_diagnostics(trajs, n_max: int,
     for j in range(m):
         partial = _kernels.kahan_cumsum(sins[j] * sins[j] / sites)
         dev = np.abs(0.5 * log_n - partial)
-        prof = tuple(dyadic_profile(dev))
-        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()), dyadic=prof,
-                                stabilized=dyadic_stabilized(prof, threshold)))
+        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()),
+                                dyadic=tuple(dyadic_profile(dev))))
 
     cross = np.zeros((m, m))
     pairs = []
@@ -286,9 +287,8 @@ def prufer_sum_diagnostics(trajs, n_max: int,
             mods = np.abs(partial)
             sup = float(mods.max())
             cross[j, k] = cross[k, j] = sup
-            prof = tuple(dyadic_profile(mods))
-            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup, dyadic=prof,
-                                 stabilized=dyadic_stabilized(prof, threshold)))
+            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup,
+                                 dyadic=tuple(dyadic_profile(mods))))
 
     return SumDiagnostics(cross=cross, pair_sums=tuple(pairs),
                           diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)

@@ -54,7 +54,6 @@ class ExperimentConfig:
     certified_only: bool = True
     C: Optional[float] = None
     envelope_range: Optional[tuple] = None
-    stabilization_threshold: float = analysis.STABILIZATION_THRESHOLD
     x: Optional[float] = None
     c: Optional[float] = None
     raw: dict = field(default_factory=dict)
@@ -67,7 +66,9 @@ def _is_num(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    # beyond int64, numpy raises OverflowError on sizes and indices
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and -2 ** 63 <= v < 2 ** 63)
 
 
 def _need(obj: dict, key: str, path: str):
@@ -161,7 +162,8 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         obj = json.loads(text, parse_float=_finite_float,
                          parse_constant=_finite_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond int_max_str_digits
         raise ParseError(f"config is not well-formed JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError("config must be a JSON object")
@@ -178,8 +180,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "bound-check": common | {"potential", "phi", "N", "x_values", "window",
                                  "checkpoints", "tol", "distinct_tol",
                                  "certified_only", "C", "envelope_range"},
-        "lemma-sums": common | {"potential", "phi", "N", "x_values",
-                                "stabilization_threshold"},
+        "lemma-sums": common | {"potential", "phi", "N", "x_values"},
         "construct": common | {"x", "c", "N", "checkpoints"},
     }
     _reject_unknown(obj, per_command[command], "")
@@ -230,9 +231,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, attr, cond, msg in (
             ("tol", "tol", lambda v: v > 0, "must be positive"),
             ("distinct_tol", "distinct_tol", lambda v: v > 0, "must be positive"),
-            ("C", "C", lambda v: v >= 0, "must be >= 0"),
-            ("stabilization_threshold", "stabilization_threshold",
-             lambda v: v > 0, "must be positive")):
+            ("C", "C", lambda v: v >= 0, "must be >= 0")):
         if key in obj:
             if not _is_num(obj[key]) or not cond(obj[key]):
                 raise ValidationError(key, msg)
@@ -380,13 +379,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
         records = stages.run("classify", lambda: [
             _classify_record(spec, E, cfg.checkpoints) for E in energies])
         eset = spectral.make_eigenvalue_set(records, cfg.distinct_tol)
-        _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
-                   [_record_row(r) for r in eset.records], stamp)
-        record_dicts = [_record_dict(r) for r in eset.records]
-        if cfg.command == "spectrum":
-            note(f"spectrum: {len(energies)} eigenvalues in window")
-            payload = {"count": len(record_dicts), "records": record_dicts}
-        else:
+        report = None
+        if cfg.command == "bound-check":
             if cfg.C is not None:
                 c_used = cfg.C
             else:
@@ -395,6 +389,14 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
                                     cfg.potential, lo, hi)
             report = stages.run("check_theorem", analysis.check_theorem,
                                 eset, c_used, cfg.certified_only)
+        # written only once every stage has succeeded
+        _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
+                   [_record_row(r) for r in eset.records], stamp)
+        record_dicts = [_record_dict(r) for r in eset.records]
+        if report is None:
+            note(f"spectrum: {len(energies)} eigenvalues in window")
+            payload = {"count": len(record_dicts), "records": record_dicts}
+        else:
             payload = report.to_json_dict(records=record_dicts)
             if not report.satisfied:
                 exit_code = 2
@@ -428,10 +430,10 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             evolve_trajectory(spec, SpectralParam.from_x(xv))
             for xv in cfg.x_values])
         diag = stages.run("diagnostics", analysis.prufer_sum_diagnostics,
-                          trajs, cfg.n, cfg.stabilization_threshold)
+                          trajs, cfg.n)
         payload = diag.to_json_dict()
         payload["x_values"] = list(cfg.x_values)
-        payload["stabilization_threshold"] = cfg.stabilization_threshold
+        payload["stabilization_threshold"] = analysis.STABILIZATION_THRESHOLD
         _write_json(out_dir / "diagnostics.json",
                     {"version": __version__, "config_hash": cfg_hash,
                      **payload})

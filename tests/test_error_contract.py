@@ -73,12 +73,12 @@ CLI_CONFIGS = {
                     "envelope_range": [1, 24]},
     "lemma-sums": {"command": "lemma-sums",
                    "potential": {"family": "table", "values": [0.5, -0.25]},
-                   "phi": 1.0, "N": 32, "x_values": [1.0, 2.0],
-                   "stabilization_threshold": 0.05},
+                   "phi": 1.0, "N": 32, "x_values": [1.0, 2.0]},
     "construct": {"command": "construct", "x": 1.0, "c": 2.0, "N": 100,
                   "checkpoints": [50, 100]},
 }
-# integers drawn for these fields stay small, so no draw asks for a large array
+# integers drawn for these fields stay small or lie beyond int64, so no draw
+# asks for a large array
 SMALL_INT_FIELDS = {"N", "potential.n0", "checkpoints", "envelope_range"}
 
 
@@ -102,7 +102,8 @@ def _fields(doc):
 def _mutated_configs(draw, command):
     doc = json.loads(json.dumps(CLI_CONFIGS[command]))
     name = draw(st.sampled_from(_fields(doc)))
-    ints = (st.integers(-10, 64) if name in SMALL_INT_FIELDS
+    ints = (st.integers(-10, 64) | st.integers(min_value=2 ** 63)
+            | st.integers(max_value=-2 ** 63 - 1) if name in SMALL_INT_FIELDS
             else st.integers() | st.integers(min_value=2 ** 1024))
     value = draw(_json_values(ints))
     if name.startswith("potential."):
