@@ -9,7 +9,9 @@ Python over numpy arrays.
 
 Array layout convention: per-site arrays are indexed by the lattice site n
 itself, so ``V[n]`` is the potential at site n (slot 0 unused) and outputs
-``theta[n]``, ``lnr[n]`` start at n=1 with slot 0 set to nan.
+such as ``lnr[n]`` start at n=1 with slot 0 set to nan.  The kernels only
+run recurrences: the Prufer transform of a solution (radius, angle and its
+continuous lift) is vectorized, once, in ``prufer.py``.
 """
 
 import math
@@ -32,12 +34,10 @@ else:
 # sitting exactly at the shift is not counted (strictly-below semantics).
 PIVMIN = 1e-290
 
-# Rescale the evolving pair once its Prufer radius leaves this band; the
+# Rescale the evolving pair once its larger entry leaves this band; the
 # log-scale accumulator keeps ln R exact.
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
-
-_TWO_PI = 2.0 * math.pi
 
 
 @_jit
@@ -61,49 +61,40 @@ def solve_forward(V, E, u0, u1):
 
 
 @_jit
-def prufer_forward(V, E, cosx, sinx, x, u0, u1):
-    """Evolve Prufer variables for the boundary-condition solution.
+def prufer_forward(V, E, u0, u1):
+    """Three-term recurrence with rescaling, for the Prufer transform.
 
-    Uses the amplitude/angle representation directly so the iteration can
-    rescale the evolving pair (log-scale accumulation) and never overflows.
-    Returns (theta, lnr, flag): continuous-lift angles and exact ln R(n),
-    both indexed by site with slot 0 = nan; flag is the first site where
-    the solution degenerated to zero, or -1.
+    Returns (un, um, ln_scale), site-indexed with slot 0 = nan: the pair
+    (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]).  The pair is
+    rescaled once max(|u(n)|, |u(n-1)|) leaves [_RESCALE_LO, _RESCALE_HI]
+    (unless it is 0), so it never overflows and ln R stays exact.
     """
     n_max = V.shape[0] - 1
-    theta = np.empty(n_max + 1)
-    lnr = np.empty(n_max + 1)
-    theta[0] = np.nan
-    lnr[0] = np.nan
+    un = np.empty(n_max + 1)
+    um = np.empty(n_max + 1)
+    ln_scale = np.empty(n_max + 1)
+    un[0] = np.nan
+    um[0] = np.nan
+    ln_scale[0] = np.nan
     a = u1  # u(n)
     b = u0  # u(n-1)
     sigma = 0.0
-    prev = 0.0
     for n in range(1, n_max + 1):
-        ca = a - b * cosx
-        cb = b * sinx
-        r = math.hypot(ca, cb)
-        if r == 0.0:
-            return theta, lnr, n
-        lnr[n] = math.log(r) + sigma
-        ang = math.atan2(cb, ca)
-        if n == 1:
-            theta[n] = ang
-        else:
-            tgt = prev + x
-            d = ang - tgt
-            d -= _TWO_PI * math.ceil((d - math.pi) / _TWO_PI)
-            theta[n] = tgt + d
-        prev = theta[n]
+        un[n] = a
+        um[n] = b
+        ln_scale[n] = sigma
         if n < n_max:
-            if r > _RESCALE_HI or r < _RESCALE_LO:
-                a /= r
-                b /= r
-                sigma += math.log(r)
+            m = abs(a)
+            if abs(b) > m:
+                m = abs(b)
+            if m > _RESCALE_HI or (m < _RESCALE_LO and m != 0.0):
+                a /= m
+                b /= m
+                sigma += math.log(m)
             anew = (E - V[n]) * a - b
             b = a
             a = anew
-    return theta, lnr, -1
+    return un, um, ln_scale
 
 
 @_jit
@@ -197,7 +188,7 @@ def warmup():
     """Run every kernel once on tiny inputs (forces JIT compilation)."""
     v = np.zeros(8)
     solve_forward(v, 1.0, 1.0, 0.5)
-    prufer_forward(v, 1.0, 0.5, math.sqrt(0.75), math.acos(0.5), 1.0, 0.5)
+    prufer_forward(v, 1.0, 1.0, 0.5)
     backward_resonant(1.0, 1.0, 0.0, 1.0, 0.5, math.sqrt(0.75), 16, 8, 0.0, 1.0)
     sturm_counts(np.zeros(4), np.array([0.5]), PIVMIN)
     kahan_cumsum(np.ones(4))

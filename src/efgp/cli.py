@@ -59,6 +59,10 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+# Largest N and envelope_range end: one float64 array this long is 800 MB.
+MAX_N = 10 ** 8
+
+
 def _is_num(v) -> bool:
     # an integer beyond the float range would overflow float(v)
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -192,8 +196,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.output_dir = obj["output_dir"]
 
     n = _need(obj, "N", "")
-    if not _is_int(n) or n < 2:
-        raise ValidationError("N", "must be an integer >= 2")
+    if not _is_int(n) or not 2 <= n <= MAX_N:
+        raise ValidationError("N", f"must be an integer in [2, {MAX_N}]")
     cfg.n = n
 
     if command != "construct":
@@ -245,9 +249,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if "envelope_range" in obj:
         er = obj["envelope_range"]
         if (not isinstance(er, list) or len(er) != 2
-                or not all(_is_int(v) for v in er) or not 1 <= er[0] <= er[1]):
-            raise ValidationError("envelope_range",
-                                  "must be [lo, hi] integers with 1 <= lo <= hi")
+                or not all(_is_int(v) for v in er)
+                or not 1 <= er[0] <= er[1] <= MAX_N):
+            raise ValidationError("envelope_range", "must be [lo, hi] integers "
+                                  f"with 1 <= lo <= hi <= {MAX_N}")
         cfg.envelope_range = (er[0], er[1])
 
     if command == "construct":

@@ -17,6 +17,10 @@ nu(n) = V(n)/sin(x).  The angle is kept as a continuous lift: theta(n+1)
 is the representative closest to theta(n) + x, the unique choice compatible
 with the increment bound |theta(n+1) - theta(n) - x| <= pi |nu(n)| valid
 for |nu| < 1/2.
+
+The change of variables is implemented once, vectorized: ``to_prufer``
+applies it to a stored solution, and ``evolve_trajectory`` to the rescaled
+pairs of the kernel recurrence, adding the log scale back to ln R.
 """
 
 from __future__ import annotations
@@ -64,10 +68,6 @@ class SpectralParam:
     @property
     def cos_x(self) -> float:
         return self.E / 2.0
-
-    def nu(self, V) -> np.ndarray:
-        """Rescaled potential nu(n) = V(n)/sin(x)."""
-        return np.asarray(V) / self.sin_x
 
 
 @dataclass(frozen=True)
@@ -151,51 +151,50 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     return Solution(u=u, spec=spec, param=param)
 
 
-def to_prufer(sol: Solution) -> PruferTrajectory:
-    """Prufer variables of a stored solution (vectorized route).
+def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
+    """Prufer variables of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um)
+    and the potential V, all given for the sites n = 1..N.
 
     The angle lift is chosen so each theta(n+1) is the representative of
     its principal angle closest to theta(n) + x.
     """
-    u = sol.u
-    p = sol.param
-    ca = u[1:] - u[:-1] * p.cos_x
-    cb = u[:-1] * p.sin_x
+    # one block for the outputs, allocated before the temporaries: placed
+    # among them, the outputs fragmented the heap (lemma-sums peak RSS +10%)
+    n = un.shape[0]
+    theta, lnr, nu = np.full((3, n + 1), np.nan)
+    ca = un - um * param.cos_x
+    cb = um * param.sin_x
     r = np.hypot(ca, cb)
     if np.any(r == 0.0):
         bad = int(np.nonzero(r == 0.0)[0][0]) + 1
         raise DegenerateSolution(f"trivial solution: R({bad}) = 0")
     principal = np.arctan2(cb, ca)
-    d = _wrap_pi(np.diff(principal) - p.x)
-    theta = np.empty(u.shape[0])
-    theta[0] = np.nan
+    d = _wrap_pi(np.diff(principal) - param.x)
     theta[1] = principal[0]
-    theta[2:] = principal[0] + np.arange(1, u.shape[0] - 1) * p.x + np.cumsum(d)
-    lnr = np.empty(u.shape[0])
-    lnr[0] = np.nan
-    lnr[1:] = np.log(r)
-    nu = np.empty(u.shape[0])
-    nu[0] = np.nan
-    nu[1:] = sol.spec.potential.values(1, sol.n) / p.sin_x
-    return PruferTrajectory(theta=theta, ln_R=lnr, nu=nu, param=p)
+    theta[2:] = principal[0] + np.arange(1, n) * param.x + np.cumsum(d)
+    lnr[1:] = np.log(r) + ln_scale
+    nu[1:] = V / param.sin_x
+    return PruferTrajectory(theta=theta, ln_R=lnr, nu=nu, param=param)
+
+
+def to_prufer(sol: Solution) -> PruferTrajectory:
+    """Prufer variables of a stored solution (vectorized route)."""
+    return _transform(sol.u[1:], sol.u[:-1], 0.0,
+                      sol.spec.potential.values(1, sol.n), sol.param)
 
 
 def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
     """Prufer trajectory straight from the recurrence (kernel route).
 
-    Evolves with internal rescaling and a log-scale accumulator, so ln R is
-    exact for N up to millions of sites regardless of amplitude growth.
+    The kernel rescales the evolving pair and keeps a log-scale
+    accumulator, so ln R is exact for N up to millions of sites regardless
+    of amplitude growth; the pairs then go through the same transform as
+    :func:`to_prufer`.
     """
     V = spec.potential.value_array(spec.n)
     u0, u1 = boundary_values(spec.phi)
-    theta, lnr, flag = _kernels.prufer_forward(
-        V, param.E, param.cos_x, param.sin_x, param.x, u0, u1)
-    if flag >= 0:
-        raise DegenerateSolution(f"trivial solution: R({flag}) = 0")
-    nu = np.empty(V.shape[0])
-    nu[0] = np.nan
-    nu[1:] = V[1:] / param.sin_x
-    return PruferTrajectory(theta=theta, ln_R=lnr, nu=nu, param=param)
+    un, um, ln_scale = _kernels.prufer_forward(V, param.E, u0, u1)
+    return _transform(un[1:], um[1:], ln_scale[1:], V[1:], param)
 
 
 def prufer_step(theta_n, nu_n, x):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from efgp import errors
-from efgp.cli import main, parse_config, run
+from efgp.cli import MAX_N, main, parse_config, run
 
 PI = math.pi
 
@@ -288,6 +288,28 @@ def test_integers_beyond_int64_rejected(field, doc):
     with pytest.raises(errors.ValidationError) as exc:
         parse_config(_cfg(**dict(base, **doc)))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("value", [10 ** 8 + 1, 2 ** 62])
+@pytest.mark.parametrize("command, field", [
+    ("prufer", "N"), ("bound-check", "envelope_range"),
+])
+def test_sizes_above_max_n_exit_1(tmp_path, capsys, command, field, value):
+    # rejected while parsing, so nothing of that size is ever allocated
+    doc = dict(command=command, potential={"family": "coulomb"}, phi=1.0,
+               N=50, x_values=[1.0], output_dir=str(tmp_path / "o"))
+    doc[field] = value if field == "N" else [1, value]
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(_cfg(**doc))
+    assert exc.value.field == field
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(**doc))
+    assert main([str(path), "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the bound itself is a valid size
+    doc[field] = MAX_N if field == "N" else [1, MAX_N]
+    parse_config(_cfg(**doc))
 
 
 def test_stabilization_threshold_is_fixed(tmp_path):

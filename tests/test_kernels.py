@@ -18,12 +18,12 @@ def _case_inputs():
     V = np.zeros(n + 1)
     V[1:] = rng.uniform(-1.5, 1.5, n) / np.arange(1, n + 1)
     x = 1.234
-    return V, 2.0 * math.cos(x), math.cos(x), math.sin(x), x
+    return V, 2.0 * math.cos(x)
 
 
 @needs_numba
 def test_solve_forward_paths_agree():
-    V, E, _, _, _ = _case_inputs()
+    V, E = _case_inputs()
     py = _kernels.solve_forward.py_func
     nb = _kernels.solve_forward
     u1, f1 = py(V, E, 1.0, 0.5)
@@ -34,14 +34,11 @@ def test_solve_forward_paths_agree():
 
 @needs_numba
 def test_prufer_forward_paths_agree():
-    V, E, cosx, sinx, x = _case_inputs()
-    py = _kernels.prufer_forward.py_func
-    nb = _kernels.prufer_forward
-    t1, l1, f1 = py(V, E, cosx, sinx, x, 1.0, 0.5)
-    t2, l2, f2 = nb(V, E, cosx, sinx, x, 1.0, 0.5)
-    assert f1 == f2 == -1
-    np.testing.assert_allclose(t1[1:], t2[1:], rtol=0, atol=1e-11)
-    np.testing.assert_allclose(l1[1:], l2[1:], rtol=0, atol=1e-12)
+    V, E = _case_inputs()
+    py = _kernels.prufer_forward.py_func(V, E, 1.0, 0.5)
+    nb = _kernels.prufer_forward(V, E, 1.0, 0.5)
+    for a, b in zip(py, nb):
+        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-14, atol=0)
 
 
 @needs_numba

@@ -258,9 +258,23 @@ def test_evolve_trajectory_matches_to_prufer():
     param = SpectralParam.from_x(0.5)
     t1 = to_prufer(solve_recurrence(spec, param))
     t2 = evolve_trajectory(spec, param)
-    assert np.max(np.abs(t1.theta[1:] - t2.theta[1:])) <= 1e-10
-    assert np.max(np.abs(t1.ln_R[1:] - t2.ln_R[1:])) <= 1e-10
+    # no rescale fires, and both routes share one transform
+    assert np.array_equal(t1.theta[1:], t2.theta[1:])
+    assert np.array_equal(t1.ln_R[1:], t2.ln_R[1:])
     assert t2.r1 == pytest.approx(t1.r1, rel=1e-13)
+
+
+def test_evolve_trajectory_across_rescales():
+    # u grows about 10.9x per site: the kernel's pair crosses 1e100 twice
+    # (ln R reaches about 474) while the raw u stays below 1e300
+    spec = OperatorSpec(make_potential("table", values=[12.0] * 200), 1.0, 200)
+    param = SpectralParam.from_x(1.0)
+    t1 = to_prufer(solve_recurrence(spec, param))
+    t2 = evolve_trajectory(spec, param)
+    assert np.max(t1.ln_R[1:]) > 2 * math.log(1e100)
+    tol = 1e-15 * np.maximum(1.0, np.abs(t1.ln_R[1:]))
+    assert np.all(np.abs(t1.ln_R[1:] - t2.ln_R[1:]) <= tol)
+    assert np.max(np.abs(t1.theta[1:] - t2.theta[1:])) <= 1e-12
 
 
 def test_u_reconstruction_roundtrip():
