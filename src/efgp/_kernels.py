@@ -1,17 +1,20 @@
-"""Sequential numeric kernels, JIT-compiled with numba when it is installed.
+"""Numeric kernels: loop-carried recurrences, JIT-compiled with numba when
+it is installed, and the compensated prefix sum.
 
-Everything here is a loop-carried recurrence (each step depends on the
+Every loop here is a genuine recurrence (each step depends on the
 previous one), which is exactly what numpy cannot vectorize.  Each kernel
 is defined once; with numba importable it is compiled with
 ``numba.njit(cache=True, nogil=True)`` (the plain Python source stays
 reachable as ``<kernel>.py_func``), otherwise the same source runs as plain
-Python over numpy arrays.
+Python over numpy arrays.  ``kahan_cumsum`` is no recurrence kernel: it is
+vectorized numpy on every backend.
 
 Array layout convention: per-site arrays are indexed by the lattice site n
 itself, so ``V[n]`` is the potential at site n (slot 0 unused) and outputs
-such as ``lnr[n]`` start at n=1 with slot 0 set to nan.  The kernels only
-run recurrences: the Prufer transform of a solution (radius, angle and its
-continuous lift) is vectorized, once, in ``prufer.py``.
+such as ``un[n]`` start at n=1 with slot 0 set to nan.  The kernels only
+run recurrences and return the rescaled solution pairs: the Prufer
+transform of a solution (radius, angle and its continuous lift) is
+vectorized, once, in ``prufer.py``.
 """
 
 import math
@@ -98,42 +101,45 @@ def prufer_forward(V, E, u0, u1):
 
 
 @_jit
-def backward_resonant(amp, omega, delta, E, cosx, sinx, n_launch, n_record,
-                      u_next, u_launch):
+def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
+                      n_record):
     """Run the recurrence backwards from (u(M+1), u(M)) = (u_next, u_launch).
 
-    The potential amp*sin(omega*n + delta)/n is evaluated on the fly so the
-    launch site M = n_launch can sit far beyond the recorded range without
-    materializing a huge array.  Backwards, the forward-decaying solution is
-    the growing one, so generic launch data converges onto it.
-    Returns (lnr, u0, u1) with lnr[n] = ln R(n) for n in [1, n_record]
-    (slot 0 nan) and the rescaled boundary pair.
+    u(n-1) = (E - V(n)) u(n) - u(n+1), with the potential
+    V(n) = amp*sin(omega*n + delta)/n evaluated on the fly, so the launch
+    site M = n_launch can sit far beyond the recorded range without
+    materializing a huge array.  Backwards, the forward-decaying solution
+    is the growing one, so generic launch data converges onto it.
+    Returns (un, um, ln_scale) for the sites n = 1..n_record (slot 0 =
+    nan): the pair (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]),
+    so (u(0), u(1)) = exp(ln_scale[1]) * (um[1], un[1]).  The pair is
+    rescaled by the rule of :func:`prufer_forward`.
     """
-    lnr = np.empty(n_record + 1)
-    lnr[0] = np.nan
+    un = np.empty(n_record + 1)
+    um = np.empty(n_record + 1)
+    ln_scale = np.empty(n_record + 1)
+    un[0] = np.nan
+    um[0] = np.nan
+    ln_scale[0] = np.nan
     a = u_next  # u(n+1)
     b = u_launch  # u(n)
     sigma = 0.0
     for n in range(n_launch, 0, -1):
-        v = amp * math.sin(omega * n + delta) / n
-        c = (E - v) * b - a  # u(n-1)
-        if n <= n_record:
-            ca = b - c * cosx
-            cb = c * sinx
-            r = math.hypot(ca, cb)
-            if r < 1e-300:
-                r = 1e-300
-            lnr[n] = math.log(r) + sigma
-        a = b
-        b = c
         m = abs(a)
         if abs(b) > m:
             m = abs(b)
-        if m > _RESCALE_HI:
+        if m > _RESCALE_HI or (m < _RESCALE_LO and m != 0.0):
             a /= m
             b /= m
             sigma += math.log(m)
-    return lnr, b, a
+        c = (E - amp * math.sin(omega * n + delta) / n) * b - a  # u(n-1)
+        if n <= n_record:
+            un[n] = b
+            um[n] = c
+            ln_scale[n] = sigma
+        a = b
+        b = c
+    return un, um, ln_scale
 
 
 @_jit
@@ -164,19 +170,32 @@ def sturm_counts(diag, shifts, pivmin):
     return out
 
 
-@_jit
 def kahan_cumsum(terms):
-    """Running sums of terms in ascending order with Kahan compensation."""
-    out = np.empty_like(terms)
-    s = 0.0
-    comp = 0.0
-    for i in range(terms.shape[0]):
-        y = terms[i] - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        out[i] = s
-    return out
+    """Running sums of terms in ascending order, compensated.
+
+    Cascaded summation ("Sum2" of Ogita, Rump & Oishi, Accurate Sum and
+    Dot Product, SIAM J. Sci. Comput. 26, 2005), at least as accurate as
+    Kahan summation: np.cumsum adds left to right, s[i] = fl(s[i-1] +
+    terms[i]), and Knuth's TwoSum recovers each of those rounding errors
+    exactly; their own prefix sums are added back.  A float64 ndarray
+    ``terms`` is overwritten (it holds the errors), which saves a buffer of
+    its size.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    s = np.cumsum(terms)
+    # TwoSum of (prev, terms) with prev = s shifted right, 0 in front:
+    # t = s - prev, err = (prev - (s - t)) + (terms - t)
+    t = np.empty_like(s)
+    t[:1] = s[:1]
+    np.subtract(s[1:], s[:-1], out=t[1:])
+    terms -= t
+    np.subtract(s, t, out=t)
+    t[:1] = 0.0 - t[:1]
+    np.subtract(s[:-1], t[1:], out=t[1:])
+    terms += t
+    del t
+    s += np.cumsum(terms, out=terms)
+    return s
 
 
 def backend():
@@ -189,6 +208,6 @@ def warmup():
     v = np.zeros(8)
     solve_forward(v, 1.0, 1.0, 0.5)
     prufer_forward(v, 1.0, 1.0, 0.5)
-    backward_resonant(1.0, 1.0, 0.0, 1.0, 0.5, math.sqrt(0.75), 16, 8, 0.0, 1.0)
+    backward_resonant(1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 16, 8)
     sturm_counts(np.zeros(4), np.array([0.5]), PIVMIN)
     kahan_cumsum(np.ones(4))

@@ -9,13 +9,16 @@ over N <= 2^k must stop growing (below a threshold) between the last two
 dyadic windows, which cleanly separates bounded series from logarithmic
 divergence (ln 2 ~ 0.69 growth per window).
 
-All 1/n series are accumulated in ascending order with compensated (Kahan)
-summation so partial sums at N = 10^6 are reproducible bit for bit.
+All 1/n series are accumulated in ascending order with compensated prefix
+sums (cascaded summation: np.cumsum plus the exact TwoSum rounding errors,
+see ``_kernels.kahan_cumsum``), so partial sums at N = 10^6 are accurate to
+about an ulp and reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +107,17 @@ def _dist_to_multiple(value: float, period: float) -> float:
     return abs(r)
 
 
+def _size(n_max) -> int:
+    """n_max as an int >= 1 (ParamOutOfRange / LengthMismatch otherwise)."""
+    try:
+        n = operator.index(n_max)
+    except TypeError:
+        raise ParamOutOfRange(f"n_max must be an integer, got {n_max!r}") from None
+    if n < 1:
+        raise LengthMismatch(f"n_max must be >= 1, got {n}")
+    return n
+
+
 def dyadic_profile(abs_partials: np.ndarray) -> list:
     """Running sup at the dyadic cutoffs N = 2^k, k = 0.. within range.
 
@@ -162,8 +176,9 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
     stay away from multiples of 2*pi, where the series degenerates to the
     harmonic series.
     """
-    if n_max < 1:
-        raise LengthMismatch(f"n_max must be >= 1, got {n_max}")
+    n_max = _size(n_max)
+    if not math.isfinite(alpha):
+        raise ParamOutOfRange(f"alpha must be finite, got {alpha}")
     if _dist_to_multiple(alpha, 2.0 * math.pi) < _FREQ_TOL:
         raise ResonantFrequency(f"alpha = {alpha} is congruent to 0 mod 2*pi")
     n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -173,15 +188,19 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
         gamma = np.asarray(gamma_rule(n), dtype=float)
     else:
         gamma = np.asarray(gamma_rule, dtype=float)
-    if gamma.shape[0] != n_max:
+    if gamma.shape != (n_max,):
         raise LengthMismatch(
-            f"gamma has length {gamma.shape[0]}, expected {n_max}")
-    phase = alpha * n + gamma
+            f"gamma has shape {gamma.shape}, expected ({n_max},)")
+    # alpha*n + gamma may overflow; the finiteness check follows at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = alpha * n + gamma
+        dgamma = np.abs(np.diff(gamma)) * n[:-1]
+    if not np.isfinite(phase).all():
+        raise ParamOutOfRange("the phase alpha*n + gamma(n) is not finite")
     re = _kernels.kahan_cumsum(np.cos(phase) / n)
     im = _kernels.kahan_cumsum(np.sin(phase) / n)
     partials = re + 1j * im
     mods = np.hypot(re, im)
-    dgamma = np.abs(np.diff(gamma)) * n[:-1]
     return OscSumSeries(
         alpha=float(alpha),
         gamma=gamma,
@@ -252,6 +271,7 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     site from which every |nu_j| < 1/2, mirroring the angle-increment
     hypothesis; hypothesis_ok reports whether such a site exists.
     """
+    n_max = _size(n_max)
     m = len(trajs)
     if m == 0:
         raise LengthMismatch("need at least one trajectory")
@@ -270,12 +290,20 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     n0, hyp_ok = common_onset(trajs, n_max)
     sites = np.arange(n0, n_max + 1, dtype=np.float64)
     sins = [np.sin(2.0 * t.theta_bar[n0:n_max + 1]) for t in trajs]
-    log_n = np.log(sites)
+    half_log_n = 0.5 * np.log(sites)
+
+    # terms and deviations are built in place, and kahan_cumsum overwrites
+    # its terms: each sum then holds three site-length buffers at its peak
+    def partial_sum(a, b):
+        terms = a * b
+        terms /= sites
+        return _kernels.kahan_cumsum(terms)
 
     diag = []
     for j in range(m):
-        partial = _kernels.kahan_cumsum(sins[j] * sins[j] / sites)
-        dev = np.abs(0.5 * log_n - partial)
+        dev = partial_sum(sins[j], sins[j])
+        np.subtract(half_log_n, dev, out=dev)
+        np.abs(dev, out=dev)
         diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()),
                                 dyadic=tuple(dyadic_profile(dev))))
 
@@ -283,8 +311,8 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     pairs = []
     for j in range(m):
         for k in range(j + 1, m):
-            partial = _kernels.kahan_cumsum(sins[j] * sins[k] / sites)
-            mods = np.abs(partial)
+            mods = partial_sum(sins[j], sins[k])
+            np.abs(mods, out=mods)
             sup = float(mods.max())
             cross[j, k] = cross[k, j] = sup
             pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup,

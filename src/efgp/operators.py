@@ -70,7 +70,10 @@ class Potential:
         elif self.family == "alternating":
             v = np.where(n % 2 == 0, c, -c) / n
         elif self.family == "resonant":
-            v = c * np.sin(self.omega * n + self.delta) / n
+            # omega*n may overflow and sin(inf) is nan: the finiteness
+            # check below follows at once
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = c * np.sin(self.omega * n + self.delta) / n
         elif self.family == "random_sign":
             v = random_signs(self.seed, n) * c / n
         elif self.family == "table":

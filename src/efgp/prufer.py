@@ -19,8 +19,9 @@ with the increment bound |theta(n+1) - theta(n) - x| <= pi |nu(n)| valid
 for |nu| < 1/2.
 
 The change of variables is implemented once, vectorized: ``to_prufer``
-applies it to a stored solution, and ``evolve_trajectory`` to the rescaled
-pairs of the kernel recurrence, adding the log scale back to ln R.
+applies it to a stored solution, and ``evolve_trajectory`` (like
+``spectral.resonance_construct`` backwards) to the rescaled pairs of a
+kernel recurrence, adding the log scale back to ln R.
 """
 
 from __future__ import annotations

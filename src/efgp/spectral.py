@@ -29,7 +29,7 @@ from .errors import (
     ZeroInitial,
 )
 from .operators import JacobiMatrix, OperatorSpec, Potential, make_potential
-from .prufer import SpectralParam, common_onset, evolve_trajectory
+from .prufer import SpectralParam, _transform, common_onset, evolve_trajectory
 
 
 def _checked_diagonal(J: JacobiMatrix) -> np.ndarray:
@@ -293,6 +293,7 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
         raise ParamOutOfRange(f"need N >= 100, got {n}")
     omega = 2.0 * x
     delta = math.pi + math.copysign(math.pi / 6.0, param.cos_x)
+    potential = make_potential("resonant", c=c, omega=omega, delta=delta)
 
     # the launch sits 16x beyond N so contamination by the other branch
     # stays below a percent at site N
@@ -300,18 +301,17 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     theta = x * launch + 0.5 * delta
     u_launch = math.sin(theta) / param.sin_x
     u_next = math.cos(theta) + u_launch * param.cos_x
-    lnr, u0, u1 = _kernels.backward_resonant(
-        c, omega, delta, param.E, param.cos_x, param.sin_x, launch, n,
-        u_next, u_launch)
-    fitted = _fit_decay_exponent(lnr, min(1000, max(10, n // 100)), n)
-    if u0 == 0.0 and u1 == 0.0:
-        raise ZeroInitial("backward evolution returned the zero solution")
-    phi = math.atan2(-u1, u0) % math.pi
+    un, um, ln_scale = _kernels.backward_resonant(
+        c, omega, delta, param.E, u_next, u_launch, launch, n)
+    traj = _transform(un[1:], um[1:], ln_scale[1:], potential.values(1, n),
+                      param)
+    fitted = _fit_decay_exponent(traj.ln_R, min(1000, max(10, n // 100)), n)
+    phi = math.atan2(-un[1], um[1]) % math.pi
     if phi == 0.0:
         raise ZeroInitial("degenerate boundary pair: no admissible phase")
 
     return ResonanceConstruction(
-        potential=make_potential("resonant", c=c, omega=omega, delta=delta),
+        potential=potential,
         phi=phi,
         E=param.E,
         predicted_exponent=c / (4.0 * param.sin_x),

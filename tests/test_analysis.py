@@ -170,6 +170,11 @@ def test_gamma_callable_and_length_check():
     assert s.partials.shape == (100,)
     with pytest.raises(errors.LengthMismatch):
         oscillatory_partial_sums(2.0, np.zeros(5), 100)
+    # a scalar or a square table is no gamma sequence
+    with pytest.raises(errors.LengthMismatch):
+        oscillatory_partial_sums(2.0, lambda n: 0.5, 100)
+    with pytest.raises(errors.LengthMismatch):
+        oscillatory_partial_sums(2.0, np.zeros((100, 100)), 100)
 
 
 def test_json_export_shape():

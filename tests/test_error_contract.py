@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from efgp import (
     JacobiMatrix,
     OperatorSpec,
+    SpectralParam,
     classify_point_spectrum,
     eigenvalues_in_window,
     eigenvector,
     errors,
+    evolve_trajectory,
     make_potential,
+    oscillatory_partial_sums,
+    prufer_sum_diagnostics,
     sturm_count,
 )
 from efgp.cli import main
@@ -50,6 +54,34 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints):
             call()
         except errors.EfgpError:
             pass
+
+
+SUM_SIZES = st.one_of(st.integers(-3, 40), st.floats())
+GAMMAS = st.one_of(st.none(), st.lists(ENTRIES, max_size=40))
+_SUM_TRAJS = [evolve_trajectory(OperatorSpec(make_potential("coulomb", c=1.0),
+                                             1.0, 40),
+                                SpectralParam.from_x(x)) for x in (1.0, 2.0)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(alpha=st.floats(), n_max=SUM_SIZES, data=st.data())
+def test_sum_entry_points_reject_bad_input(alpha, n_max, data):
+    # gamma matches n_max half the time, so the finiteness checks are reached
+    if isinstance(n_max, int) and n_max >= 0 and data.draw(st.booleans()):
+        gamma = data.draw(st.lists(ENTRIES, min_size=n_max, max_size=n_max))
+    else:
+        gamma = data.draw(GAMMAS)
+    sups = []
+    try:
+        sups.append(oscillatory_partial_sums(alpha, gamma, n_max).sup_abs)
+    except errors.EfgpError:
+        pass
+    try:
+        diag = prufer_sum_diagnostics(_SUM_TRAJS, n_max)
+        sups += [s.sup_abs for s in diag.pair_sums + diag.diag]
+    except errors.EfgpError:
+        pass
+    assert all(math.isfinite(v) for v in sups)
 
 
 # One valid, small config per CLI command.  The property below replaces one

@@ -1,4 +1,5 @@
-"""Cross-checks between the JIT-compiled kernels and their Python source."""
+"""Cross-checks between the JIT-compiled kernels and their Python source,
+and of the kernels against each other."""
 
 import importlib.util
 import math
@@ -6,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from efgp import _kernels
+from efgp import _kernels, make_potential
+from efgp.prufer import SpectralParam, _transform
 
 needs_numba = pytest.mark.skipif(_kernels.backend() != "numba",
                                  reason="numba unavailable")
@@ -44,14 +46,42 @@ def test_prufer_forward_paths_agree():
 @needs_numba
 def test_backward_resonant_paths_agree():
     x = 1.1
-    E, cosx, sinx = 2 * math.cos(x), math.cos(x), math.sin(x)
-    py = _kernels.backward_resonant.py_func
-    nb = _kernels.backward_resonant
-    l1, a1, b1 = py(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
-    l2, a2, b2 = nb(2.5, 2 * x, 0.4, E, cosx, sinx, 40000, 10000, 0.0, 1.0)
-    np.testing.assert_allclose(l1[1:], l2[1:], rtol=0, atol=1e-10)
-    assert a1 == pytest.approx(a2, rel=1e-10)
-    assert b1 == pytest.approx(b2, rel=1e-10)
+    args = (2.5, 2 * x, 0.4, 2 * math.cos(x), 0.0, 1.0, 40000, 10000)
+    py = _kernels.backward_resonant.py_func(*args)
+    nb = _kernels.backward_resonant(*args)
+    for a, b in zip(py, nb):
+        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("c, rescales", [(2.5, 0), (1000.0, 4)])
+def test_backward_pairs_match_mirrored_forward(c, rescales):
+    # backwards from M = 16N is forwards on the mirrored potential
+    # W(k) = V(M + 1 - k), with w(k) = u(M + 1 - k): one recurrence and one
+    # rescale rule, so both give the same ln R once the pairs go through
+    # the shared transform (the radius is symmetric in its two arguments).
+    # c = 2.5 is a decaying resonance; c = 1000 crosses 1e100 repeatedly.
+    n, x, delta = 2000, 1.1, 0.4
+    launch = 16 * n
+    param = SpectralParam.from_x(x)
+    pot = make_potential("resonant", c=c, omega=2 * x, delta=delta)
+    theta = x * launch + 0.5 * delta
+    u_launch = math.sin(theta) / param.sin_x
+    u_next = math.cos(theta) + u_launch * param.cos_x
+    un, um, ln_scale = _kernels.backward_resonant(
+        c, 2 * x, delta, param.E, u_next, u_launch, launch, n)
+    back = _transform(un[1:], um[1:], ln_scale[1:], pot.values(1, n), param)
+
+    W = np.zeros(launch + 2)
+    W[1:launch + 1] = pot.values(1, launch)[::-1]
+    fn, fm, fs = _kernels.prufer_forward(W, param.E, u_next, u_launch)
+    assert np.unique(ln_scale[1:]).size == 1 + rescales
+    assert ln_scale[1] == pytest.approx(fs[-1], rel=1e-12)
+    fwd = _transform(fn[1:], fm[1:], fs[1:], W[1:], param)
+    # backward site n is forward site M + 2 - n
+    mirrored = fwd.ln_R[launch + 2 - np.arange(1, n + 1)]
+    lnr = back.ln_R[1:]
+    np.testing.assert_array_less(
+        np.abs(mirrored - lnr), 1e-12 * np.maximum(1.0, np.abs(lnr)))
 
 
 @needs_numba
@@ -64,23 +94,33 @@ def test_sturm_counts_paths_identical():
     assert np.array_equal(py, nb)
 
 
-@needs_numba
-def test_kahan_cumsum_paths_bitwise_identical():
-    # pure add/sub sequence: both paths must match bit for bit
-    rng = np.random.default_rng(6)
-    terms = rng.standard_normal(50000) / np.arange(1, 50001)
-    py = _kernels.kahan_cumsum.py_func(terms)
-    nb = _kernels.kahan_cumsum(terms)
-    assert np.array_equal(py, nb)
+def test_cumsum_adds_left_to_right():
+    # kahan_cumsum's TwoSum errors assume s[i] = fl(s[i-1] + x[i])
+    x = np.random.default_rng(6).standard_normal(10 ** 5)
+    s = np.cumsum(x)
+    assert np.array_equal(s[1:], s[:-1] + x[1:])
 
 
 def test_kahan_cumsum_accuracy():
-    # compensated sums track fsum to ~1 ulp where plain cumsum drifts
+    # compensated sums track fsum to 1 ulp where plain cumsum drifts
     n = 10 ** 5
     terms = np.cos(0.7 * np.arange(1, n + 1)) / np.arange(1, n + 1)
-    got = _kernels.kahan_cumsum(terms)[-1]
-    exact = math.fsum(terms)
-    assert got == pytest.approx(exact, abs=1e-14)
+    got = _kernels.kahan_cumsum(terms.copy())
+    for k in [2 ** j for j in range(17)] + [n]:
+        exact = math.fsum(terms[:k])
+        assert abs(got[k - 1] - exact) <= math.ulp(exact)
+
+
+def test_kahan_cumsum_recovers_absorbed_terms():
+    # Kahan's single compensation term loses both 1.0s and returns 0.0
+    assert _kernels.kahan_cumsum([1.0, 1e100, 1.0, -1e100])[-1] == 2.0
+
+
+def test_kahan_cumsum_short_inputs():
+    assert _kernels.kahan_cumsum(np.empty(0)).shape == (0,)
+    assert np.array_equal(_kernels.kahan_cumsum(np.array([2.5])), [2.5])
+    assert np.array_equal(_kernels.kahan_cumsum(np.array([2.5, 0.25])),
+                          [2.5, 2.75])
 
 
 def test_backend_reports_numba_by_default():
