@@ -1,36 +1,23 @@
-"""Numeric kernels: loop-carried recurrences, JIT-compiled with numba when
-it is installed, and the compensated prefix sum.
+"""Numeric kernels: the three-term recurrence, Sturm counts and the
+compensated prefix sum.
 
-Every loop here is a genuine recurrence (each step depends on the
-previous one), which is exactly what numpy cannot vectorize.  Each kernel
-is defined once; with numba importable it is compiled with
-``numba.njit(cache=True, nogil=True)`` (the plain Python source stays
-reachable as ``<kernel>.py_func``), otherwise the same source runs as plain
-Python over numpy arrays.  ``kahan_cumsum`` is no recurrence kernel: it is
-vectorized numpy on every backend.
+The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
+(w(0), w(1)), is forward substitution in a unit lower-triangular band
+system with two subdiagonals, so BLAS ``dtbsv`` solves a stretch of it in
+the same sequential order as a loop would (:func:`_recur`).  One chunk
+driver (:func:`_rescaled_pairs`) adds the log-scale rescaling for the
+forward Prufer evolution and the backward resonant launch.
 
-Array layout convention: per-site arrays are indexed by the lattice site n
-itself, so ``V[n]`` is the potential at site n (slot 0 unused) and outputs
-such as ``un[n]`` start at n=1 with slot 0 set to nan.  The kernels only
-run recurrences and return the rescaled solution pairs: the Prufer
-transform of a solution (radius, angle and its continuous lift) is
-vectorized, once, in ``prufer.py``.
+Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
+potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
+at n=1 with slot 0 set to nan.  The Prufer transform of the returned
+solution pairs is vectorized, once, in ``prufer.py``.
 """
 
 import math
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # numba is an optional extra
-    _BACKEND = "numpy"
-
-    def _jit(fn):
-        return fn
-else:
-    _BACKEND = "numba"
-    _jit = njit(cache=True, nogil=True)
+from scipy.linalg.blas import dtbsv
 
 # Guarded Sturm recurrence replaces |pivot| <= PIVMIN by +PIVMIN: keeps
 # 1/pivot finite in float64 and breaks exact ties upward, so an eigenvalue
@@ -42,8 +29,28 @@ PIVMIN = 1e-290
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 
+# Longest stretch solved unscaled; temporaries stay O(_CHUNK).
+_CHUNK = 2 ** 14
 
-@_jit
+
+def _recur(w0, w1, sub):
+    """w(0..L+1) of w(j+2) = -sub[j] w(j+1) - w(j), from (w(0), w(1)).
+
+    Rows 0 and 1 of the band system pin w(0) and w(1); row j+2 carries
+    sub[j] on the first and 1 on the second subdiagonal.
+    """
+    n = sub.shape[0] + 2
+    # Fortran-ordered lower band storage; BLAS reads neither row 0 (the
+    # unit diagonal) nor the entries past the last row
+    band = np.empty((n, 3)).T
+    band[1, 0] = 0.0
+    band[1, 1:-1] = sub
+    band[2] = 1.0
+    w = np.zeros(n)
+    w[:2] = w0, w1
+    return dtbsv(2, band, w, lower=1, diag=1, overwrite_x=1)
+
+
 def solve_forward(V, E, u0, u1):
     """Three-term recurrence u(n+1) = (E - V(n)) u(n) - u(n-1).
 
@@ -53,17 +60,54 @@ def solve_forward(V, E, u0, u1):
     """
     n_max = V.shape[0] - 1
     u = np.empty(n_max + 1)
-    u[0] = u0
-    u[1] = u1
-    for n in range(1, n_max):
-        un = (E - V[n]) * u[n] - u[n - 1]
-        if un > 1e300 or un < -1e300 or un != un:
-            return u, n + 1
-        u[n + 1] = un
+    u[:2] = u0, u1
+    for k in range(1, n_max, _CHUNK):
+        steps = min(_CHUNK, n_max - k)
+        y = _recur(u[k - 1], u[k], V[k:k + steps] - E)[2:]
+        u[k + 1:k + 1 + steps] = y
+        bad = ~(np.abs(y) <= 1e300)  # nan compares false
+        if bad.any():
+            return u, k + 1 + int(bad.argmax())
     return u, -1
 
 
-@_jit
+def _rescaled_pairs(sub, n_sites, w0, w1, cur, prev, scale):
+    """Rescaled pairs of w(k+1) = -sub(k) w(k) - w(k-1), sites k = 1..n_sites.
+
+    ``sub(k, L)`` returns sub(k..k+L-1).  The outputs hold the last
+    len(cur) sites: (w(k), w(k-1)) = exp(scale) * (cur, prev).  A chunk of
+    at most _CHUNK steps is solved unscaled and cut at its first site
+    k < n_sites whose max(|w(k)|, |w(k-1)|) leaves [_RESCALE_LO,
+    _RESCALE_HI] (unless it is 0); the pair there is stored, divided by
+    that maximum, and the next chunk, about twice as long as the stretch
+    just kept, starts from it, so frequent rescales re-solve little.
+    """
+    first = n_sites - cur.shape[0] + 1
+    k, a, b, sigma = 1, w1, w0, 0.0  # pair at site k, already stored
+    if first == 1:
+        cur[0], prev[0], scale[0] = a, b, sigma
+    steps = _CHUNK
+    while k < n_sites:
+        steps = min(steps, n_sites - k)
+        y = _recur(b, a, sub(k, steps))  # pair at site k + j: (y[j+1], y[j])
+        m = np.maximum(np.abs(y[1:]), np.abs(y[:-1]))
+        m = m[:min(steps, n_sites - k - 1) + 1]  # site n_sites is never rescaled
+        out = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
+        cut = bool(out.any())
+        j = int(out.argmax()) if cut else steps
+        lo = max(k + 1, first)
+        if lo <= k + j:
+            cur[lo - first:k + j + 1 - first] = y[lo - k + 1:j + 2]
+            prev[lo - first:k + j + 1 - first] = y[lo - k:j + 1]
+            scale[lo - first:k + j + 1 - first] = sigma
+        a, b = float(y[j + 1]), float(y[j])
+        if cut:
+            mj = float(m[j])
+            a, b, sigma = a / mj, b / mj, sigma + math.log(mj)
+        k += j
+        steps = min(_CHUNK, 2 * j + 16)
+
+
 def prufer_forward(V, E, u0, u1):
     """Three-term recurrence with rescaling, for the Prufer transform.
 
@@ -73,76 +117,39 @@ def prufer_forward(V, E, u0, u1):
     (unless it is 0), so it never overflows and ln R stays exact.
     """
     n_max = V.shape[0] - 1
-    un = np.empty(n_max + 1)
-    um = np.empty(n_max + 1)
-    ln_scale = np.empty(n_max + 1)
-    un[0] = np.nan
-    um[0] = np.nan
-    ln_scale[0] = np.nan
-    a = u1  # u(n)
-    b = u0  # u(n-1)
-    sigma = 0.0
-    for n in range(1, n_max + 1):
-        un[n] = a
-        um[n] = b
-        ln_scale[n] = sigma
-        if n < n_max:
-            m = abs(a)
-            if abs(b) > m:
-                m = abs(b)
-            if m > _RESCALE_HI or (m < _RESCALE_LO and m != 0.0):
-                a /= m
-                b /= m
-                sigma += math.log(m)
-            anew = (E - V[n]) * a - b
-            b = a
-            a = anew
-    return un, um, ln_scale
+    un, um, ln_scale = out = np.full((3, n_max + 1), np.nan)
+    _rescaled_pairs(lambda k, steps: V[k:k + steps] - E, n_max, u0, u1,
+                    un[1:], um[1:], ln_scale[1:])
+    return tuple(out)
 
 
-@_jit
 def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
                       n_record):
     """Run the recurrence backwards from (u(M+1), u(M)) = (u_next, u_launch).
 
     u(n-1) = (E - V(n)) u(n) - u(n+1), with the potential
-    V(n) = amp*sin(omega*n + delta)/n evaluated on the fly, so the launch
-    site M = n_launch can sit far beyond the recorded range without
+    V(n) = amp*sin(omega*n + delta)/n evaluated chunk by chunk, so the
+    launch site M = n_launch can sit far beyond the recorded range without
     materializing a huge array.  Backwards, the forward-decaying solution
     is the growing one, so generic launch data converges onto it.
-    Returns (un, um, ln_scale) for the sites n = 1..n_record (slot 0 =
+    Returns (un, um, ln_scale) for the sites n = 1..n_record <= M (slot 0 =
     nan): the pair (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]),
     so (u(0), u(1)) = exp(ln_scale[1]) * (um[1], un[1]).  The pair is
     rescaled by the rule of :func:`prufer_forward`.
     """
-    un = np.empty(n_record + 1)
-    um = np.empty(n_record + 1)
-    ln_scale = np.empty(n_record + 1)
-    un[0] = np.nan
-    um[0] = np.nan
-    ln_scale[0] = np.nan
-    a = u_next  # u(n+1)
-    b = u_launch  # u(n)
-    sigma = 0.0
-    for n in range(n_launch, 0, -1):
-        m = abs(a)
-        if abs(b) > m:
-            m = abs(b)
-        if m > _RESCALE_HI or (m < _RESCALE_LO and m != 0.0):
-            a /= m
-            b /= m
-            sigma += math.log(m)
-        c = (E - amp * math.sin(omega * n + delta) / n) * b - a  # u(n-1)
-        if n <= n_record:
-            un[n] = b
-            um[n] = c
-            ln_scale[n] = sigma
-        a = b
-        b = c
-    return un, um, ln_scale
+    # forwards on the mirrored sequence w(k) = u(M + 1 - k), W(k) = V(M + 1 - k)
+    def sub(k, steps):
+        n = np.arange(n_launch + 1 - k, n_launch + 1 - k - steps, -1,
+                      dtype=np.float64)
+        return amp * np.sin(omega * n + delta) / n - E
+
+    un, um, ln_scale = out = np.full((3, n_record + 1), np.nan)
+    # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n))
+    _rescaled_pairs(sub, n_launch + 1, u_next, u_launch,
+                    um[:0:-1], un[:0:-1], ln_scale[:0:-1])
+    return tuple(out)
 
 
-@_jit
 def sturm_counts(diag, shifts, pivmin):
     """Number of eigenvalues below each shift, by Sturm sign changes.
 
@@ -199,15 +206,5 @@ def kahan_cumsum(terms):
 
 
 def backend():
-    """Name of the kernel backend fixed at import: 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def warmup():
-    """Run every kernel once on tiny inputs (forces JIT compilation)."""
-    v = np.zeros(8)
-    solve_forward(v, 1.0, 1.0, 0.5)
-    prufer_forward(v, 1.0, 1.0, 0.5)
-    backward_resonant(1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 16, 8)
-    sturm_counts(np.zeros(4), np.array([0.5]), PIVMIN)
-    kahan_cumsum(np.ones(4))
+    """Name of the kernel backend: 'numpy' (numpy with BLAS band solves)."""
+    return "numpy"

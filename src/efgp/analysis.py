@@ -18,7 +18,6 @@ about an ulp and reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
+from .operators import _int
 from .prufer import common_onset
 from .spectral import EigenvalueSet, theorem_weight
 
@@ -109,10 +109,7 @@ def _dist_to_multiple(value: float, period: float) -> float:
 
 def _size(n_max) -> int:
     """n_max as an int >= 1 (ParamOutOfRange / LengthMismatch otherwise)."""
-    try:
-        n = operator.index(n_max)
-    except TypeError:
-        raise ParamOutOfRange(f"n_max must be an integer, got {n_max!r}") from None
+    n = _int(n_max, "n_max")
     if n < 1:
         raise LengthMismatch(f"n_max must be >= 1, got {n}")
     return n

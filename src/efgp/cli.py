@@ -50,7 +50,6 @@ class ExperimentConfig:
     x_values: tuple = ()
     checkpoints: Optional[tuple] = None
     tol: float = 1e-10
-    distinct_tol: float = 1e-8
     certified_only: bool = True
     C: Optional[float] = None
     envelope_range: Optional[tuple] = None
@@ -179,11 +178,11 @@ def parse_config(text: str) -> ExperimentConfig:
     common = {"command", "output_dir"}
     per_command = {
         "spectrum": common | {"potential", "phi", "N", "window", "tol",
-                              "checkpoints", "distinct_tol"},
+                              "checkpoints"},
         "prufer": common | {"potential", "phi", "N", "x_values"},
         "bound-check": common | {"potential", "phi", "N", "x_values", "window",
-                                 "checkpoints", "tol", "distinct_tol",
-                                 "certified_only", "C", "envelope_range"},
+                                 "checkpoints", "tol", "certified_only", "C",
+                                 "envelope_range"},
         "lemma-sums": common | {"potential", "phi", "N", "x_values"},
         "construct": common | {"x", "c", "N", "checkpoints"},
     }
@@ -232,14 +231,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValidationError("checkpoints", "must be increasing")
         cfg.checkpoints = tuple(cps)
 
-    for key, attr, cond, msg in (
-            ("tol", "tol", lambda v: v > 0, "must be positive"),
-            ("distinct_tol", "distinct_tol", lambda v: v > 0, "must be positive"),
-            ("C", "C", lambda v: v >= 0, "must be >= 0")):
+    for key, cond, msg in (("tol", lambda v: v > 0, "must be positive"),
+                           ("C", lambda v: v >= 0, "must be >= 0")):
         if key in obj:
             if not _is_num(obj[key]) or not cond(obj[key]):
                 raise ValidationError(key, msg)
-            setattr(cfg, attr, float(obj[key]))
+            setattr(cfg, key, float(obj[key]))
 
     if "certified_only" in obj:
         if not isinstance(obj["certified_only"], bool):
@@ -383,7 +380,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             energies.extend(float(v) for v in eigs)
         records = stages.run("classify", lambda: [
             _classify_record(spec, E, cfg.checkpoints) for E in energies])
-        eset = spectral.make_eigenvalue_set(records, cfg.distinct_tol)
+        eset = spectral.make_eigenvalue_set(records)
         report = None
         if cfg.command == "bound-check":
             if cfg.C is not None:

@@ -11,6 +11,8 @@ matrix with unit off-diagonal.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,21 @@ FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def _int(v, name: str) -> int:
+    """v as an int, or ParamOutOfRange (a float size is never truncated)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ParamOutOfRange(f"{name} must be an integer, got {v!r}") from None
+
+
+def _real(v, name: str) -> float:
+    """v as a float if it is a real number, else ParamOutOfRange."""
+    if not isinstance(v, numbers.Real):
+        raise ParamOutOfRange(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def _splitmix_bits(seed: int, n: np.ndarray) -> np.ndarray:
@@ -61,6 +78,7 @@ class Potential:
 
     def values(self, n_lo: int, n_hi: int) -> np.ndarray:
         """V(n) for n in [n_lo, n_hi] as a vector."""
+        n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
         if not 1 <= n_lo <= n_hi:
             raise EmptyRange(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
@@ -104,6 +122,8 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
     fam = str(family).lower().replace("-", "_")
     if fam not in FAMILIES:
         raise UnknownFamily(f"unknown potential family {family!r}")
+    c, omega, delta = _real(c, "c"), _real(omega, "omega"), _real(delta, "delta")
+    seed, n0 = _int(seed, "seed"), _int(n0, "n0")
     if not math.isfinite(c):
         raise ParamOutOfRange("amplitude must be finite")
     if not (math.isfinite(omega) and math.isfinite(delta)):
@@ -117,13 +137,13 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
         table = tuple(float(v) for v in values)
         if not all(math.isfinite(v) for v in table):
             raise ParamOutOfRange("table values must be finite")
-    return Potential(family=fam, amplitude=float(c), omega=float(omega),
-                     delta=float(delta), seed=int(seed), table=table,
-                     onset=int(n0))
+    return Potential(family=fam, amplitude=c, omega=omega, delta=delta,
+                     seed=seed, table=table, onset=n0)
 
 
 def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
     """Empirical Coulomb envelope max n*|V(n)| over [n_lo, n_hi]."""
+    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     if not 1 <= n_lo <= n_hi:
         raise EmptyRange(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
@@ -139,6 +159,8 @@ class OperatorSpec:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "phi", _real(self.phi, "phi"))
+        object.__setattr__(self, "n", _int(self.n, "truncation N"))
         if not 0.0 < self.phi < math.pi:
             raise PhaseOutOfRange(f"phi must lie in (0, pi), got {self.phi}")
         if self.n < 2:

@@ -18,10 +18,13 @@ is the representative closest to theta(n) + x, the unique choice compatible
 with the increment bound |theta(n+1) - theta(n) - x| <= pi |nu(n)| valid
 for |nu| < 1/2.
 
-The change of variables is implemented once, vectorized: ``to_prufer``
-applies it to a stored solution, and ``evolve_trajectory`` (like
-``spectral.resonance_construct`` backwards) to the rescaled pairs of a
-kernel recurrence, adding the log scale back to ln R.
+Both routes share one recurrence, solved as BLAS band systems in
+``_kernels``: ``solve_recurrence`` stores the raw solution, and
+``evolve_trajectory`` (like ``spectral.resonance_construct`` backwards)
+gets it as rescaled pairs with a log scale.  The change of variables is
+implemented once, vectorized: ``to_prufer`` applies it to a stored
+solution, ``evolve_trajectory`` to the pairs, adding the log scale back to
+ln R.  ``R`` and ``u_values()`` raise Overflow rather than return inf.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ from .errors import (
     ParamOutOfRange,
 )
 from .operators import OperatorSpec
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """Site-indexed values, or Overflow naming the first infinite site."""
+    inf = np.isinf(values)
+    if inf.any():
+        site = int(inf.argmax())
+        raise Overflow(f"{name}({site}) exceeds the float range")
+    return values
 
 
 def _wrap_pi(a):
@@ -103,7 +115,9 @@ class PruferTrajectory:
 
     @property
     def R(self) -> np.ndarray:
-        return np.exp(self.ln_R)
+        """exp(ln_R); Overflow if R leaves the float range at some site."""
+        with np.errstate(over="ignore"):
+            return _finite(np.exp(self.ln_R), "R")
 
     @property
     def theta_bar(self) -> np.ndarray:
@@ -120,9 +134,10 @@ class PruferTrajectory:
         s = self.param.sin_x
         c = self.param.cos_x
         u = np.empty(self.n + 1)
-        u[0] = r[1] * math.sin(self.theta[1]) / s
-        u[1:] = r[1:] * (np.cos(self.theta[1:]) + np.sin(self.theta[1:]) * c / s)
-        return u
+        with np.errstate(over="ignore"):
+            u[0] = r[1] * math.sin(self.theta[1]) / s
+            u[1:] = r[1:] * (np.cos(self.theta[1:]) + np.sin(self.theta[1:]) * c / s)
+        return _finite(u, "u")
 
 
 def boundary_values(phi: float) -> tuple:

@@ -28,7 +28,7 @@ from .errors import (
     TolTooSmall,
     ZeroInitial,
 )
-from .operators import JacobiMatrix, OperatorSpec, Potential, make_potential
+from .operators import JacobiMatrix, OperatorSpec, Potential, _int, _real, make_potential
 from .prufer import SpectralParam, _transform, common_onset, evolve_trajectory
 
 
@@ -281,6 +281,7 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     0.1 <~ |pi - 2x| * N <~ 10, the fit window sees neither regime and the
     fitted exponent can miss the law by far more than 5%.
     """
+    x, c, n = _real(x, "x"), _real(c, "c"), _int(n, "N")
     if not 0.0 < x < math.pi:
         raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
     if not math.isfinite(c):

@@ -183,7 +183,7 @@ def test_report_json_stable_and_versioned(tmp_path):
     text = (out / "report.json").read_text()
     rep = json.loads(text)
     assert rep["version"] == "0.1.0"
-    assert rep["backend"] in ("numba", "numpy")
+    assert rep["backend"] == "numpy"
     assert rep["config_hash"]
     # stable key order: dumping again with sort_keys reproduces the file
     assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
@@ -322,6 +322,46 @@ def test_stabilization_threshold_is_fixed(tmp_path):
     run(parse_config(_cfg(**doc)))
     diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
     assert diag["stabilization_threshold"] == 0.05
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bound-check"])
+def test_distinct_tol_is_not_a_field(command):
+    doc = dict(command=command, potential={"family": "coulomb"}, phi=1.0,
+               N=20, window=[-1.0, 1.0], distinct_tol=1e-8)
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(_cfg(**doc))
+    assert exc.value.field == "distinct_tol"
+
+
+def _prufer_cfg(tmp_path, c):
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="prufer",
+                         potential={"family": "coulomb", "c": c}, phi=1.0,
+                         N=10 ** 4, x_values=[1.0],
+                         output_dir=str(tmp_path / "o")))
+    return path
+
+
+def test_prufer_overflowing_trajectory_exit_1(tmp_path, capsys):
+    # ln R passes ln(float max) ~ 709.8: R and u would be written as inf
+    assert main([str(_prufer_cfg(tmp_path, 2000.0)), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "[trajectories]" in err and "exceeds the float range" in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_prufer_in_range_csv_is_exp_of_ln_r(tmp_path):
+    # the overflow check leaves in-range values as they were: R = exp(ln R)
+    # and u from (R, theta), written with repr
+    assert main([str(_prufer_cfg(tmp_path, 1.0)), "--quiet"]) == 0
+    rows = (tmp_path / "o" / "trajectory_1.csv").read_text().splitlines()[2:]
+    cols = np.array([[float(v) for v in row.split(",")] for row in rows])
+    ln_r, theta = cols[:, 5], cols[:, 3]
+    x = 1.0
+    r = np.exp(ln_r)
+    u = r * (np.cos(theta) + np.sin(theta) * math.cos(x) / math.sin(x))
+    assert np.array_equal(cols[:, 2], r)
+    assert np.array_equal(cols[:, 1], u)
 
 
 def test_overflowing_bound_exit_1(tmp_path):

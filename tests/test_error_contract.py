@@ -18,11 +18,14 @@ from efgp import (
     classify_point_spectrum,
     eigenvalues_in_window,
     eigenvector,
+    envelope_constant,
     errors,
     evolve_trajectory,
     make_potential,
     oscillatory_partial_sums,
     prufer_sum_diagnostics,
+    resonance_construct,
+    solve_recurrence,
     sturm_count,
 )
 from efgp.cli import main
@@ -35,20 +38,45 @@ CHECKPOINTS = st.one_of(st.none(),
                                  max_size=4))
 
 
+# sizes and integer parameters: floats, nan and inf must not be truncated
+SIZES = st.one_of(st.integers(-3, 120), st.floats(),
+                  st.sampled_from([10.5, math.nan, math.inf, -math.inf]))
+# c, omega and delta: real numbers or not numbers at all
+REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
+                  st.complex_numbers())
+
+
 @settings(derandomize=True, deadline=None)
 @given(diag=st.lists(ENTRIES, max_size=20), E=st.floats(), lo=st.floats(),
-       hi=st.floats(), checkpoints=CHECKPOINTS)
-def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints):
+       hi=st.floats(), checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
+def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
     J = JacobiMatrix(np.array(diag, dtype=float))
+    coulomb = make_potential("coulomb", c=1.0)
 
     def classify():
         spec = OperatorSpec(make_potential("table", values=diag), 1.0, 20)
         return classify_point_spectrum(spec, E, checkpoints)
 
+    def evolve():
+        spec = OperatorSpec(coulomb, 1.0, size)
+        solve_recurrence(spec, SpectralParam.from_x(1.0))
+        return evolve_trajectory(spec, SpectralParam.from_x(1.0))
+
     calls = (lambda: sturm_count(J, E),
              lambda: eigenvalues_in_window(J, (lo, hi)),
              lambda: eigenvector(J, E),
-             classify)
+             classify,
+             evolve,
+             lambda: coulomb.values(1, size),
+             lambda: coulomb.values(size, 130),
+             lambda: envelope_constant(coulomb, 1, size),
+             lambda: make_potential("random_sign", c=1.0, seed=size),
+             lambda: make_potential("coulomb", c=1.0, n0=size),
+             lambda: resonance_construct(math.pi / 3, 2.2, size),
+             lambda: make_potential("coulomb", c=real),
+             lambda: make_potential("resonant", c=1.0, omega=real),
+             lambda: make_potential("resonant", c=1.0, omega=1.0, delta=real),
+             lambda: resonance_construct(math.pi / 3, real, 100))
     for call in calls:
         try:
             call()
@@ -90,7 +118,7 @@ CLI_CONFIGS = {
     "spectrum": {"command": "spectrum",
                  "potential": {"family": "coulomb", "c": 1.0, "n0": 2},
                  "phi": 1.0, "N": 20, "window": [-2.0, 2.0],
-                 "checkpoints": [10, 20], "tol": 1e-10, "distinct_tol": 1e-8},
+                 "checkpoints": [10, 20], "tol": 1e-10},
     "prufer": {"command": "prufer",
                "potential": {"family": "resonant", "c": 1.0, "omega": 2.0,
                              "delta": 0.5},
@@ -100,7 +128,7 @@ CLI_CONFIGS = {
                                   "seed": 3},
                     "phi": 1.0, "N": 24, "x_values": [1.0],
                     "window": [-1.0, 1.0], "checkpoints": [12, 24],
-                    "tol": 1e-10, "distinct_tol": 1e-8,
+                    "tol": 1e-10,
                     "certified_only": False, "C": 1.0,
                     "envelope_range": [1, 24]},
     "lemma-sums": {"command": "lemma-sums",

@@ -1,8 +1,8 @@
-"""Cross-checks between the JIT-compiled kernels and their Python source,
-and of the kernels against each other."""
+"""Kernels against independent references: plain-Python loops of the
+rescaled recurrences, an extended-precision recurrence, and each other."""
 
-import importlib.util
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,47 +10,142 @@ import pytest
 from efgp import _kernels, make_potential
 from efgp.prufer import SpectralParam, _transform
 
-needs_numba = pytest.mark.skipif(_kernels.backend() != "numba",
-                                 reason="numba unavailable")
+RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
 
-def _case_inputs():
-    rng = np.random.default_rng(77)
-    n = 20000
-    V = np.zeros(n + 1)
-    V[1:] = rng.uniform(-1.5, 1.5, n) / np.arange(1, n + 1)
-    x = 1.234
-    return V, 2.0 * math.cos(x)
+def _rescale_needed(a, b):
+    m = max(abs(a), abs(b))
+    return m if m > RESCALE_HI or (m < RESCALE_LO and m != 0.0) else None
 
 
-@needs_numba
-def test_solve_forward_paths_agree():
-    V, E = _case_inputs()
-    py = _kernels.solve_forward.py_func
-    nb = _kernels.solve_forward
-    u1, f1 = py(V, E, 1.0, 0.5)
-    u2, f2 = nb(V, E, 1.0, 0.5)
-    assert f1 == f2 == -1
-    np.testing.assert_allclose(u1, u2, rtol=1e-14, atol=0)
+def loop_forward(V, E, u0, u1):
+    """Oracle for prufer_forward: one site per iteration."""
+    n_max = V.shape[0] - 1
+    un, um, ln_scale = np.full((3, n_max + 1), np.nan)
+    a, b, sigma = u1, u0, 0.0
+    for n in range(1, n_max + 1):
+        un[n], um[n], ln_scale[n] = a, b, sigma
+        if n < n_max:
+            m = _rescale_needed(a, b)
+            if m is not None:
+                a, b, sigma = a / m, b / m, sigma + math.log(m)
+            a, b = (E - V[n]) * a - b, a
+    return un, um, ln_scale
 
 
-@needs_numba
-def test_prufer_forward_paths_agree():
-    V, E = _case_inputs()
-    py = _kernels.prufer_forward.py_func(V, E, 1.0, 0.5)
-    nb = _kernels.prufer_forward(V, E, 1.0, 0.5)
-    for a, b in zip(py, nb):
-        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-14, atol=0)
+def loop_backward(amp, omega, delta, E, u_next, u_launch, n_launch, n_record):
+    """Oracle for backward_resonant: one site per iteration, V on the fly."""
+    un, um, ln_scale = np.full((3, n_record + 1), np.nan)
+    a, b, sigma = u_next, u_launch, 0.0
+    for n in range(n_launch, 0, -1):
+        m = _rescale_needed(a, b)
+        if m is not None:
+            a, b, sigma = a / m, b / m, sigma + math.log(m)
+        c = (E - amp * math.sin(omega * n + delta) / n) * b - a
+        if n <= n_record:
+            un[n], um[n], ln_scale[n] = b, c, sigma
+        a, b = b, c
+    return un, um, ln_scale
 
 
-@needs_numba
-def test_backward_resonant_paths_agree():
-    x = 1.1
-    args = (2.5, 2 * x, 0.4, 2 * math.cos(x), 0.0, 1.0, 40000, 10000)
-    py = _kernels.backward_resonant.py_func(*args)
-    nb = _kernels.backward_resonant(*args)
-    for a, b in zip(py, nb):
-        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-10, atol=0)
+def _rescale_sites(ln_scale):
+    return np.flatnonzero(np.diff(ln_scale[1:])) + 1
+
+
+def _assert_same_evolution(got, want, V, param):
+    assert np.array_equal(_rescale_sites(got[2]), _rescale_sites(want[2]))
+    lnr = _transform(*(a[1:] for a in got), V, param).ln_R[1:]
+    ref = _transform(*(a[1:] for a in want), V, param).ln_R[1:]
+    np.testing.assert_array_less(
+        np.abs(lnr - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _table12(n):
+    V = np.full(n + 1, 12.0)
+    V[0] = 0.0
+    return V
+
+
+FORWARD_CASES = {
+    "table12-N200": (lambda: _table12(200), 2),
+    "table12-N1e5": (lambda: _table12(10 ** 5), 1030),
+    "coulomb2000-N1e4": (
+        lambda: make_potential("coulomb", c=2000.0).value_array(10 ** 4), 5),
+    "random_sign-N2e5": (
+        lambda: make_potential("random_sign", c=1.0, seed=3)
+        .value_array(2 * 10 ** 5), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_CASES))
+def test_prufer_forward_matches_loop(case):
+    make_v, rescales = FORWARD_CASES[case]
+    V = make_v()
+    param = SpectralParam.from_x(1.0)
+    u0, u1 = math.cos(1.0), -math.sin(1.0)
+    got = _kernels.prufer_forward(V, param.E, u0, u1)
+    want = loop_forward(V, param.E, u0, u1)
+    assert _rescale_sites(want[2]).size == rescales
+    _assert_same_evolution(got, want, V[1:], param)
+
+
+@pytest.mark.parametrize("c, rescales", [(2.5, 0), (1000.0, 4)])
+def test_backward_resonant_matches_loop(c, rescales):
+    n, x, delta = 2000, 1.1, 0.4
+    launch = 16 * n
+    param = SpectralParam.from_x(x)
+    theta = x * launch + 0.5 * delta
+    u_launch = math.sin(theta) / param.sin_x
+    u_next = math.cos(theta) + u_launch * param.cos_x
+    args = (c, 2 * x, delta, param.E, u_next, u_launch, launch, n)
+    want = loop_backward(*args)
+    assert _rescale_sites(want[2]).size == rescales
+    V = make_potential("resonant", c=c, omega=2 * x, delta=delta).values(1, n)
+    _assert_same_evolution(_kernels.backward_resonant(*args), want, V, param)
+
+
+def test_rescale_at_first_site():
+    # a launch pair already below the band is rescaled before the first step
+    V = _table12(300)
+    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
+    want = loop_forward(V, 0.5, 1e-200, 3e-201)
+    assert _rescale_sites(want[2])[0] == 1
+    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.5))
+
+
+def test_solve_forward_extended_precision():
+    n = 2 * 10 ** 5
+    V = make_potential("random_sign", c=1.0, seed=3).value_array(n)
+    E = 2.0 * math.cos(1.2)
+    u, flag = _kernels.solve_forward(V, E, 1.0, 0.5)
+    assert flag == -1
+    ref = np.empty(n + 1, dtype=np.longdouble)
+    ref[0], ref[1] = 1.0, 0.5
+    Vl, El = V.astype(np.longdouble), np.longdouble(E)
+    for k in range(1, n):
+        ref[k + 1] = (El - Vl[k]) * ref[k] - ref[k - 1]
+    err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-12
+
+
+def test_solve_forward_overflow_flag():
+    # the flag is the first site of the unrescaled loop beyond 1e300
+    V = _table12(2000)
+    u, flag = _kernels.solve_forward(V, 1.0, 1.0, 0.5)
+    ref = [1.0, 0.5]
+    while abs(ref[-1]) <= 1e300:
+        ref.append((1.0 - V[len(ref) - 1]) * ref[-1] - ref[-2])
+    assert flag == len(ref) - 1
+    np.testing.assert_allclose(u[:flag], ref[:-1], rtol=1e-13)
+
+
+def test_many_rescales_stay_cheap():
+    # 1030 rescales at N = 1e5: each restart re-solves only a short chunk
+    V = _table12(10 ** 5)
+    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
+    t0 = time.perf_counter()
+    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
+    assert time.perf_counter() - t0 < 0.3
 
 
 @pytest.mark.parametrize("c, rescales", [(2.5, 0), (1000.0, 4)])
@@ -84,16 +179,6 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
         np.abs(mirrored - lnr), 1e-12 * np.maximum(1.0, np.abs(lnr)))
 
 
-@needs_numba
-def test_sturm_counts_paths_identical():
-    rng = np.random.default_rng(5)
-    d = rng.uniform(-2, 2, 300)
-    shifts = np.linspace(-4, 4, 37)
-    py = _kernels.sturm_counts.py_func(d, shifts, _kernels.PIVMIN)
-    nb = _kernels.sturm_counts(d, shifts, _kernels.PIVMIN)
-    assert np.array_equal(py, nb)
-
-
 def test_cumsum_adds_left_to_right():
     # kahan_cumsum's TwoSum errors assume s[i] = fl(s[i-1] + x[i])
     x = np.random.default_rng(6).standard_normal(10 ** 5)
@@ -123,6 +208,5 @@ def test_kahan_cumsum_short_inputs():
                           [2.5, 2.75])
 
 
-def test_backend_reports_numba_by_default():
-    installed = importlib.util.find_spec("numba") is not None
-    assert _kernels.backend() == ("numba" if installed else "numpy")
+def test_backend_reports_numpy():
+    assert _kernels.backend() == "numpy"

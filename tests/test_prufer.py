@@ -87,6 +87,20 @@ def test_overflow_signalled():
         solve_recurrence(spec, SpectralParam.from_x(1.0))
 
 
+def test_trajectory_beyond_float_range_raises_overflow():
+    # ln R passes ln(float max) early: R and u must not come back as inf
+    spec = OperatorSpec(make_potential("coulomb", c=2000.0), 1.0, 10 ** 4)
+    traj = evolve_trajectory(spec, SpectralParam.from_x(1.0))
+    with pytest.raises(errors.Overflow, match=r"R\((\d+)\)") as exc:
+        traj.R
+    site = int(exc.value.args[0].split("(")[1].split(")")[0])
+    ln_max = math.log(np.finfo(float).max)
+    assert traj.ln_R[site] >= ln_max - 1e-12
+    assert np.all(traj.ln_R[1:site] < ln_max + 1e-12)
+    with pytest.raises(errors.Overflow):
+        traj.u_values()
+
+
 def test_transfer_step_basics():
     assert transfer_step(0.0, 0.0, (1.0, 0.0)) == (0.0, 1.0)
     x = 0.8
