@@ -6,7 +6,7 @@ The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
 system with two subdiagonals, so BLAS ``dtbsv`` solves a stretch of it in
 the same sequential order as a loop would (:func:`_recur`).  One chunk
 driver (:func:`_rescaled_pairs`) adds the log-scale rescaling for the
-forward Prufer evolution and the backward resonant launch.
+forward Prufer evolution, the backward resonant launch and Sturm counts.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -18,11 +18,6 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-
-# Guarded Sturm recurrence replaces |pivot| <= PIVMIN by +PIVMIN: keeps
-# 1/pivot finite in float64 and breaks exact ties upward, so an eigenvalue
-# sitting exactly at the shift is not counted (strictly-below semantics).
-PIVMIN = 1e-290
 
 # Rescale the evolving pair once its larger entry leaves this band; the
 # log-scale accumulator keeps ln R exact.
@@ -74,13 +69,13 @@ def solve_forward(V, E, u0, u1):
 def _rescaled_pairs(sub, n_sites, w0, w1, cur, prev, scale):
     """Rescaled pairs of w(k+1) = -sub(k) w(k) - w(k-1), sites k = 1..n_sites.
 
-    ``sub(k, L)`` returns sub(k..k+L-1).  The outputs hold the last
-    len(cur) sites: (w(k), w(k-1)) = exp(scale) * (cur, prev).  A chunk of
-    at most _CHUNK steps is solved unscaled and cut at its first site
-    k < n_sites whose max(|w(k)|, |w(k-1)|) leaves [_RESCALE_LO,
-    _RESCALE_HI] (unless it is 0); the pair there is stored, divided by
-    that maximum, and the next chunk, about twice as long as the stretch
-    just kept, starts from it, so frequent rescales re-solve little.
+    ``sub(k, L)`` returns sub(k..k+L-1), all finite.  The outputs hold the
+    last len(cur) sites: (w(k), w(k-1)) = exp(scale) * (cur, prev).  A chunk
+    of at most _CHUNK steps is solved unscaled and cut at its first site
+    whose max(|w(k)|, |w(k-1)|) leaves [_RESCALE_LO, _RESCALE_HI] (unless
+    it is 0; at k = n_sites only if it is inf), or one site earlier if it
+    is inf; the pair there is stored, divided by that maximum, and the next
+    chunk, about twice as long as the stretch kept, starts from it.
     """
     first = n_sites - cur.shape[0] + 1
     k, a, b, sigma = 1, w1, w0, 0.0  # pair at site k, already stored
@@ -91,10 +86,13 @@ def _rescaled_pairs(sub, n_sites, w0, w1, cur, prev, scale):
         steps = min(steps, n_sites - k)
         y = _recur(b, a, sub(k, steps))  # pair at site k + j: (y[j+1], y[j])
         m = np.maximum(np.abs(y[1:]), np.abs(y[:-1]))
-        m = m[:min(steps, n_sites - k - 1) + 1]  # site n_sites is never rescaled
         out = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
+        if k + steps == n_sites:  # site n_sites is rescaled only on overflow
+            out[-1] = not math.isfinite(m[-1])
         cut = bool(out.any())
         j = int(out.argmax()) if cut else steps
+        if cut and j > 0 and not math.isfinite(m[j]):
+            j -= 1  # the step overflowed: rescale the in-band pair before it
         lo = max(k + 1, first)
         if lo <= k + j:
             cur[lo - first:k + j + 1 - first] = y[lo - k + 1:j + 2]
@@ -150,30 +148,22 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
     return tuple(out)
 
 
-def sturm_counts(diag, shifts, pivmin):
-    """Number of eigenvalues below each shift, by Sturm sign changes.
-
-    diag is the Jacobi diagonal (0-based), off-diagonal entries are 1.
-    Pivots with |q| <= pivmin are replaced by +pivmin (documented guard).
+def sturm_counts(diag, shifts):
+    """Eigenvalues strictly below each shift of the Jacobi matrix with
+    diagonal d(1..N) = diag and unit off-diagonal, by node counting:
+    w(k+1) = (E - d(k)) w(k) - w(k-1) from (0, 1) is det(E - J_k) (Barth,
+    Martin & Wilkinson, Numer. Math. 9, 1967).  Step k = 1..N counts when
+    w(k), w(k+1) agree in sign bit (a product can underflow) or w(k) = 0,
+    but not when w(k+1) = 0.  Every diag - shift must be finite.
     """
-    m = shifts.shape[0]
     n = diag.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        e = shifts[j]
-        count = 0
-        q = diag[0] - e
-        if abs(q) <= pivmin:
-            q = pivmin
-        if q < 0.0:
-            count += 1
-        for i in range(1, n):
-            q = diag[i] - e - 1.0 / q
-            if abs(q) <= pivmin:
-                q = pivmin
-            if q < 0.0:
-                count += 1
-        out[j] = count
+    out = np.empty(shifts.shape[0], dtype=np.int64)
+    cur, prev, scale = np.empty((3, n))
+    for i, e in enumerate(shifts):
+        _rescaled_pairs(lambda k, steps, e=e: diag[k - 1:k - 1 + steps] - e,
+                        n + 1, 0.0, 1.0, cur, prev, scale)
+        same = np.signbit(cur) == np.signbit(prev)
+        out[i] = np.count_nonzero((cur != 0.0) & (same | (prev == 0.0)))
     return out
 
 

@@ -34,7 +34,7 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
-from .operators import _int
+from .operators import _int, _real
 from .prufer import common_onset
 from .spectral import EigenvalueSet, theorem_weight
 
@@ -48,6 +48,7 @@ _FREQ_TOL = 1e-9
 
 def theorem_bound(C: float) -> float:
     """Right-hand side (C^2 + 2)/2 for envelope constant C >= 0."""
+    C = _real(C, "C")
     if C < 0.0:
         raise NegativeConstant(f"envelope constant must be >= 0, got {C}")
     rhs = (C * C + 2.0) / 2.0
@@ -174,6 +175,7 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
     harmonic series.
     """
     n_max = _size(n_max)
+    alpha = _real(alpha, "alpha")
     if not math.isfinite(alpha):
         raise ParamOutOfRange(f"alpha must be finite, got {alpha}")
     if _dist_to_multiple(alpha, 2.0 * math.pi) < _FREQ_TOL:
@@ -401,6 +403,7 @@ def almost_orthogonality_check(g: WeightedVector, e) -> OrthogonalityReport:
 
 def log_bound_check(x: float, eps: float) -> tuple:
     """(ln(1+x) >= x/(1+eps), ln(1-x) >= -x/(1-eps)) for 0 < x < eps < 1."""
+    x, eps = _real(x, "x"), _real(eps, "eps")
     if not 0.0 < x < eps:
         raise DomainError(f"need 0 < x < eps, got x={x}, eps={eps}")
     if eps >= 1.0:

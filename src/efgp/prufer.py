@@ -41,7 +41,7 @@ from .errors import (
     Overflow,
     ParamOutOfRange,
 )
-from .operators import OperatorSpec
+from .operators import OperatorSpec, _real
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -68,12 +68,14 @@ class SpectralParam:
 
     @classmethod
     def from_x(cls, x: float) -> "SpectralParam":
+        x = _real(x, "x")
         if not 0.0 < x < math.pi:
             raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
-        return cls(x=float(x), E=2.0 * math.cos(x), sin_x=math.sin(x))
+        return cls(x=x, E=2.0 * math.cos(x), sin_x=math.sin(x))
 
     @classmethod
     def from_energy(cls, E: float) -> "SpectralParam":
+        E = _real(E, "E")
         if not -2.0 < E < 2.0:
             raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
         return cls.from_x(math.acos(E / 2.0))

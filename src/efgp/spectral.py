@@ -31,36 +31,42 @@ from .errors import (
 from .operators import JacobiMatrix, OperatorSpec, Potential, _int, _real, make_potential
 from .prufer import SpectralParam, _transform, common_onset, evolve_trajectory
 
+DISTINCT_TOL = 1e-8  # records this close in E are one eigenvalue
 
-def _checked_diagonal(J: JacobiMatrix) -> np.ndarray:
+
+def _checked_diagonal(J: JacobiMatrix, *shifts: float) -> np.ndarray:
+    """The diagonal d of J, nonempty and finite, with d - E finite for each
+    shift E (rounding is monotone: checking min(d) and max(d) suffices)."""
     d = J.diagonal
     if d.size == 0:
         raise ParamOutOfRange("Jacobi matrix must not be empty")
     if not np.isfinite(d).all():
         raise ParamOutOfRange("Jacobi diagonal must be finite")
+    if not all(math.isfinite(float(v) - E) for v in (d.min(), d.max()) for E in shifts):
+        raise ParamOutOfRange(f"diagonal - E is not finite for E in {shifts}")
     return d
 
 
 def sturm_count(J: JacobiMatrix, E: float) -> int:
-    """Number of eigenvalues of J strictly below E (guarded Sturm count)."""
-    E = float(E)
-    if not math.isfinite(E):
-        raise ParamOutOfRange(f"E must be finite, got {E}")
-    out = _kernels.sturm_counts(_checked_diagonal(J), np.array([E]),
-                                _kernels.PIVMIN)
-    return int(out[0])
+    """Number of eigenvalues of J strictly below E (Sturm node count)."""
+    E = _real(E, "E")
+    return int(_kernels.sturm_counts(_checked_diagonal(J, E), np.array([E]))[0])
 
 
 def eigenvalues_in_window(J: JacobiMatrix, window: tuple, tol: float = 1e-12) -> np.ndarray:
     """Eigenvalues of J in the window, ascending, each within tol/2 of its
     eigenvalue.
 
-    The window is the index set fixed by guarded Sturm counts at its ends:
+    The window is the index set fixed by Sturm counts at its ends:
     indices [count(lo), count(hi)), so an eigenvalue exactly at lo is kept
     and one exactly at hi is dropped.  LAPACK's Sturm bisection (stebz)
     then locates those indices to interval width <= tol.
     """
-    lo, hi = float(window[0]), float(window[1])
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise ParamOutOfRange(f"window must be a pair, got {window!r}") from None
+    lo, hi, tol = _real(lo, "window[0]"), _real(hi, "window[1]"), _real(tol, "tol")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParamOutOfRange(f"window ends must be finite, got ({lo}, {hi})")
     if not tol > 0.0:
@@ -68,9 +74,8 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple, tol: float = 1e-12) ->
     min_tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     if tol < min_tol:
         raise TolTooSmall(f"tol {tol} below machine resolution {min_tol:.3e}")
-    d = _checked_diagonal(J)
-    c_lo, c_hi = (int(v) for v in
-                  _kernels.sturm_counts(d, np.array([lo, hi]), _kernels.PIVMIN))
+    d = _checked_diagonal(J, lo, hi)
+    c_lo, c_hi = (int(c) for c in _kernels.sturm_counts(d, np.array([lo, hi])))
     if c_hi <= c_lo:
         return np.empty(0)
     try:
@@ -88,7 +93,7 @@ def eigenvector(J: JacobiMatrix, E: float) -> np.ndarray:
     E must sit within t = 1e-10 * (max|d| + 2) of a true eigenvalue; LAPACK
     (stebz + stein) finds the eigenpairs in (E - t, E + t].
     """
-    E = float(E)
+    E = _real(E, "E")
     if not math.isfinite(E):
         raise ParamOutOfRange(f"E must be finite, got {E}")
     d = _checked_diagonal(J)
@@ -140,7 +145,6 @@ class EigenvalueSet:
     """Distinct eigenvalue records, ascending in E."""
 
     records: tuple
-    tolerance: float = 1e-8
 
 
 def theorem_weight(E: float) -> float:
@@ -153,18 +157,18 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
     return (not rec.certificate.passed, rec.certificate.n_star * rec.certificate.rn_sq)
 
 
-def make_eigenvalue_set(records, tolerance: float = 1e-8) -> EigenvalueSet:
-    """Sort records by E and merge numerical duplicates, keeping the
-    better certificate of each merged cluster."""
+def make_eigenvalue_set(records) -> EigenvalueSet:
+    """Sort records by E and merge numerical duplicates (energies within
+    DISTINCT_TOL), keeping the better certificate of each merged cluster."""
     ordered = sorted(records, key=lambda r: r.E)
     merged = []
     for rec in ordered:
-        if merged and abs(rec.E - merged[-1].E) <= tolerance:
+        if merged and abs(rec.E - merged[-1].E) <= DISTINCT_TOL:
             if _cert_rank(rec) < _cert_rank(merged[-1]):
                 merged[-1] = rec
         else:
             merged.append(rec)
-    return EigenvalueSet(records=tuple(merged), tolerance=tolerance)
+    return EigenvalueSet(records=tuple(merged))
 
 
 def default_checkpoints(n: int) -> list:
@@ -200,7 +204,7 @@ def classify_point_spectrum(spec: OperatorSpec, E: float,
     passed <=> rn_sq <= 1/n_star holds for the stored values either way;
     with no eligible checkpoint it is (0, nan) and the certificate fails.
     """
-    E = float(E)
+    E = _real(E, "E")
     if not -2.0 < E < 2.0:
         raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
     if checkpoints is None:

@@ -3,6 +3,7 @@ API, and the CLI turns every config into exit code 0, 1 or 2."""
 
 import json
 import math
+import signal
 import tempfile
 from pathlib import Path
 
@@ -15,18 +16,22 @@ from efgp import (
     JacobiMatrix,
     OperatorSpec,
     SpectralParam,
+    check_theorem,
     classify_point_spectrum,
     eigenvalues_in_window,
     eigenvector,
     envelope_constant,
     errors,
     evolve_trajectory,
+    log_bound_check,
+    make_eigenvalue_set,
     make_potential,
     oscillatory_partial_sums,
     prufer_sum_diagnostics,
     resonance_construct,
     solve_recurrence,
     sturm_count,
+    theorem_bound,
 )
 from efgp.cli import main
 
@@ -41,15 +46,17 @@ CHECKPOINTS = st.one_of(st.none(),
 # sizes and integer parameters: floats, nan and inf must not be truncated
 SIZES = st.one_of(st.integers(-3, 120), st.floats(),
                   st.sampled_from([10.5, math.nan, math.inf, -math.inf]))
-# c, omega and delta: real numbers or not numbers at all
+# real parameters (E, window ends, tol, c, omega, delta, ...): real numbers
+# or not numbers at all
 REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
                   st.complex_numbers())
 
 
 @settings(derandomize=True, deadline=None)
-@given(diag=st.lists(ENTRIES, max_size=20), E=st.floats(), lo=st.floats(),
-       hi=st.floats(), checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
-def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
+@given(diag=st.lists(ENTRIES, max_size=20), E=REALS, lo=REALS, hi=REALS,
+       tol=REALS, checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
+def test_only_efgp_errors_escape(diag, E, lo, hi, tol, checkpoints, size,
+                                 real):
     J = JacobiMatrix(np.array(diag, dtype=float))
     coulomb = make_potential("coulomb", c=1.0)
 
@@ -64,6 +71,8 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
 
     calls = (lambda: sturm_count(J, E),
              lambda: eigenvalues_in_window(J, (lo, hi)),
+             lambda: eigenvalues_in_window(J, (lo, hi), tol),
+             lambda: eigenvalues_in_window(J, (lo,)),
              lambda: eigenvector(J, E),
              classify,
              evolve,
@@ -76,12 +85,71 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
              lambda: make_potential("coulomb", c=real),
              lambda: make_potential("resonant", c=1.0, omega=real),
              lambda: make_potential("resonant", c=1.0, omega=1.0, delta=real),
-             lambda: resonance_construct(math.pi / 3, real, 100))
+             lambda: resonance_construct(math.pi / 3, real, 100),
+             lambda: SpectralParam.from_x(real),
+             lambda: SpectralParam.from_energy(real),
+             lambda: theorem_bound(real),
+             lambda: check_theorem(make_eigenvalue_set([]), real),
+             lambda: oscillatory_partial_sums(real, None, 10),
+             lambda: log_bound_check(real, 0.5),
+             lambda: log_bound_check(0.25, real))
     for call in calls:
         try:
             call()
         except errors.EfgpError:
             pass
+
+
+_J4 = JacobiMatrix(np.zeros(4))
+_SPEC = OperatorSpec(make_potential("coulomb", c=1.0), 1.0, 20)
+
+
+NON_REAL_CALLS = {
+    "sturm_count-text": lambda: sturm_count(_J4, "a"),
+    "sturm_count-complex": lambda: sturm_count(_J4, 1j),
+    "eigenvector-text": lambda: eigenvector(_J4, "a"),
+    "window-text-end": lambda: eigenvalues_in_window(_J4, ("a", 1.0)),
+    "window-one-end": lambda: eigenvalues_in_window(_J4, (0.0,)),
+    "window-none": lambda: eigenvalues_in_window(_J4, None),
+    "window-text-tol": lambda: eigenvalues_in_window(_J4, (-1.0, 1.0), "a"),
+    "classify-text": lambda: classify_point_spectrum(_SPEC, "a"),
+    "from_x-text": lambda: SpectralParam.from_x("a"),
+    "from_energy-none": lambda: SpectralParam.from_energy(None),
+    "theorem_bound-text": lambda: theorem_bound("a"),
+    "check_theorem-none": lambda: check_theorem(make_eigenvalue_set([]), None),
+    "partial_sums-text": lambda: oscillatory_partial_sums("a", None, 10),
+    "log_bound-text": lambda: log_bound_check("a", 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REAL_CALLS))
+def test_non_real_scalars_rejected(name):
+    with pytest.raises(errors.ParamOutOfRange):
+        NON_REAL_CALLS[name]()
+
+
+def _time_limit(seconds):
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda J: sturm_count(J, 1.7e308),
+    lambda J: eigenvalues_in_window(J, (-1.0, 1.7e308), 1e300),
+], ids=["sturm_count", "window"])
+def test_overflowing_shift_rejected(call):
+    # -1e308 - 1.7e308 is -inf: the count must refuse it, not loop on it
+    J = JacobiMatrix(np.array([0.0, -1e308, 0.0]))
+    previous = signal.getsignal(signal.SIGALRM)
+    _time_limit(5.0)
+    try:
+        with pytest.raises(errors.ParamOutOfRange):
+            call(J)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 SUM_SIZES = st.one_of(st.integers(-3, 40), st.floats())

@@ -1,14 +1,16 @@
 """Kernels against independent references: plain-Python loops of the
 rescaled recurrences, an extended-precision recurrence, and each other."""
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from efgp import _kernels, make_potential
-from efgp.prufer import SpectralParam, _transform
+from efgp import OperatorSpec, _kernels, make_potential
+from efgp.prufer import (SpectralParam, _transform, boundary_values,
+                         evolve_trajectory)
 
 RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
@@ -126,6 +128,28 @@ def test_solve_forward_extended_precision():
         ref[k + 1] = (El - Vl[k]) * ref[k] - ref[k - 1]
     err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
     assert err <= 1e-12
+
+
+def test_overflowing_step_rescales_before_it():
+    # a jump to 1e250 after a growing stretch: the unscaled step to the jump
+    # leaves the float range whenever the pair before it exceeds ~1.8e58;
+    # with one site after the jump, that step reaches the last site
+    param = SpectralParam.from_x(1.0)
+    u0, u1 = (np.longdouble(v) for v in boundary_values(1.0))
+    E, c, s = (np.longdouble(v) for v in (param.E, param.cos_x, param.sin_x))
+    for jump, tail in itertools.product(range(100, 300), (20, 1)):
+        table = [5.0] * jump + [1e250] + [0.0] * tail
+        spec = OperatorSpec(make_potential("table", values=table), 1.0,
+                            len(table))
+        lnr = evolve_trajectory(spec, param).ln_R[1:]
+        assert np.isfinite(lnr).all(), jump
+        um, un, ref = u0, u1, []
+        for v in table:
+            ref.append(0.5 * np.log((un - um * c) ** 2 + (um * s) ** 2))
+            um, un = un, (E - np.longdouble(v)) * un - um
+        ref = np.array(ref, dtype=float)
+        np.testing.assert_array_less(
+            np.abs(lnr - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_solve_forward_overflow_flag():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -102,6 +103,49 @@ def test_window_endpoint_rule_free_n3():
     assert got.shape == (1,)
     assert abs(got[0]) <= tol
     assert eigenvalues_in_window(free_jacobi(3), (-1.0, 0.0), tol).size == 0
+
+
+# integer diagonals with an eigenvalue exactly at an integer shift; the
+# ratio form of the Sturm recurrence rounded 1/3 and counted it
+@pytest.mark.parametrize("diag, tie", [([-1, 1, 0, 0], 2.0),
+                                       ([-2, 0, -1, -1], 1.0)])
+def test_sturm_exact_tie(diag, tie):
+    jac = JacobiMatrix(np.array(diag, dtype=float))
+    assert sturm_count(jac, tie) == 3
+    got = eigenvalues_in_window(jac, (tie, tie + 1.0), 1e-12)
+    assert got.shape == (1,) and abs(got[0] - tie) <= 1e-12
+    assert eigenvalues_in_window(jac, (tie - 1.0, tie), 1e-12).size == 0
+
+
+def _char_poly(diag, E):
+    """det(E - J) in exact integer arithmetic."""
+    p_prev, p = 1, E - diag[0]
+    for d in diag[1:]:
+        p_prev, p = p, (E - d) * p - p_prev
+    return p
+
+
+def test_sturm_exact_on_small_integer_matrices():
+    # every diagonal in {-2..2}^n, n <= 5, at every integer shift in [-3, 3]:
+    # eigenvalues are simple, an exact zero of det(E - J) is a tie at E and
+    # is not counted, and no other eigenvalue lies within 1e-9 of an integer
+    shifts = np.arange(-3.0, 4.0)
+    for n in range(1, 6):
+        for diag in itertools.product(range(-2, 3), repeat=n):
+            d = np.array(diag, dtype=float)
+            w = np.linalg.eigvalsh(JacobiMatrix(d).to_dense())
+            want = [int(np.sum(w < E - (1e-9 if _char_poly(diag, int(E)) == 0
+                                        else 0.0)))
+                    for E in shifts]
+            assert list(_kernels.sturm_counts(d, shifts)) == want, diag
+
+
+def test_sturm_counts_stay_cheap():
+    d = np.random.default_rng(5).uniform(-1.0, 1.0, 10 ** 6)
+    shifts = np.array([-2.0, 2.0])
+    t0 = time.perf_counter()
+    _kernels.sturm_counts(d, shifts)
+    assert time.perf_counter() - t0 < 0.5
 
 
 @pytest.mark.parametrize("window", [(math.nan, 1.0), (-1.0, math.nan),
@@ -378,7 +422,7 @@ def test_eigenvalue_set_merges_duplicates():
     a = rec(0.5, False, 2.0)
     b = rec(0.5 + 1e-10, True, 0.5)
     c = rec(0.9, False, 3.0)
-    eset = make_eigenvalue_set([c, a, b], tolerance=1e-8)
+    eset = make_eigenvalue_set([c, a, b])
     assert len(eset.records) == 2
     assert eset.records[0].certificate.passed  # kept the better certificate
     es = [r.E for r in eset.records]
