@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__, _kernels, analysis, spectral
 from .errors import (
@@ -49,7 +51,6 @@ class ExperimentConfig:
     window: Optional[tuple] = None
     x_values: tuple = ()
     checkpoints: Optional[tuple] = None
-    tol: float = 1e-10
     certified_only: bool = True
     C: Optional[float] = None
     envelope_range: Optional[tuple] = None
@@ -177,11 +178,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     common = {"command", "output_dir"}
     per_command = {
-        "spectrum": common | {"potential", "phi", "N", "window", "tol",
+        "spectrum": common | {"potential", "phi", "N", "window",
                               "checkpoints"},
         "prufer": common | {"potential", "phi", "N", "x_values"},
         "bound-check": common | {"potential", "phi", "N", "x_values", "window",
-                                 "checkpoints", "tol", "certified_only", "C",
+                                 "checkpoints", "certified_only", "C",
                                  "envelope_range"},
         "lemma-sums": common | {"potential", "phi", "N", "x_values"},
         "construct": common | {"x", "c", "N", "checkpoints"},
@@ -231,12 +232,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValidationError("checkpoints", "must be increasing")
         cfg.checkpoints = tuple(cps)
 
-    for key, cond, msg in (("tol", lambda v: v > 0, "must be positive"),
-                           ("C", lambda v: v >= 0, "must be >= 0")):
-        if key in obj:
-            if not _is_num(obj[key]) or not cond(obj[key]):
-                raise ValidationError(key, msg)
-            setattr(cfg, key, float(obj[key]))
+    if "C" in obj:
+        if not _is_num(obj["C"]) or not obj["C"] >= 0:
+            raise ValidationError("C", "must be >= 0")
+        cfg.C = float(obj["C"])
 
     if "certified_only" in obj:
         if not isinstance(obj["certified_only"], bool):
@@ -375,8 +374,9 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
         energies = [2.0 * math.cos(xv) for xv in cfg.x_values]
         if cfg.window is not None:
             jac = stages.run("build_jacobi", build_jacobi, spec)
+            # stage name kept: perfbench/tracer.py reads cli.stage.bisection_s
             eigs = stages.run("bisection", spectral.eigenvalues_in_window,
-                              jac, cfg.window, cfg.tol)
+                              jac, cfg.window)
             energies.extend(float(v) for v in eigs)
         records = stages.run("classify", lambda: [
             _classify_record(spec, E, cfg.checkpoints) for E in energies])
@@ -469,6 +469,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
     report = {
         "version": __version__,
         "backend": _kernels.backend(),
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "command": cfg.command,
         "config": cfg.raw,
         "config_hash": cfg_hash,

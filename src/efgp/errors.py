@@ -47,10 +47,6 @@ class ParamOutOfRange(EfgpError):
 
 # --- spectral --------------------------------------------------------------
 
-class TolTooSmall(EfgpError):
-    pass
-
-
 class NoConvergence(EfgpError):
     pass
 

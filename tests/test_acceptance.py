@@ -96,7 +96,7 @@ def test_criterion_3_free_spectrum_oracle():
     worst_free = 0.0
     for n in (3, 10, 50):
         spec = OperatorSpec(make_potential("coulomb", c=0.0), PI / 2, n)
-        got = eigenvalues_in_window(build_jacobi(spec), (-2.0, 2.0), 1e-13)
+        got = eigenvalues_in_window(build_jacobi(spec), (-2.0, 2.0))
         expect = np.sort(2.0 * np.cos(np.arange(1, n + 1) * PI / (n + 1)))
         assert got.size == n
         worst_free = max(worst_free, float(np.max(np.abs(got - expect))))
@@ -106,7 +106,7 @@ def test_criterion_3_free_spectrum_oracle():
         c = float(rng.uniform(0.0, 2.0))
         phi = float(rng.uniform(0.2, PI - 0.2))
         jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=c), phi, 40))
-        got = eigenvalues_in_window(jac, (-2.0, 2.0), 1e-12)
+        got = eigenvalues_in_window(jac, (-2.0, 2.0))
         w = np.linalg.eigvalsh(jac.to_dense())
         w = w[(w > -2.0) & (w < 2.0)]
         assert got.size == w.size

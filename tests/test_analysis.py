@@ -82,7 +82,7 @@ def test_check_theorem_negative_control_uncertified():
     # raw truncation eigenvalues overfill the bound unless certified;
     # closed form: sum_k sin^2(k pi/101) = 101/2 - 1/2 + 1/2 = 50.5
     jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=0.0), PI / 2, 100))
-    eigs = eigenvalues_in_window(jac, (-2.0, 2.0), 1e-11)
+    eigs = eigenvalues_in_window(jac, (-2.0, 2.0))
     recs = [EigenvalueRecord(
         E=float(e), x=None, weight=theorem_weight(e),
         certificate=Certificate(n_star=100, rn_sq=1.0, passed=False))

@@ -1,8 +1,12 @@
 import json
 import math
+import platform
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from efgp import errors
 from efgp.cli import MAX_N, main, parse_config, run
@@ -184,6 +188,9 @@ def test_report_json_stable_and_versioned(tmp_path):
     rep = json.loads(text)
     assert rep["version"] == "0.1.0"
     assert rep["backend"] == "numpy"
+    assert rep["environment"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__,
+                                  "scipy": scipy.__version__}
     assert rep["config_hash"]
     # stable key order: dumping again with sort_keys reproduces the file
     assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
@@ -326,11 +333,38 @@ def test_stabilization_threshold_is_fixed(tmp_path):
 
 @pytest.mark.parametrize("command", ["spectrum", "bound-check"])
 def test_distinct_tol_is_not_a_field(command):
-    doc = dict(command=command, potential={"family": "coulomb"}, phi=1.0,
-               N=20, window=[-1.0, 1.0], distinct_tol=1e-8)
-    with pytest.raises(errors.ValidationError) as exc:
-        parse_config(_cfg(**doc))
-    assert exc.value.field == "distinct_tol"
+    # neither the merge tolerance nor the old bisection tolerance is a knob
+    for key, value in (("distinct_tol", 1e-8), ("tol", 1e-10)):
+        doc = dict(command=command, potential={"family": "coulomb"}, phi=1.0,
+                   N=20, window=[-1.0, 1.0], **{key: value})
+        with pytest.raises(errors.ValidationError) as exc:
+            parse_config(_cfg(**doc))
+        assert exc.value.field == key
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(),
+                      re.MULTILINE | re.DOTALL)
+
+
+def test_readme_examples_run(tmp_path):
+    configs = _readme_blocks("json")
+    assert configs
+    for j, text in enumerate(configs):
+        cfg = parse_config(text)
+        cfg.output_dir = str(tmp_path / f"o{j}")
+        rep = run(cfg)
+        assert rep["exit_code"] == 0, text
+        if cfg.command == "bound-check":
+            # the engineered E = 1 is certified and counted once
+            assert rep["payload"]["records_used"] == 1
+            assert abs(rep["payload"]["lhs"] - 0.75) <= 1e-12
+    namespace = {}
+    for code in _readme_blocks("python"):
+        exec(code, namespace)
 
 
 def _prufer_cfg(tmp_path, c):

@@ -46,7 +46,7 @@ CHECKPOINTS = st.one_of(st.none(),
 # sizes and integer parameters: floats, nan and inf must not be truncated
 SIZES = st.one_of(st.integers(-3, 120), st.floats(),
                   st.sampled_from([10.5, math.nan, math.inf, -math.inf]))
-# real parameters (E, window ends, tol, c, omega, delta, ...): real numbers
+# real parameters (E, window ends, c, omega, delta, ...): real numbers
 # or not numbers at all
 REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
                   st.complex_numbers())
@@ -54,9 +54,8 @@ REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
 
 @settings(derandomize=True, deadline=None)
 @given(diag=st.lists(ENTRIES, max_size=20), E=REALS, lo=REALS, hi=REALS,
-       tol=REALS, checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
-def test_only_efgp_errors_escape(diag, E, lo, hi, tol, checkpoints, size,
-                                 real):
+       checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
+def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
     J = JacobiMatrix(np.array(diag, dtype=float))
     coulomb = make_potential("coulomb", c=1.0)
 
@@ -71,7 +70,6 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, tol, checkpoints, size,
 
     calls = (lambda: sturm_count(J, E),
              lambda: eigenvalues_in_window(J, (lo, hi)),
-             lambda: eigenvalues_in_window(J, (lo, hi), tol),
              lambda: eigenvalues_in_window(J, (lo,)),
              lambda: eigenvector(J, E),
              classify,
@@ -111,7 +109,6 @@ NON_REAL_CALLS = {
     "window-text-end": lambda: eigenvalues_in_window(_J4, ("a", 1.0)),
     "window-one-end": lambda: eigenvalues_in_window(_J4, (0.0,)),
     "window-none": lambda: eigenvalues_in_window(_J4, None),
-    "window-text-tol": lambda: eigenvalues_in_window(_J4, (-1.0, 1.0), "a"),
     "classify-text": lambda: classify_point_spectrum(_SPEC, "a"),
     "from_x-text": lambda: SpectralParam.from_x("a"),
     "from_energy-none": lambda: SpectralParam.from_energy(None),
@@ -137,7 +134,7 @@ def _time_limit(seconds):
 
 @pytest.mark.parametrize("call", [
     lambda J: sturm_count(J, 1.7e308),
-    lambda J: eigenvalues_in_window(J, (-1.0, 1.7e308), 1e300),
+    lambda J: eigenvalues_in_window(J, (-1.0, 1.7e308)),
 ], ids=["sturm_count", "window"])
 def test_overflowing_shift_rejected(call):
     # -1e308 - 1.7e308 is -inf: the count must refuse it, not loop on it
@@ -186,7 +183,7 @@ CLI_CONFIGS = {
     "spectrum": {"command": "spectrum",
                  "potential": {"family": "coulomb", "c": 1.0, "n0": 2},
                  "phi": 1.0, "N": 20, "window": [-2.0, 2.0],
-                 "checkpoints": [10, 20], "tol": 1e-10},
+                 "checkpoints": [10, 20]},
     "prufer": {"command": "prufer",
                "potential": {"family": "resonant", "c": 1.0, "omega": 2.0,
                              "delta": 0.5},
@@ -196,7 +193,6 @@ CLI_CONFIGS = {
                                   "seed": 3},
                     "phi": 1.0, "N": 24, "x_values": [1.0],
                     "window": [-1.0, 1.0], "checkpoints": [12, 24],
-                    "tol": 1e-10,
                     "certified_only": False, "C": 1.0,
                     "envelope_range": [1, 24]},
     "lemma-sums": {"command": "lemma-sums",
