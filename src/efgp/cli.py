@@ -331,13 +331,15 @@ class _Stages:
             self.timings[name] = time.perf_counter() - t0
 
 
-def _classify_record(spec, E, checkpoints):
-    if -2.0 < E < 2.0:
-        return spectral.classify_point_spectrum(spec, E, checkpoints)
-    return spectral.EigenvalueRecord(
+def _classify_records(spec, energies, checkpoints):
+    """Records in input order; energies outside (-2, 2) stay uncertified."""
+    inside = iter(spectral.classify_spectrum(
+        spec, [E for E in energies if -2.0 < E < 2.0], checkpoints))
+    return [next(inside) if -2.0 < E < 2.0 else spectral.EigenvalueRecord(
         E=float(E), x=None, weight=spectral.theorem_weight(E),
         certificate=spectral.Certificate(n_star=0, rn_sq=float("nan"),
                                          passed=False))
+        for E in energies]
 
 
 # --------------------------------------------------------------------------
@@ -378,8 +380,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             eigs = stages.run("bisection", spectral.eigenvalues_in_window,
                               jac, cfg.window)
             energies.extend(float(v) for v in eigs)
-        records = stages.run("classify", lambda: [
-            _classify_record(spec, E, cfg.checkpoints) for E in energies])
+        records = stages.run("classify", _classify_records, spec, energies,
+                             cfg.checkpoints)
         eset = spectral.make_eigenvalue_set(records)
         report = None
         if cfg.command == "bound-check":

@@ -299,20 +299,30 @@ def angle_increment_check(traj: PruferTrajectory, nu=None) -> list:
     return [int(i) + 1 for i in np.nonzero(bad)[0]]
 
 
+def _reverse_max(a):
+    """max(a[i:]) for every i."""
+    return np.maximum.accumulate(a[::-1])[::-1]
+
+
+def _onsets(rev, sin_x):
+    """Hypothesis onset for each sin x: the first site n with
+    fl(rev[n-1] / sin x) < 1/2, or 0 if there is none.
+
+    rev is the reverse cumulative max of |V(1..N)|.  Division by sin x > 0
+    is monotone under rounding, so fl(rev / sin x) is the reverse
+    cumulative max of |nu| = fl(|V| / sin x), and the onset is the first
+    site from which |nu| stays below 1/2.
+    """
+    below = rev / np.reshape(sin_x, (-1, 1)) < 0.5
+    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
+
+
 def common_onset(trajs, n_max: int) -> tuple:
     """First site from which every |nu_j| stays below 1/2, and whether one
     exists within range (the angle-increment hypothesis)."""
-    n0 = 1
-    ok = True
-    for traj in trajs:
-        a = np.abs(traj.nu[1:n_max + 1])
-        rev = np.maximum.accumulate(a[::-1])[::-1]
-        idx = np.nonzero(rev < 0.5)[0]
-        if idx.size == 0:
-            ok = False
-        else:
-            n0 = max(n0, int(idx[0]) + 1)
-    return n0, ok
+    onsets = [int(_onsets(_reverse_max(np.abs(t.nu[1:n_max + 1])), 1.0)[0])
+              for t in trajs]
+    return max([1] + onsets), all(onsets)
 
 
 def corrupt_theta(traj: PruferTrajectory, site: int, offset: float) -> PruferTrajectory:

@@ -18,6 +18,7 @@ from efgp import (
     SpectralParam,
     check_theorem,
     classify_point_spectrum,
+    classify_spectrum,
     eigenvalues_in_window,
     eigenvector,
     envelope_constant,
@@ -63,6 +64,10 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
         spec = OperatorSpec(make_potential("table", values=diag), 1.0, 20)
         return classify_point_spectrum(spec, E, checkpoints)
 
+    def classify_many():
+        spec = OperatorSpec(make_potential("table", values=diag), 1.0, 20)
+        return classify_spectrum(spec, [0.5, E], checkpoints)
+
     def evolve():
         spec = OperatorSpec(coulomb, 1.0, size)
         solve_recurrence(spec, SpectralParam.from_x(1.0))
@@ -73,6 +78,8 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
              lambda: eigenvalues_in_window(J, (lo,)),
              lambda: eigenvector(J, E),
              classify,
+             classify_many,
+             lambda: classify_spectrum(OperatorSpec(coulomb, 1.0, 20), E),
              evolve,
              lambda: coulomb.values(1, size),
              lambda: coulomb.values(size, 130),
@@ -110,6 +117,8 @@ NON_REAL_CALLS = {
     "window-one-end": lambda: eigenvalues_in_window(_J4, (0.0,)),
     "window-none": lambda: eigenvalues_in_window(_J4, None),
     "classify-text": lambda: classify_point_spectrum(_SPEC, "a"),
+    "classify_spectrum-scalar": lambda: classify_spectrum(_SPEC, 0.5),
+    "classify_spectrum-text": lambda: classify_spectrum(_SPEC, [0.5, "a"]),
     "from_x-text": lambda: SpectralParam.from_x("a"),
     "from_energy-none": lambda: SpectralParam.from_energy(None),
     "theorem_bound-text": lambda: theorem_bound("a"),

@@ -91,6 +91,41 @@ def test_prufer_forward_matches_loop(case):
     _assert_same_evolution(got, want, V[1:], param)
 
 
+def _jump1e250(jump=545, tail=20):
+    # for every BATCH_XS the pair before the jump is below 1e57, so the loop
+    # oracle stays finite; the batched chunks, unscaled, overflow on it
+    V = np.zeros(jump + tail + 2)
+    V[1:jump + 1] = 5.0
+    V[jump + 1] = 1e250
+    return V
+
+
+BATCH_CASES = {
+    "table12-N1e5": lambda: _table12(10 ** 5),
+    "coulomb2000-N1e4": FORWARD_CASES["coulomb2000-N1e4"][0],
+    "jump1e250": _jump1e250,
+}
+# growth rates differ across these x, so the blocks rescale at different
+# sites and leave the float range in different chunks
+BATCH_XS = (1.0, 0.4, 2.2, 1.3, 2.9)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_prufer_forward_batch_rows_match_loop(case):
+    # each row of a batched call passes the loop oracle and is its
+    # single-energy call bit for bit
+    V = BATCH_CASES[case]()
+    params = [SpectralParam.from_x(x) for x in BATCH_XS]
+    u0, u1 = math.cos(1.0), -math.sin(1.0)
+    got = _kernels.prufer_forward(V, [p.E for p in params], u0, u1)
+    assert all(a.shape == (len(params), V.shape[0]) for a in got)
+    for i, p in enumerate(params):
+        row = tuple(a[i] for a in got)
+        _assert_same_evolution(row, loop_forward(V, p.E, u0, u1), V[1:], p)
+        for a, b in zip(row, _kernels.prufer_forward(V, p.E, u0, u1)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
 @pytest.mark.parametrize("c, rescales", [(2.5, 0), (1000.0, 4)])
 def test_backward_resonant_matches_loop(c, rescales):
     n, x, delta = 2000, 1.1, 0.4
@@ -170,6 +205,24 @@ def test_many_rescales_stay_cheap():
     t0 = time.perf_counter()
     _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
     assert time.perf_counter() - t0 < 0.3
+
+
+def test_batched_rescales_stay_cheap():
+    # 16 energies rescaling at different sites, over 14000 distinct ones in
+    # all: each block restarts only from its own cuts, so the cost stays
+    # near that of one block's 1030 restarts
+    V = _table12(10 ** 5)
+    es = np.linspace(-1.9, 1.9, 16)
+    _kernels.prufer_forward(V, es, 1.0, 0.5)
+    # best of three: a shared machine can run 2x slower for seconds
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ln_scale = _kernels.prufer_forward(V, es, 1.0, 0.5)[2]
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.3
+    sites = [set(_rescale_sites(row).tolist()) for row in ln_scale]
+    assert len(set().union(*sites)) > 10 * len(sites[0])
 
 
 @pytest.mark.parametrize("c, rescales", [(2.5, 0), (1000.0, 4)])
