@@ -117,18 +117,16 @@ def _size(n_max) -> int:
 
 
 def dyadic_profile(abs_partials: np.ndarray) -> list:
-    """Running sup at the dyadic cutoffs N = 2^k, k = 0.. within range.
-
-    abs_partials[i] is the statistic at N = i + 1.
-    """
-    runmax = np.maximum.accumulate(abs_partials)
-    n_max = abs_partials.shape[0]
-    prof = []
-    p = 1
-    while p <= n_max:
-        prof.append(float(runmax[p - 1]))
-        p *= 2
-    return prof
+    """Running sup max(abs_partials[:2^k]) for every 2^k <= len(abs_partials),
+    from exact maxima of the blocks [0, 1), [1, 2), [2, 4), ...  Entry i of
+    abs_partials is the statistic at the (i + 1)-th summed site: N = i + 1
+    for sums from site 1, N = n0 + i for sums from site n0."""
+    k = abs_partials.shape[0].bit_length()
+    if k == 0:
+        return []
+    starts = np.concatenate(([0], 2 ** np.arange(k - 1)))
+    blocks = np.maximum.reduceat(abs_partials[:2 ** (k - 1)], starts)
+    return np.maximum.accumulate(blocks).tolist()
 
 
 def dyadic_stabilized(profile, threshold: float = STABILIZATION_THRESHOLD) -> bool:
@@ -243,6 +241,9 @@ class DiagonalSum:
 
 @dataclass(frozen=True)
 class SumDiagnostics:
+    """Sums over the sites n0..N; entry k of a dyadic profile is the sup
+    over N <= n0 - 1 + 2^k."""
+
     cross: np.ndarray
     pair_sums: tuple
     diag: tuple
@@ -267,8 +268,9 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
 
     The spectral parameters must be non-degenerate: 2 x_j and x_j +/- x_k
     may not sit within 1e-9 of a multiple of pi.  Sums start at the first
-    site from which every |nu_j| < 1/2, mirroring the angle-increment
-    hypothesis; hypothesis_ok reports whether such a site exists.
+    site n0 from which every |nu_j| < 1/2, mirroring the angle-increment
+    hypothesis (hypothesis_ok: such a site exists), so dyadic entry k is
+    the sup over N <= n0 - 1 + 2^k, not over N <= 2^k.
     """
     n_max = _size(n_max)
     m = len(trajs)

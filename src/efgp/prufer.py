@@ -20,17 +20,18 @@ for |nu| < 1/2.
 
 Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
-``evolve_trajectory`` (like ``spectral.resonance_construct`` backwards)
+``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
 gets it as rescaled pairs with a log scale.  The change of variables is
 implemented once, vectorized: ``to_prufer`` applies it to a stored
-solution, ``evolve_trajectory`` to the pairs, adding the log scale back to
-ln R.  ``R`` and ``u_values()`` raise Overflow rather than return inf.
+solution, ``evolve_trajectories`` to the pairs (all sharing one V),
+adding the log scale back to ln R.  ``R`` and ``u_values()`` raise
+Overflow rather than return inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,17 +104,22 @@ class PruferTrajectory:
     """Prufer variables along one trajectory, site-indexed (slot 0 = nan).
 
     ln_R is exact even when the evolution rescaled internally; R is derived
-    from it.  nu holds V(n)/sin(x) aligned with the sites.
+    from it, and nu = V/sin(x) from the site-indexed V, often shared.
     """
 
     theta: np.ndarray
     ln_R: np.ndarray
-    nu: np.ndarray
+    V: np.ndarray
     param: SpectralParam
 
     @property
     def n(self) -> int:
         return self.theta.shape[0] - 1
+
+    @property
+    def nu(self) -> np.ndarray:
+        """V(n)/sin(x), site-indexed (slot 0 = nan)."""
+        return np.concatenate(([np.nan], self.V[1:] / self.param.sin_x))
 
     @property
     def R(self) -> np.ndarray:
@@ -170,8 +176,8 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
 
 
 def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
-    """Prufer variables of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um)
-    and the potential V, all given for the sites n = 1..N.
+    """Prufer variables of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um),
+    given for the sites n = 1..N, along the site-indexed potential V.
 
     The angle lift is chosen so each theta(n+1) is the representative of
     its principal angle closest to theta(n) + x.
@@ -179,7 +185,7 @@ def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
     # one block for the outputs, allocated before the temporaries: placed
     # among them, the outputs fragmented the heap (lemma-sums peak RSS +10%)
     n = un.shape[0]
-    theta, lnr, nu = np.full((3, n + 1), np.nan)
+    theta, lnr = np.full((2, n + 1), np.nan)
     ca = un - um * param.cos_x
     cb = um * param.sin_x
     r = np.hypot(ca, cb)
@@ -191,28 +197,34 @@ def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
     theta[1] = principal[0]
     theta[2:] = principal[0] + np.arange(1, n) * param.x + np.cumsum(d)
     lnr[1:] = np.log(r) + ln_scale
-    nu[1:] = V / param.sin_x
-    return PruferTrajectory(theta=theta, ln_R=lnr, nu=nu, param=param)
+    return PruferTrajectory(theta=theta, ln_R=lnr, V=V, param=param)
 
 
 def to_prufer(sol: Solution) -> PruferTrajectory:
     """Prufer variables of a stored solution (vectorized route)."""
     return _transform(sol.u[1:], sol.u[:-1], 0.0,
-                      sol.spec.potential.values(1, sol.n), sol.param)
+                      sol.spec.potential.value_array(sol.n), sol.param)
 
 
-def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
-    """Prufer trajectory straight from the recurrence (kernel route).
+def evolve_trajectories(spec: OperatorSpec, params) -> list:
+    """Prufer trajectories from the recurrence (kernel route), one per
+    spectral parameter, all sharing one evaluation of V.
 
     The kernel rescales the evolving pair and keeps a log-scale
     accumulator, so ln R is exact for N up to millions of sites regardless
     of amplitude growth; the pairs then go through the same transform as
-    :func:`to_prufer`.
+    :func:`to_prufer`.  The parameters are evolved one at a time, so the
+    pairs of only one energy are held at once.
     """
     V = spec.potential.value_array(spec.n)
     u0, u1 = boundary_values(spec.phi)
-    un, um, ln_scale = _kernels.prufer_forward(V, param.E, u0, u1)
-    return _transform(un[1:], um[1:], ln_scale[1:], V[1:], param)
+    return [_transform(*(a[1:] for a in _kernels.prufer_forward(V, p.E, u0, u1)),
+                       V, p) for p in params]
+
+
+def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
+    """Prufer trajectory of one spectral parameter (kernel route)."""
+    return evolve_trajectories(spec, [param])[0]
 
 
 def prufer_step(theta_n, nu_n, x):
@@ -319,14 +331,9 @@ def _onsets(rev, sin_x):
 
 def common_onset(trajs, n_max: int) -> tuple:
     """First site from which every |nu_j| stays below 1/2, and whether one
-    exists within range (the angle-increment hypothesis)."""
-    onsets = [int(_onsets(_reverse_max(np.abs(t.nu[1:n_max + 1])), 1.0)[0])
-              for t in trajs]
+    exists within range (the angle-increment hypothesis); trajectories
+    sharing V share one reverse cumulative max of |V|."""
+    revs = {id(t.V): t.V for t in trajs}
+    revs = {k: _reverse_max(np.abs(V[1:n_max + 1])) for k, V in revs.items()}
+    onsets = [int(_onsets(revs[id(t.V)], t.param.sin_x)[0]) for t in trajs]
     return max([1] + onsets), all(onsets)
-
-
-def corrupt_theta(traj: PruferTrajectory, site: int, offset: float) -> PruferTrajectory:
-    """Copy of the trajectory with theta(site) shifted (fault injection)."""
-    theta = traj.theta.copy()
-    theta[site] += offset
-    return replace(traj, theta=theta)

@@ -365,7 +365,7 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     u_next = math.cos(theta) + u_launch * param.cos_x
     un, um, ln_scale = _kernels.backward_resonant(
         c, omega, delta, param.E, u_next, u_launch, launch, n)
-    traj = _transform(un[1:], um[1:], ln_scale[1:], potential.values(1, n),
+    traj = _transform(un[1:], um[1:], ln_scale[1:], potential.value_array(n),
                       param)
     fit_lo = min(1000, max(10, n // 100))
     fitted = _decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from efgp import (
     Certificate,
@@ -12,6 +14,7 @@ from efgp import (
     check_theorem,
     classify_point_spectrum,
     errors,
+    evolve_trajectories,
     evolve_trajectory,
     log_bound_check,
     make_eigenvalue_set,
@@ -23,10 +26,11 @@ from efgp import (
     theorem_weight,
     weighted_dot,
 )
-from efgp.analysis import dyadic_stabilized, normalize_weighted
-from efgp.prufer import SpectralParam
+from efgp.analysis import dyadic_profile, dyadic_stabilized, normalize_weighted
+from efgp.prufer import SpectralParam, _onsets, _reverse_max, common_onset
 from efgp.spectral import eigenvalues_in_window
 from efgp.operators import build_jacobi
+from test_spectral import POTENTIALS
 
 PI = math.pi
 
@@ -185,6 +189,29 @@ def test_json_export_shape():
     assert len(d["dyadic_profile"]) == 9  # 2^0 .. 2^8
 
 
+def _dyadic_reference(a):
+    """The full running max read at 2^k - 1, k = 0.. within range."""
+    runmax = np.maximum.accumulate(a)
+    return [float(runmax[2 ** k - 1]) for k in range(a.shape[0].bit_length())]
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025]
+                         + [int(v) for v in _RNG.integers(4, 5000, 6)])
+@pytest.mark.parametrize("nan_share", [0.0, 0.001, 0.3])
+def test_dyadic_profile_matches_running_max(n, nan_share):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * np.exp(rng.uniform(-5, 5, n))
+    a[rng.random(n) < nan_share] = np.nan
+    got = dyadic_profile(a)
+    ref = _dyadic_reference(a)
+    assert len(got) == len(ref) == n.bit_length()
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
 # --- trajectory sum diagnostics --------------------------------------------
 
 def free_trajs(xs, n):
@@ -226,6 +253,40 @@ def test_coulomb_onset_and_hypothesis():
     # |nu| = 1/(n sin x) < 1/2 from n = 3 on at both parameters
     assert diag.n0 == 3
     assert diag.hypothesis_ok
+
+
+def _degenerate(xs):
+    """2 x_j or x_j +/- x_k within 1e-6 of a multiple of pi."""
+    near = [2.0 * x for x in xs]
+    near += [a + s * b for i, a in enumerate(xs) for b in xs[i + 1:]
+             for s in (1.0, -1.0)]
+    return any(abs(math.remainder(v, PI)) < 1e-6 for v in near)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pot=POTENTIALS, phi=st.floats(0.01, 3.13), n=st.integers(2, 5000),
+       xs=st.lists(st.floats(0.01, PI - 0.01), min_size=1, max_size=4))
+def test_evolve_trajectories_share_v_and_match_one_at_a_time(pot, phi, n, xs):
+    assume(not _degenerate(xs))
+    spec = OperatorSpec(pot, phi, n)
+    params = [SpectralParam.from_x(x) for x in xs]
+    trajs = evolve_trajectories(spec, params)
+    alone = [evolve_trajectory(spec, p) for p in params]
+    nu_ref = np.concatenate(([np.nan], pot.values(1, n)))
+    for t, a, p in zip(trajs, alone, params):
+        assert t.V is trajs[0].V and a.V is not t.V
+        assert np.array_equal(t.theta, a.theta, equal_nan=True)
+        assert np.array_equal(t.ln_R, a.ln_R, equal_nan=True)
+        assert np.array_equal(t.nu, a.nu, equal_nan=True)
+        # nu(n) = V(n)/sin x from a fresh evaluation of V, slot 0 nan
+        assert np.array_equal(t.nu, nu_ref / p.sin_x, equal_nan=True)
+    # the onsets read off each |nu_j| itself
+    onsets = [int(_onsets(_reverse_max(np.abs(t.nu[1:])), 1.0)[0])
+              for t in trajs]
+    assert common_onset(trajs, n) == (max([1] + onsets), all(onsets))
+    assert common_onset(alone, n) == common_onset(trajs, n)
+    assert (prufer_sum_diagnostics(trajs, n).to_json_dict()
+            == prufer_sum_diagnostics(alone, n).to_json_dict())
 
 
 def test_degenerate_frequencies_rejected():

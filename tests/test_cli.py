@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from efgp import errors
+from efgp import Potential, errors
 from efgp.cli import MAX_N, main, parse_config, run
 
 PI = math.pi
@@ -116,6 +116,26 @@ def test_lemma_sums_degenerate_exit_code(tmp_path, capsys):
     assert main([str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "diagnostics" in err and str(path) in err
+
+
+def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
+    calls = []
+    values = Potential.values
+
+    def counting(self, n_lo, n_hi):
+        calls.append((n_lo, n_hi))
+        return values(self, n_lo, n_hi)
+
+    monkeypatch.setattr(Potential, "values", counting)
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="lemma-sums",
+                         potential={"family": "random_sign", "c": 1.0,
+                                    "seed": 3},
+                         phi=1.0, N=2000, x_values=[0.4, 1.1, 1.9, 2.5],
+                         output_dir=str(tmp_path / "o")))
+    assert main([str(path), "--quiet"]) == 0
+    # one evaluation serves all four trajectories
+    assert calls == [(1, 2000)]
 
 
 def test_bound_check_negative_control_exit_2(tmp_path):

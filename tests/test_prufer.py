@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,16 @@ from efgp import (
     transfer_step,
     verify_recursions,
 )
-from efgp.prufer import boundary_values, corrupt_theta
+from efgp.prufer import boundary_values
 
 PI = math.pi
+
+
+def corrupt_theta(traj, site, offset):
+    """Copy of the trajectory with theta(site) shifted (fault injection)."""
+    theta = traj.theta.copy()
+    theta[site] += offset
+    return replace(traj, theta=theta)
 
 
 def free_spec(n, phi=PI / 2):
