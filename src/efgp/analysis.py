@@ -34,8 +34,16 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
-from .operators import _int, _real
-from .prufer import common_onset
+from .operators import OperatorSpec, _instance, _instances, _int, _real
+from .prufer import (
+    PruferTrajectory,
+    SpectralParam,
+    _angles,
+    _onsets,
+    _reverse_max,
+    boundary_values,
+    common_onset,
+)
 from .spectral import EigenvalueSet, theorem_weight
 
 STABILIZATION_THRESHOLD = 0.05
@@ -263,34 +271,31 @@ class SumDiagnostics:
         }
 
 
-def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
-    """Cross and diagonal oscillatory sums over a family of trajectories.
-
-    The spectral parameters must be non-degenerate: 2 x_j and x_j +/- x_k
-    may not sit within 1e-9 of a multiple of pi.  Sums start at the first
-    site n0 from which every |nu_j| < 1/2, mirroring the angle-increment
-    hypothesis (hypothesis_ok: such a site exists), so dyadic entry k is
-    the sup over N <= n0 - 1 + 2^k, not over N <= 2^k.
-    """
-    n_max = _size(n_max)
-    m = len(trajs)
-    if m == 0:
-        raise LengthMismatch("need at least one trajectory")
-    if any(t.n < n_max for t in trajs):
-        raise LengthMismatch(f"all trajectories must reach N = {n_max}")
-    xs = [t.param.x for t in trajs]
+def _check_frequencies(xs):
+    """DegenerateFrequencies if 2 x_j or x_j +/- x_k sits within _FREQ_TOL
+    of a multiple of pi."""
     for j, xj in enumerate(xs):
         if _dist_to_multiple(2.0 * xj, math.pi) < _FREQ_TOL:
             raise DegenerateFrequencies(f"2*x_{j + 1} is a multiple of pi")
-        for k in range(j + 1, m):
+        for k in range(j + 1, len(xs)):
             if (_dist_to_multiple(xj + xs[k], math.pi) < _FREQ_TOL
                     or _dist_to_multiple(xj - xs[k], math.pi) < _FREQ_TOL):
                 raise DegenerateFrequencies(
                     f"x_{j + 1} +/- x_{k + 1} is a multiple of pi")
 
-    n0, hyp_ok = common_onset(trajs, n_max)
+
+def _sin_2theta_bar(theta, x, n0, n_max, out=None):
+    """sin(2 (theta + x)) over the sites n0..n_max of the site-indexed
+    theta, formed in out (a new array if None; it may be theta's slice)."""
+    tb = np.add(theta[n0:n_max + 1], x, out=out)
+    tb *= 2.0
+    return np.sin(tb, out=tb)
+
+
+def _sums(sins, n0: int, n_max: int, hyp_ok: bool) -> SumDiagnostics:
+    """Cross and diagonal sums of the sin(2 theta_bar_j) rows over n0..n_max."""
+    m = len(sins)
     sites = np.arange(n0, n_max + 1, dtype=np.float64)
-    sins = [np.sin(2.0 * t.theta_bar[n0:n_max + 1]) for t in trajs]
     half_log_n = 0.5 * np.log(sites)
 
     # terms and deviations are built in place, and kahan_cumsum overwrites
@@ -321,6 +326,55 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
 
     return SumDiagnostics(cross=cross, pair_sums=tuple(pairs),
                           diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)
+
+
+def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
+    """Cross and diagonal oscillatory sums over a family of trajectories.
+
+    The spectral parameters must be non-degenerate: 2 x_j and x_j +/- x_k
+    may not sit within 1e-9 of a multiple of pi.  Sums start at the first
+    site n0 from which every |nu_j| < 1/2, mirroring the angle-increment
+    hypothesis (hypothesis_ok: such a site exists), so dyadic entry k is
+    the sup over N <= n0 - 1 + 2^k, not over N <= 2^k.
+    """
+    n_max = _size(n_max)
+    trajs = _instances(trajs, PruferTrajectory, "trajs")
+    if not trajs:
+        raise LengthMismatch("need at least one trajectory")
+    if any(t.n < n_max for t in trajs):
+        raise LengthMismatch(f"all trajectories must reach N = {n_max}")
+    _check_frequencies([t.param.x for t in trajs])
+    n0, hyp_ok = common_onset(trajs, n_max)
+    return _sums([_sin_2theta_bar(t.theta, t.param.x, n0, n_max)
+                  for t in trajs], n0, n_max, hyp_ok)
+
+
+def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
+    """The sums of :func:`prufer_sum_diagnostics` over the trajectories of
+    ``evolve_trajectories(spec, params)`` to N, from the angles alone.
+
+    The lemma reads only theta, so no radius is formed: V is evaluated
+    once and the onsets read off one reverse cumulative max of |V|; each
+    parameter's rescaled pairs are lifted to theta and dropped before the
+    next parameter is evolved, and sin(2 theta_bar) overwrites theta.
+    """
+    _instance(spec, OperatorSpec, "spec")
+    params = _instances(params, SpectralParam, "params")
+    if not params:
+        raise LengthMismatch("need at least one spectral parameter")
+    _check_frequencies([p.x for p in params])
+    n = spec.n
+    V = spec.potential.value_array(n)
+    onsets = _onsets(_reverse_max(np.abs(V[1:])), [p.sin_x for p in params])
+    n0, hyp_ok = max([1] + onsets.tolist()), bool(onsets.all())
+    u0, u1 = boundary_values(spec.phi)
+    sins = []
+    for p in params:
+        theta = _angles(*(a[1:] for a in _kernels.prufer_forward(
+            V, p.E, u0, u1)[:2]), p)
+        sins.append(_sin_2theta_bar(theta, p.x, n0, n, out=theta[n0:]))
+    del V
+    return _sums(sins, n0, n, hyp_ok)
 
 
 # --------------------------------------------------------------------------

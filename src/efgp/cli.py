@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import FAMILIES, OperatorSpec, Potential, build_jacobi, envelope_constant, make_potential
-from .prufer import SpectralParam, evolve_trajectories, evolve_trajectory
+from .prufer import SpectralParam, evolve_trajectory
 
 COMMANDS = ("spectrum", "prufer", "bound-check", "lemma-sums", "construct")
 
@@ -430,10 +430,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
 
     elif cfg.command == "lemma-sums":
         spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
-        trajs = stages.run("trajectories", lambda: evolve_trajectories(
+        diag = stages.run("diagnostics", lambda: analysis.lemma_sums(
             spec, [SpectralParam.from_x(xv) for xv in cfg.x_values]))
-        diag = stages.run("diagnostics", analysis.prufer_sum_diagnostics,
-                          trajs, cfg.n)
         payload = diag.to_json_dict()
         payload["x_values"] = list(cfg.x_values)
         payload["stabilization_threshold"] = analysis.STABILIZATION_THRESHOLD

@@ -43,6 +43,24 @@ def _real(v, name: str) -> float:
     return float(v)
 
 
+def _instance(v, cls, name: str):
+    """ParamOutOfRange unless v is a cls instance."""
+    if not isinstance(v, cls):
+        raise ParamOutOfRange(f"{name} must be a {cls.__name__}, got {v!r}")
+
+
+def _instances(values, cls, name: str) -> list:
+    """values as a list of cls instances, else ParamOutOfRange."""
+    try:
+        out = list(values)
+    except TypeError:
+        out = None
+    if out is None or not all(isinstance(v, cls) for v in out):
+        raise ParamOutOfRange(
+            f"{name} must be an iterable of {cls.__name__}, got {values!r}")
+    return out
+
+
 def _splitmix_bits(seed: int, n: np.ndarray) -> np.ndarray:
     z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (n.astype(np.uint64) * _SM_GAMMA)) + _SM_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM_M1

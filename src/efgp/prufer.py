@@ -21,11 +21,13 @@ for |nu| < 1/2.
 Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
 ``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
-gets it as rescaled pairs with a log scale.  The change of variables is
-implemented once, vectorized: ``to_prufer`` applies it to a stored
-solution, ``evolve_trajectories`` to the pairs (all sharing one V),
-adding the log scale back to ln R.  ``R`` and ``u_values()`` raise
-Overflow rather than return inf.
+gets it as rescaled pairs with a log scale.  The angle lift is one
+function, ``_angles``, which works through the sites in cache-sized
+blocks; ``analysis.lemma_sums`` reads nothing else.  A trajectory adds
+ln R from the radius formula: ``to_prufer`` transforms a stored
+solution, ``evolve_trajectories`` the pairs (all sharing one V), adding
+the log scale back to ln R.  ``R`` and ``u_values()`` raise Overflow
+rather than return inf.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     Overflow,
     ParamOutOfRange,
 )
-from .operators import OperatorSpec, _real
+from .operators import OperatorSpec, _instance, _instances, _real
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -54,9 +56,11 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _wrap_pi(a):
-    """Reduce modulo 2*pi into (-pi, pi]."""
-    return a - 2.0 * np.pi * np.ceil((a - np.pi) / (2.0 * np.pi))
+def _wrap_pi(a, out=None):
+    """Reduce modulo 2*pi into (-pi, pi], into out if given."""
+    k = np.ceil((a - np.pi) / (2.0 * np.pi))
+    k *= 2.0 * np.pi
+    return np.subtract(a, k, out=out)
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,8 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     Raises Overflow if the amplitude leaves the representable range; use
     :func:`evolve_trajectory` for the rescaled log-scale evolution.
     """
+    _instance(spec, OperatorSpec, "spec")
+    _instance(param, SpectralParam, "param")
     V = spec.potential.value_array(spec.n)
     u0, u1 = boundary_values(spec.phi)
     # overflow is detected and signalled by the kernel itself
@@ -175,28 +181,58 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     return Solution(u=u, spec=spec, param=param)
 
 
+def _angles(un, um, param: SpectralParam) -> np.ndarray:
+    """The lifted angle theta(0..N), site-indexed (slot 0 = nan), of the
+    pairs (u(n), u(n-1)) proportional to (un, um), given for n = 1..N.
+
+    theta(1) is the principal angle of the first pair, and each theta(n+1)
+    is the representative of its principal angle closest to theta(n) + x:
+    theta(n+1) = theta(1) + n x + sum of the wrapped steps.  The sites are
+    taken in _kernels._CHUNK blocks, written into the output row; the last
+    principal angle and the running sum of the steps cross each block end,
+    so every theta(n) gets the bits an unblocked evaluation gives.
+    """
+    n = un.shape[0]
+    theta = np.empty(n + 1)
+    theta[0] = np.nan
+    carry = 0.0
+    for s in range(0, n, _kernels._CHUNK):
+        e = min(s + _kernels._CHUNK, n)
+        ca = un[s:e] - um[s:e] * param.cos_x
+        cb = um[s:e] * param.sin_x
+        zero = (ca == 0.0) & (cb == 0.0)
+        if zero.any():
+            raise DegenerateSolution(
+                f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
+        principal = np.arctan2(cb, ca)
+        if s == 0:
+            p0 = prev = principal[0]
+        # the wrapped steps principal(n+1) - principal(n) - x; the carry
+        # added to the first one continues the left-to-right sum exactly
+        d = theta[s + 1:e + 1]
+        np.subtract(np.diff(principal, prepend=prev), param.x, out=d)
+        _wrap_pi(d, out=d)
+        if s == 0:
+            d[0] = 0.0  # theta(1) takes no step
+        d[0] += carry
+        np.cumsum(d, out=d)
+        carry, prev = d[-1], principal[-1]
+        # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..e-1
+        d += p0 + np.arange(s, e) * param.x
+    if n:
+        theta[1] = p0
+    return theta
+
+
 def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
     """Prufer variables of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um),
-    given for the sites n = 1..N, along the site-indexed potential V.
-
-    The angle lift is chosen so each theta(n+1) is the representative of
-    its principal angle closest to theta(n) + x.
+    given for the sites n = 1..N, along the site-indexed potential V: the
+    lifted angle of :func:`_angles` and ln R from the radius formula.
     """
-    # one block for the outputs, allocated before the temporaries: placed
-    # among them, the outputs fragmented the heap (lemma-sums peak RSS +10%)
-    n = un.shape[0]
-    theta, lnr = np.full((2, n + 1), np.nan)
-    ca = un - um * param.cos_x
-    cb = um * param.sin_x
-    r = np.hypot(ca, cb)
-    if np.any(r == 0.0):
-        bad = int(np.nonzero(r == 0.0)[0][0]) + 1
-        raise DegenerateSolution(f"trivial solution: R({bad}) = 0")
-    principal = np.arctan2(cb, ca)
-    d = _wrap_pi(np.diff(principal) - param.x)
-    theta[1] = principal[0]
-    theta[2:] = principal[0] + np.arange(1, n) * param.x + np.cumsum(d)
-    lnr[1:] = np.log(r) + ln_scale
+    theta = _angles(un, um, param)
+    lnr = np.empty_like(theta)
+    lnr[0] = np.nan
+    lnr[1:] = np.log(np.hypot(un - um * param.cos_x, um * param.sin_x)) + ln_scale
     return PruferTrajectory(theta=theta, ln_R=lnr, V=V, param=param)
 
 
@@ -216,6 +252,8 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
     :func:`to_prufer`.  The parameters are evolved one at a time, so the
     pairs of only one energy are held at once.
     """
+    _instance(spec, OperatorSpec, "spec")
+    params = _instances(params, SpectralParam, "params")
     V = spec.potential.value_array(spec.n)
     u0, u1 = boundary_values(spec.phi)
     return [_transform(*(a[1:] for a in _kernels.prufer_forward(V, p.E, u0, u1)),

@@ -33,7 +33,7 @@ from .errors import (
     SubcriticalAmplitude,
     ZeroInitial,
 )
-from .operators import JacobiMatrix, OperatorSpec, Potential, _int, _real, make_potential
+from .operators import JacobiMatrix, OperatorSpec, Potential, _instance, _int, _real, make_potential
 from .prufer import (
     SpectralParam,
     _onsets,
@@ -236,6 +236,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
     checkpoints and the fit window; each record equals the one a
     single-energy evolution gives.
     """
+    _instance(spec, OperatorSpec, "spec")
     try:
         es = [_real(E, "E") for E in energies]
     except TypeError:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from efgp import (
@@ -16,6 +16,7 @@ from efgp import (
     errors,
     evolve_trajectories,
     evolve_trajectory,
+    lemma_sums,
     log_bound_check,
     make_eigenvalue_set,
     make_potential,
@@ -26,8 +27,16 @@ from efgp import (
     theorem_weight,
     weighted_dot,
 )
+from efgp import _kernels
 from efgp.analysis import dyadic_profile, dyadic_stabilized, normalize_weighted
-from efgp.prufer import SpectralParam, _onsets, _reverse_max, common_onset
+from efgp.prufer import (
+    SpectralParam,
+    _angles,
+    _onsets,
+    _reverse_max,
+    boundary_values,
+    common_onset,
+)
 from efgp.spectral import eigenvalues_in_window
 from efgp.operators import build_jacobi
 from test_spectral import POTENTIALS
@@ -287,6 +296,45 @@ def test_evolve_trajectories_share_v_and_match_one_at_a_time(pot, phi, n, xs):
     assert common_onset(alone, n) == common_onset(trajs, n)
     assert (prufer_sum_diagnostics(trajs, n).to_json_dict()
             == prufer_sum_diagnostics(alone, n).to_json_dict())
+
+
+def _unblocked_angles(un, um, param):
+    """The lift in one pass over all sites, as _angles computes it blockwise."""
+    n = un.shape[0]
+    theta = np.full(n + 1, np.nan)
+    principal = np.arctan2(um * param.sin_x, un - um * param.cos_x)
+    d = np.diff(principal) - param.x
+    d = d - 2.0 * np.pi * np.ceil((d - np.pi) / (2.0 * np.pi))  # into (-pi, pi]
+    theta[1] = principal[0]
+    theta[2:] = principal[0] + np.arange(1, n) * param.x + np.cumsum(d)
+    return theta
+
+
+_CHUNK = _kernels._CHUNK
+_RANDOM_SIGN = make_potential("random_sign", c=1.0, seed=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pot=POTENTIALS, phi=st.floats(0.01, 3.13), n=st.integers(2, 5000),
+       xs=st.lists(st.floats(0.01, PI - 0.01), min_size=1, max_size=4))
+# blocks of the lift ending just before, at and just after a chunk end
+@example(pot=_RANDOM_SIGN, phi=1.0, n=_CHUNK - 1, xs=[0.4, 1.1])
+@example(pot=_RANDOM_SIGN, phi=1.0, n=_CHUNK, xs=[1.9])
+@example(pot=make_potential("coulomb", c=3.0), phi=2.0, n=_CHUNK + 1,
+         xs=[0.4, 1.1, 2.5])
+@example(pot=_RANDOM_SIGN, phi=1.0, n=2 * _CHUNK + 3, xs=[0.4, 1.1, 1.9, 2.5])
+def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
+    assume(not _degenerate(xs))
+    spec = OperatorSpec(pot, phi, n)
+    params = [SpectralParam.from_x(x) for x in xs]
+    assert (lemma_sums(spec, params).to_json_dict()
+            == prufer_sum_diagnostics(evolve_trajectories(spec, params),
+                                      n).to_json_dict())
+    V = pot.value_array(n)
+    for p in params:
+        un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))
+        got = _angles(un[1:], um[1:], p)
+        assert got.tobytes() == _unblocked_angles(un[1:], um[1:], p).tobytes()
 
 
 def test_degenerate_frequencies_rejected():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from efgp import Potential, errors
+from efgp import Potential, _kernels, errors, prufer
 from efgp.cli import MAX_N, main, parse_config, run
 
 PI = math.pi
@@ -121,12 +121,22 @@ def test_lemma_sums_degenerate_exit_code(tmp_path, capsys):
 def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
     calls = []
     values = Potential.values
+    forward, transform = [], []
 
     def counting(self, n_lo, n_hi):
         calls.append((n_lo, n_hi))
         return values(self, n_lo, n_hi)
 
+    def counted(log, fn):
+        def wrapper(*args):
+            log.append(1)
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(Potential, "values", counting)
+    monkeypatch.setattr(_kernels, "prufer_forward",
+                        counted(forward, _kernels.prufer_forward))
+    monkeypatch.setattr(prufer, "_transform", counted(transform, prufer._transform))
     path = tmp_path / "cfg.json"
     path.write_text(_cfg(command="lemma-sums",
                          potential={"family": "random_sign", "c": 1.0,
@@ -134,8 +144,11 @@ def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
                          phi=1.0, N=2000, x_values=[0.4, 1.1, 1.9, 2.5],
                          output_dir=str(tmp_path / "o")))
     assert main([str(path), "--quiet"]) == 0
-    # one evaluation serves all four trajectories
+    # one evaluation serves all four parameters, each evolved once and
+    # lifted to its angle alone: no trajectory, so no radius, is formed
     assert calls == [(1, 2000)]
+    assert len(forward) == 4
+    assert transform == []
 
 
 def test_bound_check_negative_control_exit_2(tmp_path):

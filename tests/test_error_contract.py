@@ -23,7 +23,9 @@ from efgp import (
     eigenvector,
     envelope_constant,
     errors,
+    evolve_trajectories,
     evolve_trajectory,
+    lemma_sums,
     log_bound_check,
     make_eigenvalue_set,
     make_potential,
@@ -73,6 +75,11 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
         solve_recurrence(spec, SpectralParam.from_x(1.0))
         return evolve_trajectory(spec, SpectralParam.from_x(1.0))
 
+    def sums():
+        spec = OperatorSpec(coulomb, 1.0, size)
+        return lemma_sums(spec, [SpectralParam.from_x(1.0),
+                                 SpectralParam.from_x(real)])
+
     calls = (lambda: sturm_count(J, E),
              lambda: eigenvalues_in_window(J, (lo, hi)),
              lambda: eigenvalues_in_window(J, (lo,)),
@@ -81,6 +88,7 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
              classify_many,
              lambda: classify_spectrum(OperatorSpec(coulomb, 1.0, 20), E),
              evolve,
+             sums,
              lambda: coulomb.values(1, size),
              lambda: coulomb.values(size, 130),
              lambda: envelope_constant(coulomb, 1, size),
@@ -132,6 +140,35 @@ NON_REAL_CALLS = {
 def test_non_real_scalars_rejected(name):
     with pytest.raises(errors.ParamOutOfRange):
         NON_REAL_CALLS[name]()
+
+
+_P = SpectralParam.from_x(1.0)
+_TRAJ = evolve_trajectory(_SPEC, _P)
+
+# library objects of the wrong type: a spec, parameters or trajectories
+WRONG_TYPE_CALLS = {
+    "evolve_trajectory-float-param": lambda: evolve_trajectory(_SPEC, 1.0),
+    "evolve_trajectory-float-spec": lambda: evolve_trajectory(1.0, _P),
+    "evolve_trajectories-scalar": lambda: evolve_trajectories(_SPEC, 5),
+    "evolve_trajectories-floats": lambda: evolve_trajectories(_SPEC, [_P, 1.0]),
+    "evolve_trajectories-none-spec": lambda: evolve_trajectories(None, [_P]),
+    "solve_recurrence-float-param": lambda: solve_recurrence(_SPEC, 1.0),
+    "solve_recurrence-text-spec": lambda: solve_recurrence("spec", _P),
+    "classify_spectrum-float-spec": lambda: classify_spectrum(1.0, [0.5]),
+    "sum_diagnostics-floats": lambda: prufer_sum_diagnostics([1.0], 5),
+    "sum_diagnostics-scalar": lambda: prufer_sum_diagnostics(5, 5),
+    "sum_diagnostics-mixed": lambda: prufer_sum_diagnostics([_TRAJ, _P], 5),
+    "lemma_sums-scalar": lambda: lemma_sums(_SPEC, 5),
+    "lemma_sums-floats": lambda: lemma_sums(_SPEC, [1.0, 2.0]),
+    "lemma_sums-trajectories": lambda: lemma_sums(_SPEC, [_TRAJ]),
+    "lemma_sums-float-spec": lambda: lemma_sums(1.0, [_P]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
+def test_wrong_library_types_rejected(name):
+    with pytest.raises(errors.ParamOutOfRange):
+        WRONG_TYPE_CALLS[name]()
 
 
 def _time_limit(seconds):

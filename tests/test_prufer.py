@@ -18,6 +18,7 @@ from efgp import (
     transfer_step,
     verify_recursions,
 )
+from efgp import _kernels
 from efgp.prufer import boundary_values
 
 PI = math.pi
@@ -180,6 +181,18 @@ def test_degenerate_solution_rejected():
     param = SpectralParam.from_x(1.0)
     sol = Solution(u=np.zeros(11), spec=spec, param=param)
     with pytest.raises(errors.DegenerateSolution):
+        to_prufer(sol)
+
+
+def test_degenerate_pair_named_across_a_block_end():
+    # u = 1 up to site m, 0 after: the first zero pair (u(n), u(n-1)) is at
+    # n = m + 2, in the second block of the lift
+    m = _kernels._CHUNK + 5
+    u = np.zeros(2 * _kernels._CHUNK + 1)
+    u[:m + 1] = 1.0
+    sol = Solution(u=u, spec=free_spec(u.shape[0] - 1),
+                   param=SpectralParam.from_x(1.0))
+    with pytest.raises(errors.DegenerateSolution, match=rf"R\({m + 2}\) = 0"):
         to_prufer(sol)
 
 
