@@ -135,20 +135,24 @@ def _rescaled_pairs(sub, n_sites, w0, w1, cur, prev, scale):
             y[i:] = _recur(b[i:], a[i:], w[i:])
             over[i:] = ~np.isfinite(y[i:, -1])
         ay = np.abs(y)
-        m = np.maximum(ay[:, 1:], ay[:, :-1])
-        out = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
-        if chunk > fewest:
-            out[offsets[:chunk + 1] > last[:, None]] = False
-        if chunk >= fewest:  # site n_sites is rescaled only on overflow
-            end = np.flatnonzero(last == left)
-            out[end, last[end]] = ~np.isfinite(m[end, last[end]])
-        cut = out.any(axis=1)
-        j = np.where(cut, out.argmax(axis=1), last)
         rows = offsets[:n_act]
-        if over.any():  # the step overflowed: rescale the pair before it
-            j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
-        # the rescaled pairs: dividing by 1 leaves the others exact
-        mj = np.where(cut, m[rows, j], 1.0)
+        if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:
+            # every pair stays inside the band: no block is cut
+            cut, j, mj = np.zeros(n_act, dtype=bool), last, np.ones(n_act)
+        else:
+            m = np.maximum(ay[:, 1:], ay[:, :-1])
+            out = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
+            if chunk > fewest:
+                out[offsets[:chunk + 1] > last[:, None]] = False
+            if chunk >= fewest:  # site n_sites is rescaled only on overflow
+                end = np.flatnonzero(last == left)
+                out[end, last[end]] = ~np.isfinite(m[end, last[end]])
+            cut = out.any(axis=1)
+            j = np.where(cut, out.argmax(axis=1), last)
+            if over.any():  # the step overflowed: rescale the pair before it
+                j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
+            # the rescaled pairs: dividing by 1 leaves the others exact
+            mj = np.where(cut, m[rows, j], 1.0)
         for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(), k.tolist(),
                                        j.tolist(), cut.tolist(), mj.tolist()):
             lo = max(kb + 1, first)
@@ -184,10 +188,17 @@ def prufer_forward(V, E, u0, u1):
     n_max = V.shape[0] - 1
     es = np.reshape(np.asarray(E, dtype=np.float64), (-1, 1))
     nb = es.shape[0]
-    out = np.full((3, nb, n_max + 1), np.nan)
+    out = np.empty((3, nb, n_max + 1))
+    out[:, :, 0] = np.nan  # the driver writes every site from 1 on
     un, um, ln_scale = out
-    _rescaled_pairs(lambda blocks, sites: V[sites] - es[blocks], n_max,
-                    np.full(nb, u0), np.full(nb, u1),
+
+    def sub(blocks, sites):
+        lo, hi = sites[0, 0], sites[0, -1]
+        if sites.shape[0] == 1 and hi - lo == sites.shape[1] - 1:
+            return V[lo:hi + 1] - es[blocks]  # one row of consecutive sites
+        return V[sites] - es[blocks]
+
+    _rescaled_pairs(sub, n_max, np.full(nb, u0), np.full(nb, u1),
                     un[:, 1:], um[:, 1:], ln_scale[:, 1:])
     return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
 
@@ -235,31 +246,52 @@ def sturm_counts(diag, shifts):
     return np.count_nonzero((cur != 0.0) & (same | (prev == 0.0)), axis=1)
 
 
-def kahan_cumsum(terms):
-    """Running sums of terms in ascending order, compensated.
+def kahan_cumsum(terms, carry=None):
+    """Running sums of terms in ascending order along the last axis,
+    compensated.
 
     Cascaded summation ("Sum2" of Ogita, Rump & Oishi, Accurate Sum and
     Dot Product, SIAM J. Sci. Comput. 26, 2005), at least as accurate as
     Kahan summation: np.cumsum adds left to right, s[i] = fl(s[i-1] +
     terms[i]), and Knuth's TwoSum recovers each of those rounding errors
-    exactly; their own prefix sums are added back.  A float64 ndarray
-    ``terms`` is overwritten (it holds the errors), which saves a buffer of
-    its size.
+    exactly; their own prefix sums are added back.  Rows of a 2-D array are
+    independent sums, and complex terms are two independent lanes: complex
+    addition is componentwise, so each of the real and imaginary parts gets
+    the bits of its own real call, at the cost of one.  A float64 or
+    complex128 ndarray ``terms`` is overwritten (it holds the errors),
+    which saves a buffer of its size.
+
+    ``carry``, of shape (2,) + terms.shape[:-1] and the dtype of terms,
+    continues sums split into blocks: it holds the running sum s and the
+    running sum of the errors after the preceding terms, zeros for a fresh
+    start (the default), and is updated in place.  Blocks run from a zero
+    carry return the bits of one call on the whole rows.
     """
-    terms = np.asarray(terms, dtype=np.float64)
-    s = np.cumsum(terms)
-    # TwoSum of (prev, terms) with prev = s shifted right, 0 in front:
-    # t = s - prev, err = (prev - (s - t)) + (terms - t)
+    terms = np.asarray(
+        terms, dtype=np.complex128 if np.iscomplexobj(terms) else np.float64)
+    if carry is None:
+        carry = np.zeros((2,) + terms.shape[:-1], dtype=terms.dtype)
+    prev = carry[0][..., None]
+    first = terms[..., :1].copy()
+    terms[..., :1] += prev  # the cumsum continues from the carried sum
+    s = np.cumsum(terms, axis=-1)
+    terms[..., :1] = first
+    # TwoSum of (prev, terms) with prev = s shifted right, the carried sum
+    # in front: t = s - prev, err = (prev - (s - t)) + (terms - t)
     t = np.empty_like(s)
-    t[:1] = s[:1]
-    np.subtract(s[1:], s[:-1], out=t[1:])
+    np.subtract(s[..., :1], prev, out=t[..., :1])
+    np.subtract(s[..., 1:], s[..., :-1], out=t[..., 1:])
     terms -= t
     np.subtract(s, t, out=t)
-    t[:1] = 0.0 - t[:1]
-    np.subtract(s[:-1], t[1:], out=t[1:])
+    np.subtract(prev, t[..., :1], out=t[..., :1])
+    np.subtract(s[..., :-1], t[..., 1:], out=t[..., 1:])
     terms += t
     del t
-    s += np.cumsum(terms, out=terms)
+    terms[..., :1] += carry[1][..., None]
+    np.cumsum(terms, axis=-1, out=terms)
+    if s.shape[-1]:
+        carry[0], carry[1] = s[..., -1], terms[..., -1]
+    s += terms
     return s
 
 

@@ -12,7 +12,11 @@ divergence (ln 2 ~ 0.69 growth per window).
 All 1/n series are accumulated in ascending order with compensated prefix
 sums (cascaded summation: np.cumsum plus the exact TwoSum rounding errors,
 see ``_kernels.kahan_cumsum``), so partial sums at N = 10^6 are accurate to
-about an ulp and reproducible bit for bit.
+about an ulp and reproducible bit for bit.  Sums run two at a time, as the
+real and imaginary lanes of one complex sum: the cos and sin parts of an
+oscillatory series, and pairs of the Prufer-angle sums, which walk the
+sites in cache-sized blocks with the running sums carried across block
+ends, keeping per sum only its sup and dyadic maxima.
 """
 
 from __future__ import annotations
@@ -202,10 +206,11 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
         dgamma = np.abs(np.diff(gamma)) * n[:-1]
     if not np.isfinite(phase).all():
         raise ParamOutOfRange("the phase alpha*n + gamma(n) is not finite")
-    re = _kernels.kahan_cumsum(np.cos(phase) / n)
-    im = _kernels.kahan_cumsum(np.sin(phase) / n)
-    partials = re + 1j * im
-    mods = np.hypot(re, im)
+    terms = np.empty(n_max, dtype=np.complex128)
+    np.divide(np.cos(phase), n, out=terms.real)
+    np.divide(np.sin(phase), n, out=terms.imag)
+    partials = _kernels.kahan_cumsum(terms)
+    mods = np.hypot(partials.real, partials.imag)
     return OscSumSeries(
         alpha=float(alpha),
         gamma=gamma,
@@ -293,38 +298,75 @@ def _sin_2theta_bar(theta, x, n0, n_max, out=None):
 
 
 def _sums(sins, n0: int, n_max: int, hyp_ok: bool) -> SumDiagnostics:
-    """Cross and diagonal sums of the sin(2 theta_bar_j) rows over n0..n_max."""
+    """Cross and diagonal sums of the sin(2 theta_bar_j) rows over n0..n_max.
+
+    Each sum is one lane of a complex row (:func:`_kernels.kahan_cumsum`):
+    the m diagonal lanes first, then the m(m-1)/2 cross lanes, each group
+    padded with a zero lane to fill its last row.  The sites are walked in
+    blocks of _kernels._CHUNK // 2, whose (rows, block) buffers stay in a
+    core's cache; the carry continues every sum across block ends, so each
+    lane gets the bits of one unblocked sum.  Per lane only the running sup
+    and the maxima of the dyadic bins of :func:`dyadic_profile` are kept.
+    """
     m = len(sins)
-    sites = np.arange(n0, n_max + 1, dtype=np.float64)
-    half_log_n = 0.5 * np.log(sites)
-
-    # terms and deviations are built in place, and kahan_cumsum overwrites
-    # its terms: each sum then holds three site-length buffers at its peak
-    def partial_sum(a, b):
-        terms = a * b
-        terms /= sites
-        return _kernels.kahan_cumsum(terms)
-
-    diag = []
-    for j in range(m):
-        dev = partial_sum(sins[j], sins[j])
-        np.subtract(half_log_n, dev, out=dev)
+    groups = ([(j, j) for j in range(m)],
+              [(j, k) for j in range(m) for k in range(j + 1, m)])
+    lanes = [jk for g in groups for jk in g + [None] * (len(g) % 2)]
+    rows, n_diag = len(lanes) // 2, (m + 1) // 2
+    total = n_max - n0 + 1
+    n_bins = total.bit_length()
+    counted = 2 ** (n_bins - 1)  # dyadic bins cover entries [0, counted)
+    block = _kernels._CHUNK // 2
+    carry = np.zeros((2, rows), dtype=np.complex128)
+    sup = np.zeros(2 * rows)
+    bins = np.zeros((2 * rows, n_bins))
+    for s0 in range(0, total, block):
+        e0 = min(s0 + block, total)
+        terms = np.empty((rows, e0 - s0), dtype=np.complex128)
+        tv = terms.view(np.float64).reshape(rows, -1, 2)
+        # the site of each float of a complex row
+        n2 = np.repeat(np.arange(n0 + s0, n0 + e0, dtype=np.float64), 2)
+        for i, jk in enumerate(lanes):
+            out = tv[i // 2, :, i % 2]
+            if jk is None:
+                out[...] = 0.0
+            else:
+                np.multiply(sins[jk[0]][s0:e0], sins[jk[1]][s0:e0], out=out)
+        np.divide(tv.reshape(rows, -1), n2, out=tv.reshape(rows, -1))
+        sums = _kernels.kahan_cumsum(terms, carry)
+        # |ln N / 2 - diagonal sum| and |cross sum|, as (row, site, lane)
+        dev = sums.view(np.float64).reshape(rows, -1, 2)
+        diag_rows = dev[:n_diag].reshape(n_diag, -1)
+        np.subtract(0.5 * np.log(n2), diag_rows, out=diag_rows)
         np.abs(dev, out=dev)
-        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()),
-                                dyadic=tuple(dyadic_profile(dev))))
-
+        # per part: a reduction over the middle axis runs 2 floats at a time
+        top = np.stack((dev[..., 0].max(axis=1), dev[..., 1].max(axis=1)), axis=1)
+        top = top.reshape(-1)  # lane i is (row i // 2, part i % 2)
+        np.maximum(sup, top, out=sup)
+        if s0 == 0:  # the first block spans bins 0 .. log2 of its length
+            lim = min(e0, counted)
+            starts = np.concatenate(([0], 2 ** np.arange(lim.bit_length() - 1)))
+            first = np.maximum.reduceat(dev[:, :lim], starts, axis=1)
+            bins[:, :starts.size] = first.transpose(0, 2, 1).reshape(2 * rows, -1)
+        elif s0 < counted:  # inside the one bin [2^(b-1), 2^b)
+            b = s0.bit_length()
+            np.maximum(bins[:, b], top, out=bins[:, b])
+    profiles = np.maximum.accumulate(bins, axis=1).tolist()
+    sups = sup.tolist()
     cross = np.zeros((m, m))
-    pairs = []
-    for j in range(m):
-        for k in range(j + 1, m):
-            mods = partial_sum(sins[j], sins[k])
-            np.abs(mods, out=mods)
-            sup = float(mods.max())
-            cross[j, k] = cross[k, j] = sup
-            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=sup,
-                                 dyadic=tuple(dyadic_profile(mods))))
-
-    return SumDiagnostics(cross=cross, pair_sums=tuple(pairs),
+    diag, pair_sums = [], []
+    for i, jk in enumerate(lanes):
+        if jk is None:
+            continue
+        j, k = jk
+        if j == k:
+            diag.append(DiagonalSum(j=j + 1, sup_abs=sups[i],
+                                    dyadic=tuple(profiles[i])))
+        else:
+            cross[j, k] = cross[k, j] = sups[i]
+            pair_sums.append(PairSum(j=j + 1, k=k + 1, sup_abs=sups[i],
+                                     dyadic=tuple(profiles[i])))
+    return SumDiagnostics(cross=cross, pair_sums=tuple(pair_sums),
                           diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)
 
 

@@ -26,6 +26,7 @@ FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _int(v, name: str) -> int:
@@ -62,10 +63,16 @@ def _instances(values, cls, name: str) -> list:
 
 
 def _splitmix_bits(seed: int, n: np.ndarray) -> np.ndarray:
-    z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (n.astype(np.uint64) * _SM_GAMMA)) + _SM_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SM_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM_M2
-    return z ^ (z >> np.uint64(31))
+    z = n.astype(np.uint64)  # a new array, mixed in place
+    z *= _SM_GAMMA
+    z ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z += _SM_GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _SM_M1
+    z ^= z >> np.uint64(27)
+    z *= _SM_M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def random_signs(seed: int, n: np.ndarray) -> np.ndarray:
@@ -111,7 +118,10 @@ class Potential:
             with np.errstate(over="ignore", invalid="ignore"):
                 v = c * np.sin(self.omega * n + self.delta) / n
         elif self.family == "random_sign":
-            v = random_signs(self.seed, n) * c / n
+            # (-c)/n = -(c/n) exactly: flip the sign bit of c/n where the
+            # top bit of the stream marks a -1 of random_signs
+            v = c / n
+            v.view(np.uint64)[...] ^= _splitmix_bits(self.seed, n) & _SIGN_BIT
         elif self.family == "table":
             v = np.zeros(n.shape[0])
             mask = n <= len(self.table)

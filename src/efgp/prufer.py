@@ -58,7 +58,10 @@ def _finite(values, name: str) -> np.ndarray:
 
 def _wrap_pi(a, out=None):
     """Reduce modulo 2*pi into (-pi, pi], into out if given."""
-    k = np.ceil((a - np.pi) / (2.0 * np.pi))
+    # k is an array even for a scalar a, so it is rounded up in place
+    k = np.subtract(a, np.pi, out=np.empty(np.shape(a)))
+    k /= 2.0 * np.pi
+    np.ceil(k, out=k)
     k *= 2.0 * np.pi
     return np.subtract(a, k, out=out)
 
@@ -198,19 +201,23 @@ def _angles(un, um, param: SpectralParam) -> np.ndarray:
     carry = 0.0
     for s in range(0, n, _kernels._CHUNK):
         e = min(s + _kernels._CHUNK, n)
-        ca = un[s:e] - um[s:e] * param.cos_x
+        ca = um[s:e] * param.cos_x
+        np.subtract(un[s:e], ca, out=ca)
         cb = um[s:e] * param.sin_x
-        zero = (ca == 0.0) & (cb == 0.0)
-        if zero.any():
-            raise DegenerateSolution(
-                f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
-        principal = np.arctan2(cb, ca)
+        if np.count_nonzero(cb) < cb.size:  # R = 0 needs cb = 0
+            zero = (ca == 0.0) & (cb == 0.0)
+            if zero.any():
+                raise DegenerateSolution(
+                    f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
+        principal = np.arctan2(cb, ca, out=cb)
         if s == 0:
             p0 = prev = principal[0]
         # the wrapped steps principal(n+1) - principal(n) - x; the carry
         # added to the first one continues the left-to-right sum exactly
         d = theta[s + 1:e + 1]
-        np.subtract(np.diff(principal, prepend=prev), param.x, out=d)
+        np.subtract(principal[1:], principal[:-1], out=d[1:])
+        d[0] = principal[0] - prev
+        d -= param.x
         _wrap_pi(d, out=d)
         if s == 0:
             d[0] = 0.0  # theta(1) takes no step
@@ -218,7 +225,10 @@ def _angles(un, um, param: SpectralParam) -> np.ndarray:
         np.cumsum(d, out=d)
         carry, prev = d[-1], principal[-1]
         # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..e-1
-        d += p0 + np.arange(s, e) * param.x
+        base = np.arange(s, e, dtype=np.float64)
+        base *= param.x
+        base += p0
+        d += base
     if n:
         theta[1] = p0
     return theta
@@ -363,8 +373,16 @@ def _onsets(rev, sin_x):
     cumulative max of |nu| = fl(|V| / sin x), and the onset is the first
     site from which |nu| stays below 1/2.
     """
-    below = rev / np.reshape(sin_x, (-1, 1)) < 0.5
-    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
+    s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
+    n = rev.shape[0]
+    # the test holds on a tail of the sites; bisect for the count of sites
+    # before it, adding each power of two whose last site still fails
+    fails = np.zeros(s.shape, dtype=np.intp)
+    for k in reversed(range(n.bit_length())):
+        more = fails + (1 << k)
+        failing = ~(rev[np.minimum(more, n) - 1] / s < 0.5)
+        fails = np.where((more <= n) & failing, more, fails)
+    return np.where(fails < n, fails + 1, 0)
 
 
 def common_onset(trajs, n_max: int) -> tuple:

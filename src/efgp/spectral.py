@@ -249,17 +249,16 @@ def classify_spectrum(spec: OperatorSpec, energies,
     cps = _checked_checkpoints(n, checkpoints)
     params = [SpectralParam.from_energy(E) for E in es]
     V = spec.potential.value_array(n)
-    rev = _reverse_max(np.abs(V[1:]))
     fit_lo = max(2, n // 2)
     # a slope needs at least two sites (the window is a single site at N=2)
     fit_sites = np.arange(fit_lo, n + 1) if n > fit_lo else np.arange(0)
     sites = np.concatenate(([1], cps, fit_sites))
     u0, u1 = boundary_values(spec.phi)
+    onsets = _onsets(_reverse_max(np.abs(V[1:])), [p.sin_x for p in params])
     group = max(1, _kernels._CHUNK // n)
     records = []
     for g in range(0, len(params), group):
         ps = params[g:g + group]
-        onsets = _onsets(rev, [p.sin_x for p in ps])
         un, um, ln_scale = (np.take(a, sites, axis=1) for a in
                             _kernels.prufer_forward(V, [p.E for p in ps], u0, u1))
         cos_x = np.array([[p.cos_x] for p in ps])
@@ -272,7 +271,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
         decay = (_decay_exponents(ln_rel[:, 1 + len(cps):], fit_lo)
                  if fit_sites.size else [None] * len(ps))
         for p, E, onset, at_cps, ln_r1, dec in zip(
-                ps, es[g:g + group], onsets.tolist(),
+                ps, es[g:g + group], onsets[g:g + group].tolist(),
                 ln_rel[:, 1:1 + len(cps)].tolist(), ln_r[:, 0].tolist(), decay):
             best = (None, 0, math.nan)
             for c, v in zip(cps, at_cps):

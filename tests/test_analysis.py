@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,15 @@ from efgp import (
     weighted_dot,
 )
 from efgp import _kernels
-from efgp.analysis import dyadic_profile, dyadic_stabilized, normalize_weighted
+from efgp.analysis import (
+    DiagonalSum,
+    PairSum,
+    SumDiagnostics,
+    _sums,
+    dyadic_profile,
+    dyadic_stabilized,
+    normalize_weighted,
+)
 from efgp.prufer import (
     SpectralParam,
     _angles,
@@ -176,6 +185,21 @@ def test_partial_sum_increments_track_terms():
     err = np.abs(diffs - terms[1:])
     bound = 4e-16 * (1.0 + np.abs(s.partials[1:]))
     assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(PI, None), (1.0, "log"), (2.5, "lin")])
+@pytest.mark.parametrize("n_max", [1, 8191, 2 ** 15 + 3])
+def test_partial_sums_match_two_real_sums(alpha, gamma, n_max):
+    # the cos and sin lanes of one complex sum against two real sums
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    g = {None: np.zeros(n_max), "log": 3.0 * np.log(n), "lin": -0.3 * n}[gamma]
+    s = oscillatory_partial_sums(alpha, g, n_max)
+    phase = alpha * n + g
+    re = _kernels.kahan_cumsum(np.cos(phase) / n)
+    im = _kernels.kahan_cumsum(np.sin(phase) / n)
+    mods = np.hypot(re, im)
+    assert s.sup_abs == float(mods.max())
+    assert s.dyadic == tuple(dyadic_profile(mods))
 
 
 def test_gamma_callable_and_length_check():
@@ -335,6 +359,55 @@ def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
         un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))
         got = _angles(un[1:], um[1:], p)
         assert got.tobytes() == _unblocked_angles(un[1:], um[1:], p).tobytes()
+
+
+def _unblocked_sums(sins, n0, n_max, hyp_ok):
+    """The sums one at a time over all sites, as _sums computes them in
+    two-lane blocks."""
+    m = len(sins)
+    sites = np.arange(n0, n_max + 1, dtype=np.float64)
+    half_log_n = 0.5 * np.log(sites)
+    diag = []
+    for j in range(m):
+        dev = np.abs(half_log_n - _kernels.kahan_cumsum(sins[j] * sins[j] / sites))
+        diag.append(DiagonalSum(j=j + 1, sup_abs=float(dev.max()),
+                                dyadic=tuple(dyadic_profile(dev))))
+    cross = np.zeros((m, m))
+    pairs = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            mods = np.abs(_kernels.kahan_cumsum(sins[j] * sins[k] / sites))
+            cross[j, k] = cross[k, j] = float(mods.max())
+            pairs.append(PairSum(j=j + 1, k=k + 1, sup_abs=cross[j, k],
+                                 dyadic=tuple(dyadic_profile(mods))))
+    return SumDiagnostics(cross=cross, pair_sums=tuple(pairs),
+                          diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16384, 16385, 2 ** 15 + 3])
+@pytest.mark.parametrize("n0", [1, 37])
+def test_sums_match_one_sum_at_a_time(m, size, n0):
+    # block ends before, at and after the 8192-site blocks and the dyadic
+    # bins; odd m leaves a zero padding lane in both lane groups
+    rng = np.random.default_rng(100 * m + size % 97 + n0)
+    sins = [np.sin(rng.uniform(0.0, 7.0, size)) for _ in range(m)]
+    n_max = n0 + size - 1
+    got = _sums(sins, n0, n_max, True)
+    want = _unblocked_sums(sins, n0, n_max, True)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert np.array_equal(got.cross, want.cross)
+
+
+def test_sums_propagate_nan_like_one_sum_at_a_time():
+    rng = np.random.default_rng(4)
+    sins = [np.sin(rng.uniform(0.0, 7.0, 20000)) for _ in range(3)]
+    sins[1][9000] = np.nan
+    got = _sums(sins, 5, 20004, False).to_json_dict()
+    want = _unblocked_sums(sins, 5, 20004, False).to_json_dict()
+    # NaN != NaN in a dict comparison; the JSON text spells it out
+    assert "NaN" in json.dumps(got)
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_degenerate_frequencies_rejected():

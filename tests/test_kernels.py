@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgp import OperatorSpec, _kernels, make_potential
 from efgp.prufer import (SpectralParam, _transform, boundary_values,
@@ -139,6 +141,37 @@ def test_backward_resonant_matches_loop(c, rescales):
     assert _rescale_sites(want[2]).size == rescales
     V = make_potential("resonant", c=c, omega=2 * x, delta=delta).values(1, n)
     _assert_same_evolution(_kernels.backward_resonant(*args), want, V, param)
+
+
+def test_exact_zero_pair_takes_the_cut_search():
+    # (u(1), u(0)) = (0, 1): the first chunk holds an exact zero, so its
+    # min |pair| = 0 < _RESCALE_LO, and it must still cut at the rescales
+    V = _table12(2000)
+    got = _kernels.prufer_forward(V, 0.0, 1.0, 0.0)
+    want = loop_forward(V, 0.0, 1.0, 0.0)
+    assert want[0][1] == 0.0 and _rescale_sites(want[2]).size > 10
+    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.0))
+
+
+def test_rescale_of_a_chunk_wholly_below_the_band():
+    # no pair exceeds _RESCALE_HI (12^40 < 1e100), so only the lower edge
+    # of the band calls for the cut at site 1
+    V = _table12(40)
+    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
+    want = loop_forward(V, 0.5, 1e-200, 3e-201)
+    assert _rescale_sites(want[2]).tolist() == [1]
+    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.5))
+
+
+def test_sturm_counts_exact_zero_pair_with_rescales():
+    # every Sturm chunk starts from w(0) = 0, and at the shift d(1) the
+    # pair at site 2 is exactly 0 too; d(k) = 40 then rescales the chunk
+    noise = np.random.default_rng(8).uniform(-1.0, 1.0, 600)
+    d = np.concatenate(([2.0], 40.0 + noise))
+    shifts = np.array([2.0, 0.0, 39.5, 40.0, 41.2])
+    w = np.linalg.eigvalsh(np.diag(d) + np.eye(d.size, k=1) + np.eye(d.size, k=-1))
+    assert list(_kernels.sturm_counts(d, shifts)) == [int(np.sum(w < E))
+                                                      for E in shifts]
 
 
 def test_rescale_at_first_site():
@@ -287,3 +320,56 @@ def test_kahan_cumsum_short_inputs():
 
 def test_backend_reports_numpy():
     assert _kernels.backend() == "numpy"
+
+
+@st.composite
+def _sum_rows(draw, n):
+    """A float64 row of length n: normals scaled by 10^k, |k| <= 300, with a
+    run of leading -0.0, +/-1e100 pairs that cancel and +/-5e-324 entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    for value in (1e100, -1e100, 5e-324, -5e-324):
+        x[draw(st.lists(st.integers(0, n - 1), max_size=4))] = value
+    x[:draw(st.integers(0, n))] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+def _cascaded_cumsum(x):
+    """One real row summed as kahan_cumsum first did it, without lanes or
+    carry: np.cumsum plus the prefix sums of the TwoSum errors."""
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    t = np.concatenate((s[:1], s[1:] - s[:-1]))
+    return s + np.cumsum((x - t) + (prev - (s - t)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 200))
+def test_kahan_cumsum_blocks_and_lanes(data, n):
+    x, y = data.draw(_sum_rows(n)), data.draw(_sum_rows(n))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+    want_x = _kernels.kahan_cumsum(x.copy())
+    want_y = _kernels.kahan_cumsum(y.copy())
+    assert _bits(want_x) == _bits(_cascaded_cumsum(x))
+    # blocks cut anywhere, run from a zero carry, give one call's bits
+    carry = np.zeros(2)
+    got = [_kernels.kahan_cumsum(b.copy(), carry) for b in np.split(x, cuts)]
+    assert _bits(np.concatenate(got)) == _bits(want_x)
+    assert carry[0] == np.cumsum(x)[-1]  # the plain running sum, +0.0 for -0.0
+    # a complex row is the two real calls on its parts
+    z = np.empty(n, dtype=np.complex128)
+    z.real, z.imag = x, y
+    lanes = _kernels.kahan_cumsum(z.copy())
+    assert _bits(lanes.real) == _bits(want_x)
+    assert _bits(lanes.imag) == _bits(want_y)
+    # and the complex rows of a 2-D array carry across blocks the same way
+    rows = np.stack((z, z[::-1]))
+    carry = np.zeros((2, 2), dtype=np.complex128)
+    got = np.concatenate([_kernels.kahan_cumsum(b.copy(), carry)
+                          for b in np.split(rows, cuts, axis=1)], axis=1)
+    assert _bits(got[0]) == _bits(lanes)
+    assert _bits(got[1].real) == _bits(_kernels.kahan_cumsum(x[::-1].copy()))

@@ -47,6 +47,18 @@ def test_random_sign_deterministic():
     assert (signs > 0).any() and (signs < 0).any()
 
 
+@pytest.mark.parametrize("c", [1.0, -2.5, 0.0, 1e-300])
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 63 - 1, -2 ** 63])
+@pytest.mark.parametrize("n0", [1, 17])
+def test_random_sign_values_are_signs_times_c_over_n(c, seed, n0):
+    # the sign bit flipped on c/n gives the bits of random_signs * c / n
+    p = make_potential("random_sign", c=c, seed=seed, n0=n0)
+    for lo, hi in [(1, 3000), (10, 40)]:
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        want = np.where(n < n0, 0.0, random_signs(seed, n) * c / n)
+        assert p.values(lo, hi).tobytes() == want.tobytes()
+
+
 def test_table_family():
     p = make_potential("table", values=[0.5, -0.25, 0.1])
     assert np.allclose(p.values(1, 5), [0.5, -0.25, 0.1, 0.0, 0.0])

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efgp import (
     OperatorSpec,
@@ -19,7 +21,7 @@ from efgp import (
     verify_recursions,
 )
 from efgp import _kernels
-from efgp.prufer import boundary_values
+from efgp.prufer import _onsets, boundary_values
 
 PI = math.pi
 
@@ -320,3 +322,29 @@ def test_u_reconstruction_roundtrip():
     traj = evolve_trajectory(spec, param)
     u = traj.u_values()
     assert np.max(np.abs(u - sol.u)) <= 1e-10 * np.max(1 + np.abs(sol.u))
+
+
+def _scanned_onsets(rev, sin_x):
+    """The onsets by one division scan over all sites, as _onsets bisects."""
+    below = rev / np.reshape(sin_x, (-1, 1)) < 0.5
+    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
+
+
+@st.composite
+def _onset_case(draw):
+    sin_x = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    half = sin_x[0] / 2
+    # plateaus, and values at sin x / 2 and one ulp to either side
+    value = st.sampled_from([0.0, half, np.nextafter(half, 0.0),
+                             np.nextafter(half, 1.0), 0.3, 1.0, 3.0])
+    values = draw(st.lists(value | st.floats(0.0, 2.0), min_size=1, max_size=300))
+    return -np.sort(-np.array(values)), sin_x  # non-increasing, as rev is
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_onset_case())
+@example(case=(np.full(40, 3.0), [0.5, 1.0]))  # no onset
+@example(case=(np.array([0.5, 0.5, np.nextafter(0.5, 0.0), 0.0]), [1.0]))
+def test_onsets_match_division_scan(case):
+    rev, sin_x = case
+    assert _onsets(rev, sin_x).tolist() == _scanned_onsets(rev, sin_x).tolist()
