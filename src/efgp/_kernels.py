@@ -6,11 +6,14 @@ The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
 system with two subdiagonals, so BLAS ``dtbsv`` solves a stretch of it in
 the same sequential order as a loop would (:func:`_recur`).  B independent
 recurrences are B blocks laid end to end in one such system, uncoupled by
-zero entries.  One chunk driver (:func:`_rescaled_pairs`) runs B blocks
-with log-scale rescaling, each rescaled exactly where it would be alone;
-it serves the forward Prufer evolution (one block per energy), the
-backward resonant launch (one block) and Sturm counts (one block per
-shift).
+zero entries.  One resumable driver (:func:`_pair_windows`) runs B blocks
+with log-scale rescaling, each rescaled exactly where it would be alone,
+and yields their pairs window by window: consecutive stretches of sites
+whose ends the caller chooses, so no caller needs to hold a pair array as
+long as the lattice.  It serves the forward Prufer evolution (one block
+per energy), the backward resonant launch (one block) and Sturm counts
+(one block per shift); ``analysis.lemma_sums`` consumes its windows as
+they come.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -30,6 +33,10 @@ _RESCALE_LO = 1e-100
 
 # Longest stretch solved unscaled; temporaries stay O(_CHUNK).
 _CHUNK = 2 ** 14
+
+# Sites per block of the streamed passes: a few (rows, _BLOCK) float
+# buffers stay in a core's cache.
+_BLOCK = _CHUNK // 2
 
 
 def _recur(w0, w1, sub):
@@ -75,103 +82,158 @@ def solve_forward(V, E, u0, u1):
     return u, -1
 
 
-def _rescaled_pairs(sub, n_sites, w0, w1, cur, prev, scale):
+def _ends(start, stop, width):
+    """Ends of the windows of at most width sites covering start+1..stop."""
+    return list(range(start + width, stop, width)) + [stop]
+
+
+def _pair_windows(sub, n_sites, w0, w1, ends, out=None):
     """Rescaled pairs of B independent recurrences
-    w_b(k+1) = -sub_b(k) w_b(k) - w_b(k-1), sites k = 1..n_sites.
+    w_b(k+1) = -sub_b(k) w_b(k) - w_b(k-1), sites k = 1..n_sites, yielded
+    window by window.
 
     ``sub(blocks, sites)`` returns the (A, L) array of sub_b(k), all
     finite, for the block indices b in ``blocks`` (shape (A,)) and the
     sites k < n_sites in the matching rows of ``sites``, of shape (A, L) or
-    (1, L) when one row serves every block.  Block b starts
-    from (w_b(0), w_b(1)) = (w0[b], w1[b]).  The (B, ·) outputs hold each
-    block's last cur.shape[1] sites:
-    (w_b(k), w_b(k-1)) = exp(scale) * (cur, prev).
+    (1, L) when one row serves every block.  Block b starts from
+    (w_b(0), w_b(1)) = (w0[b], w1[b]).  ``ends`` are the increasing last
+    sites of consecutive windows, the first window starting at site 1 and
+    the last ending at n_sites.  Per window of sites lo..hi the generator
+    yields (cur, prev, scale), each of shape (B, hi - lo + 1):
+    (w_b(k), w_b(k-1)) = exp(scale) * (cur, prev).  They are views of one
+    buffer, overwritten by the next window, or with ``out``, a (3, B,
+    n_sites) array, its columns lo-1..hi-1, so that every site stays.
 
     Each block moves along its own chunks, and one band solve
-    (:func:`_recur`) advances every unfinished block by one chunk, of at
-    most about _CHUNK rows in all.  A block's chunk is cut at its first
-    site whose max(|w(k)|, |w(k-1)|) leaves [_RESCALE_LO, _RESCALE_HI]
-    (unless it is 0; at k = n_sites only if it is inf), or one site
-    earlier if it is inf; the pair there is stored, divided by that
-    maximum, and the block's next chunk, a quarter longer than the stretch
-    kept, starts from it.  The recurrence does the same arithmetic
-    wherever a chunk starts, and scale is the running sum of the logs of
-    the divisors, accumulated left to right, so every block gets the bits
-    it would get alone.  Once a block leaves the float range, the zero
-    couplings carry 0 * inf = nan into the blocks after it, so those are
-    solved again.
+    (:func:`_recur`) advances every block still short of the window end by
+    one chunk, of at most about _CHUNK rows in all.  A block's chunk is cut
+    at its first site whose max(|w(k)|, |w(k-1)|) leaves
+    [_RESCALE_LO, _RESCALE_HI] (unless it is 0; at k = n_sites only if it
+    is inf), or one site earlier if it is inf; the pair there is stored,
+    divided by that maximum, and the block's next chunk, a quarter longer
+    than the stretch kept, starts from it.  The recurrence does the same
+    arithmetic wherever a chunk or a window starts, and scale is the
+    running sum of the logs of the divisors, accumulated left to right
+    across windows (the total so far enters column 0 of a window before
+    its cumsum), so every block gets the bits it would get alone in one
+    window.  Once a block leaves the float range, the zero couplings carry
+    0 * inf = nan into the blocks after it, so those are solved again.
     """
-    nb = cur.shape[0]
-    first = n_sites - cur.shape[1] + 1
-    # until the final cumsum, scale holds increments of the log scale
-    scale[...] = 0.0
-    # unfinished blocks ids, each at its site k with the pair
-    # (a, b) = (w(k), w(k-1)) it continues from, rescaled if k was a cut
-    ids, k = np.arange(nb), np.ones(nb, dtype=np.intp)
-    a, b = np.array(w1, dtype=np.float64), np.array(w0, dtype=np.float64)
-    if first == 1:
-        cur[:, 0], prev[:, 0] = a, b
+    nb = len(w0)
+    # each block's pair (w(k), w(k-1)) at the end k of the last window,
+    # rescaled if k was a cut
+    end_a, end_b = np.array(w1, dtype=np.float64), np.array(w0, dtype=np.float64)
+    total = np.zeros(nb)  # the log scale at the last site yielded
+    pending = np.zeros(nb)  # logs of divisors at a window's last site
     offsets = np.arange(max(_CHUNK, nb) + 1)
     grow = _CHUNK  # sets the next chunk length
-    rescaled = False
-    while ids.size:
-        n_act = ids.size
-        left = n_sites - k
-        fewest, most = int(left.min()), int(left.max())
-        chunk = min(max(1, _CHUNK // n_act), grow, most)
-        last = np.minimum(left, chunk)  # the block's last site is k + last
-        # blocks all at one site share one row of sites
-        sites = (k if fewest < most else k[:1])[:, None] + offsets[:chunk]
-        w = sub(ids, np.minimum(sites, n_sites - 1) if chunk > fewest else sites)
-        if chunk > fewest:
-            w[sites >= n_sites] = 0.0  # past a block's end: a bounded filler
-        y = _recur(b, a, w)  # pair at site k + j: y[:, j+1], y[:, j]
-        # a block that left the float range ends non-finite, and so do the
-        # blocks after it, which read nan through the zero couplings
-        over = ~np.isfinite(y[:, -1])
-        i = 0
-        while over[i:-1].any():
-            i += int(over[i:-1].argmax()) + 1
-            y[i:] = _recur(b[i:], a[i:], w[i:])
-            over[i:] = ~np.isfinite(y[i:, -1])
-        ay = np.abs(y)
-        rows = offsets[:n_act]
-        if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:
-            # every pair stays inside the band: no block is cut
-            cut, j, mj = np.zeros(n_act, dtype=bool), last, np.ones(n_act)
-        else:
-            m = np.maximum(ay[:, 1:], ay[:, :-1])
-            out = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
+    ends = list(ends)
+    if out is None:  # one buffer serves every window
+        buf = np.empty((3, nb, max(np.diff(ends, prepend=0))))
+    lo = 1
+    for hi in ends:
+        cur, prev, scale = (buf[:, :, :hi - lo + 1] if out is None
+                            else out[:, :, lo - 1:hi])
+        # until the cumsum, scale holds increments of the log scale
+        scale[...] = 0.0
+        scale[:, 0] = pending
+        pending[...] = 0.0
+        rescaled = False
+        k0 = max(lo - 1, 1)
+        if lo == 1:
+            cur[:, 0], prev[:, 0] = end_a, end_b
+        # the blocks short of the window end, each at its site k with the
+        # pair (a, b) = (w(k), w(k-1)) it continues from
+        ids = np.arange(nb if k0 < hi else 0)
+        k = np.full(ids.size, k0, dtype=np.intp)
+        a, b = end_a[ids], end_b[ids]
+        while ids.size:
+            n_act = ids.size
+            left = hi - k
+            fewest, most = int(left.min()), int(left.max())
+            chunk = min(max(1, _CHUNK // n_act), grow, most)
+            last = np.minimum(left, chunk)  # the block's last site is k + last
+            # blocks all at one site share one row of sites
+            sites = (k if fewest < most else k[:1])[:, None] + offsets[:chunk]
+            w = sub(ids, np.minimum(sites, hi - 1) if chunk > fewest else sites)
             if chunk > fewest:
-                out[offsets[:chunk + 1] > last[:, None]] = False
-            if chunk >= fewest:  # site n_sites is rescaled only on overflow
-                end = np.flatnonzero(last == left)
-                out[end, last[end]] = ~np.isfinite(m[end, last[end]])
-            cut = out.any(axis=1)
-            j = np.where(cut, out.argmax(axis=1), last)
-            if over.any():  # the step overflowed: rescale the pair before it
-                j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
-            # the rescaled pairs: dividing by 1 leaves the others exact
-            mj = np.where(cut, m[rows, j], 1.0)
-        for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(), k.tolist(),
-                                       j.tolist(), cut.tolist(), mj.tolist()):
-            lo = max(kb + 1, first)
-            if lo <= kb + jb:
-                cur[bk, lo - first:kb + jb + 1 - first] = y[i, lo - kb + 1:jb + 2]
-                prev[bk, lo - first:kb + jb + 1 - first] = y[i, lo - kb:jb + 1]
-            if c:
-                rescaled = True
-                # ln of the divisor at the first site after the rescale; the
-                # rescales before the first stored site all add to column 0
-                scale[bk, max(kb + jb + 1 - first, 0)] += math.log(d)
-        a, b, k = y[rows, j + 1] / mj, y[rows, j] / mj, k + j
-        grow = int(j.max())
-        grow += grow // 4 + 16
-        if chunk >= fewest:
-            going = k < n_sites
-            ids, k, a, b = ids[going], k[going], a[going], b[going]
-    if rescaled:
-        np.cumsum(scale, axis=1, out=scale)
+                w[sites >= hi] = 0.0  # past a block's end: a bounded filler
+            y = _recur(b, a, w)  # pair at site k + j: y[:, j+1], y[:, j]
+            # a block that left the float range ends non-finite, and so do
+            # the blocks after it, which read nan through the zero couplings
+            over = ~np.isfinite(y[:, -1])
+            i = 0
+            while over[i:-1].any():
+                i += int(over[i:-1].argmax()) + 1
+                y[i:] = _recur(b[i:], a[i:], w[i:])
+                over[i:] = ~np.isfinite(y[i:, -1])
+            ay = np.abs(y)
+            rows = offsets[:n_act]
+            if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:
+                # every pair stays inside the band: no block is cut
+                cut, j, mj = np.zeros(n_act, dtype=bool), last, np.ones(n_act)
+            else:
+                m = np.maximum(ay[:, 1:], ay[:, :-1])
+                off = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
+                if chunk > fewest:
+                    off[offsets[:chunk + 1] > last[:, None]] = False
+                if hi == n_sites and chunk >= fewest:
+                    # site n_sites is rescaled only on overflow
+                    end = np.flatnonzero(last == left)
+                    off[end, last[end]] = ~np.isfinite(m[end, last[end]])
+                cut = off.any(axis=1)
+                j = np.where(cut, off.argmax(axis=1), last)
+                if over.any():  # the step overflowed: rescale the pair before it
+                    j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
+                # the rescaled pairs: dividing by 1 leaves the others exact
+                mj = np.where(cut, m[rows, j], 1.0)
+            for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(), k.tolist(),
+                                           j.tolist(), cut.tolist(), mj.tolist()):
+                if jb:
+                    cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
+                    prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
+                if c:
+                    # ln of the divisor at the first site after the rescale
+                    if kb + jb < hi:
+                        rescaled = True
+                        scale[bk, kb + jb + 1 - lo] += math.log(d)
+                    else:
+                        pending[bk] += math.log(d)
+            a, b, k = y[rows, j + 1] / mj, y[rows, j] / mj, k + j
+            # a cut sets the next length from the stretch kept; a chunk
+            # that ended at the window end does not shorten the next one
+            grow = int(j.max()) if cut.any() else max(grow, int(j.max()))
+            grow += grow // 4 + 16
+            if chunk >= fewest:
+                done = k == hi
+                end_a[ids[done]], end_b[ids[done]] = a[done], b[done]
+                going = ~done
+                ids, k, a, b = ids[going], k[going], a[going], b[going]
+        if rescaled or scale[:, 0].any():
+            scale[:, 0] += total
+            np.cumsum(scale, axis=1, out=scale)
+        elif total.any():
+            scale[...] = total[:, None]
+        total = scale[:, -1].copy()
+        yield cur, prev, scale
+        lo = hi + 1
+
+
+def _forward_windows(V, E, u0, u1, ends, out=None):
+    """:func:`_pair_windows` of u(n+1) = (E_b - V(n)) u(n) - u(n-1) over
+    the sites n = 1..N of the site-indexed V, for the B energies E_b of
+    the vector E, all from the same (u(0), u(1)); ends and out as there."""
+    es = np.reshape(np.asarray(E, dtype=np.float64), (-1, 1))
+    nb = es.shape[0]
+
+    def sub(blocks, sites):
+        lo, hi = sites[0, 0], sites[0, -1]
+        if sites.shape[0] == 1 and hi - lo == sites.shape[1] - 1:
+            return V[lo:hi + 1] - es[blocks]  # one row of consecutive sites
+        return V[sites] - es[blocks]
+
+    return _pair_windows(sub, V.shape[0] - 1, np.full(nb, u0), np.full(nb, u1),
+                         ends, out)
 
 
 def prufer_forward(V, E, u0, u1):
@@ -186,20 +248,10 @@ def prufer_forward(V, E, u0, u1):
     energy gets the bits of its own single-energy call.
     """
     n_max = V.shape[0] - 1
-    es = np.reshape(np.asarray(E, dtype=np.float64), (-1, 1))
-    nb = es.shape[0]
-    out = np.empty((3, nb, n_max + 1))
+    out = np.empty((3, np.size(E), n_max + 1))
     out[:, :, 0] = np.nan  # the driver writes every site from 1 on
-    un, um, ln_scale = out
-
-    def sub(blocks, sites):
-        lo, hi = sites[0, 0], sites[0, -1]
-        if sites.shape[0] == 1 and hi - lo == sites.shape[1] - 1:
-            return V[lo:hi + 1] - es[blocks]  # one row of consecutive sites
-        return V[sites] - es[blocks]
-
-    _rescaled_pairs(sub, n_max, np.full(nb, u0), np.full(nb, u1),
-                    un[:, 1:], um[:, 1:], ln_scale[:, 1:])
+    for _ in _forward_windows(V, E, u0, u1, [n_max], out[:, :, 1:]):
+        pass
     return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
 
 
@@ -223,9 +275,18 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
         return amp * np.sin(omega * n + delta) / n - E
 
     un, um, ln_scale = out = np.full((3, n_record + 1), np.nan)
-    # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n))
-    _rescaled_pairs(sub, n_launch + 1, [u_next], [u_launch],
-                    um[None, :0:-1], un[None, :0:-1], ln_scale[None, :0:-1])
+    n_sites = n_launch + 1
+    first = n_sites + 1 - n_record  # the mirrored site of n = n_record
+    ends = _ends(0, n_sites, _CHUNK)
+    lo = 1
+    for hi, window in zip(ends, _pair_windows(sub, n_sites, [u_next], [u_launch],
+                                              ends)):
+        if hi >= first:
+            s = max(lo, first)
+            # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n))
+            for o, w in zip((um, un, ln_scale), window):
+                o[n_sites + 1 - hi:n_sites + 2 - s] = w[0, s - lo:][::-1]
+        lo = hi + 1
     return tuple(out)
 
 
@@ -236,14 +297,22 @@ def sturm_counts(diag, shifts):
     Martin & Wilkinson, Numer. Math. 9, 1967).  Step k = 1..N counts when
     w(k), w(k+1) agree in sign bit (a product can underflow) or w(k) = 0,
     but not when w(k+1) = 0.  Every diag - shift must be finite.  The
-    shifts are the blocks of one batched driver call.
+    shifts are the blocks of one batched driver call, counted window by
+    window.
     """
     nb, n = shifts.shape[0], diag.shape[0]
-    cur, prev, scale = np.empty((3, nb, n))
-    _rescaled_pairs(lambda blocks, sites: diag[sites - 1] - shifts[blocks, None],
-                    n + 1, np.zeros(nb), np.ones(nb), cur, prev, scale)
-    same = np.signbit(cur) == np.signbit(prev)
-    return np.count_nonzero((cur != 0.0) & (same | (prev == 0.0)), axis=1)
+    counts = np.zeros(nb, dtype=np.intp)
+    ends = _ends(0, n + 1, _CHUNK)
+    def sub(blocks, sites):
+        return diag[sites - 1] - shifts[blocks, None]
+
+    windows = _pair_windows(sub, n + 1, np.zeros(nb), np.ones(nb), ends)
+    for i, (cur, prev, _) in enumerate(windows):
+        if i == 0:  # site 1 holds the start (w(1), w(0)), not a step
+            cur, prev = cur[:, 1:], prev[:, 1:]
+        same = np.signbit(cur) == np.signbit(prev)
+        counts += np.count_nonzero((cur != 0.0) & (same | (prev == 0.0)), axis=1)
+    return counts
 
 
 def kahan_cumsum(terms, carry=None):

@@ -14,9 +14,12 @@ sums (cascaded summation: np.cumsum plus the exact TwoSum rounding errors,
 see ``_kernels.kahan_cumsum``), so partial sums at N = 10^6 are accurate to
 about an ulp and reproducible bit for bit.  Sums run two at a time, as the
 real and imaginary lanes of one complex sum: the cos and sin parts of an
-oscillatory series, and pairs of the Prufer-angle sums, which walk the
+oscillatory series, and pairs of the Prufer-angle sums, which take the
 sites in cache-sized blocks with the running sums carried across block
-ends, keeping per sum only its sup and dyadic maxima.
+ends, keeping per sum only its sup and dyadic maxima.  ``lemma_sums``
+feeds them in one streamed pass: each block of sites is evolved, lifted
+to the angle and summed before the next, so besides V no array is as long
+as the lattice.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from .operators import OperatorSpec, _instance, _instances, _int, _real
 from .prufer import (
     PruferTrajectory,
     SpectralParam,
-    _angles,
+    _lift,
     _onsets,
-    _reverse_max,
     boundary_values,
     common_onset,
 )
@@ -289,85 +291,103 @@ def _check_frequencies(xs):
                     f"x_{j + 1} +/- x_{k + 1} is a multiple of pi")
 
 
-def _sin_2theta_bar(theta, x, n0, n_max, out=None):
-    """sin(2 (theta + x)) over the sites n0..n_max of the site-indexed
-    theta, formed in out (a new array if None; it may be theta's slice)."""
-    tb = np.add(theta[n0:n_max + 1], x, out=out)
+def _sin_2theta_bar(theta, x, out=None):
+    """sin(2 (theta + x)), formed in out (a new array if None; it may be
+    theta itself)."""
+    tb = np.add(theta, x, out=out)
     tb *= 2.0
     return np.sin(tb, out=tb)
 
 
-def _sums(sins, n0: int, n_max: int, hyp_ok: bool) -> SumDiagnostics:
-    """Cross and diagonal sums of the sin(2 theta_bar_j) rows over n0..n_max.
+class _LaneSums:
+    """Running state of the cross and diagonal sums of the sin(2 theta_bar_j)
+    rows over the sites n0..n_max: :meth:`add` takes the next block of
+    sites, :meth:`result` gives the diagnostics once every site is added.
 
     Each sum is one lane of a complex row (:func:`_kernels.kahan_cumsum`):
     the m diagonal lanes first, then the m(m-1)/2 cross lanes, each group
-    padded with a zero lane to fill its last row.  The sites are walked in
-    blocks of _kernels._CHUNK // 2, whose (rows, block) buffers stay in a
-    core's cache; the carry continues every sum across block ends, so each
-    lane gets the bits of one unblocked sum.  Per lane only the running sup
-    and the maxima of the dyadic bins of :func:`dyadic_profile` are kept.
+    padded with a zero lane to fill its last row.  Blocks hold
+    _kernels._BLOCK sites, the last one possibly fewer, so their (rows,
+    block) buffers stay in a core's cache, and every block after the first
+    starts at n0 + a multiple of _BLOCK, inside one dyadic bin.  The carry
+    continues every sum across block ends, so each lane gets the bits of
+    one unblocked sum.  Per lane only the running sup and the maxima of the
+    dyadic bins of :func:`dyadic_profile` are kept.
     """
-    m = len(sins)
-    groups = ([(j, j) for j in range(m)],
-              [(j, k) for j in range(m) for k in range(j + 1, m)])
-    lanes = [jk for g in groups for jk in g + [None] * (len(g) % 2)]
-    rows, n_diag = len(lanes) // 2, (m + 1) // 2
-    total = n_max - n0 + 1
-    n_bins = total.bit_length()
-    counted = 2 ** (n_bins - 1)  # dyadic bins cover entries [0, counted)
-    block = _kernels._CHUNK // 2
-    carry = np.zeros((2, rows), dtype=np.complex128)
-    sup = np.zeros(2 * rows)
-    bins = np.zeros((2 * rows, n_bins))
-    for s0 in range(0, total, block):
-        e0 = min(s0 + block, total)
+
+    def __init__(self, m: int, n0: int, n_max: int):
+        groups = ([(j, j) for j in range(m)],
+                  [(j, k) for j in range(m) for k in range(j + 1, m)])
+        self.lanes = [jk for g in groups for jk in g + [None] * (len(g) % 2)]
+        self.m, self.n0, self.s0 = m, n0, 0  # s0: the sites added so far
+        self.rows, self.n_diag = len(self.lanes) // 2, (m + 1) // 2
+        n_bins = (n_max - n0 + 1).bit_length()
+        self.counted = 2 ** (n_bins - 1)  # dyadic bins cover entries [0, counted)
+        self.carry = np.zeros((2, self.rows), dtype=np.complex128)
+        self.sup = np.zeros(2 * self.rows)
+        self.bins = np.zeros((2 * self.rows, n_bins))
+
+    def add(self, sins):
+        """Add the rows sins[j] of sin(2 theta_bar_j) at the next sites."""
+        rows, s0 = self.rows, self.s0
+        e0 = self.s0 = s0 + len(sins[0])
         terms = np.empty((rows, e0 - s0), dtype=np.complex128)
         tv = terms.view(np.float64).reshape(rows, -1, 2)
         # the site of each float of a complex row
-        n2 = np.repeat(np.arange(n0 + s0, n0 + e0, dtype=np.float64), 2)
-        for i, jk in enumerate(lanes):
+        n2 = np.repeat(np.arange(self.n0 + s0, self.n0 + e0, dtype=np.float64), 2)
+        for i, jk in enumerate(self.lanes):
             out = tv[i // 2, :, i % 2]
             if jk is None:
                 out[...] = 0.0
             else:
-                np.multiply(sins[jk[0]][s0:e0], sins[jk[1]][s0:e0], out=out)
+                np.multiply(sins[jk[0]], sins[jk[1]], out=out)
         np.divide(tv.reshape(rows, -1), n2, out=tv.reshape(rows, -1))
-        sums = _kernels.kahan_cumsum(terms, carry)
+        sums = _kernels.kahan_cumsum(terms, self.carry)
         # |ln N / 2 - diagonal sum| and |cross sum|, as (row, site, lane)
         dev = sums.view(np.float64).reshape(rows, -1, 2)
-        diag_rows = dev[:n_diag].reshape(n_diag, -1)
+        diag_rows = dev[:self.n_diag].reshape(self.n_diag, -1)
         np.subtract(0.5 * np.log(n2), diag_rows, out=diag_rows)
         np.abs(dev, out=dev)
         # per part: a reduction over the middle axis runs 2 floats at a time
         top = np.stack((dev[..., 0].max(axis=1), dev[..., 1].max(axis=1)), axis=1)
         top = top.reshape(-1)  # lane i is (row i // 2, part i % 2)
-        np.maximum(sup, top, out=sup)
+        np.maximum(self.sup, top, out=self.sup)
         if s0 == 0:  # the first block spans bins 0 .. log2 of its length
-            lim = min(e0, counted)
+            lim = min(e0, self.counted)
             starts = np.concatenate(([0], 2 ** np.arange(lim.bit_length() - 1)))
             first = np.maximum.reduceat(dev[:, :lim], starts, axis=1)
-            bins[:, :starts.size] = first.transpose(0, 2, 1).reshape(2 * rows, -1)
-        elif s0 < counted:  # inside the one bin [2^(b-1), 2^b)
+            self.bins[:, :starts.size] = first.transpose(0, 2, 1).reshape(2 * rows, -1)
+        elif s0 < self.counted:  # inside the one bin [2^(b-1), 2^b)
             b = s0.bit_length()
-            np.maximum(bins[:, b], top, out=bins[:, b])
-    profiles = np.maximum.accumulate(bins, axis=1).tolist()
-    sups = sup.tolist()
-    cross = np.zeros((m, m))
-    diag, pair_sums = [], []
-    for i, jk in enumerate(lanes):
-        if jk is None:
-            continue
-        j, k = jk
-        if j == k:
-            diag.append(DiagonalSum(j=j + 1, sup_abs=sups[i],
-                                    dyadic=tuple(profiles[i])))
-        else:
-            cross[j, k] = cross[k, j] = sups[i]
-            pair_sums.append(PairSum(j=j + 1, k=k + 1, sup_abs=sups[i],
-                                     dyadic=tuple(profiles[i])))
-    return SumDiagnostics(cross=cross, pair_sums=tuple(pair_sums),
-                          diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)
+            np.maximum(self.bins[:, b], top, out=self.bins[:, b])
+
+    def result(self, hyp_ok: bool) -> SumDiagnostics:
+        profiles = np.maximum.accumulate(self.bins, axis=1).tolist()
+        sups = self.sup.tolist()
+        cross = np.zeros((self.m, self.m))
+        diag, pair_sums = [], []
+        for i, jk in enumerate(self.lanes):
+            if jk is None:
+                continue
+            j, k = jk
+            if j == k:
+                diag.append(DiagonalSum(j=j + 1, sup_abs=sups[i],
+                                        dyadic=tuple(profiles[i])))
+            else:
+                cross[j, k] = cross[k, j] = sups[i]
+                pair_sums.append(PairSum(j=j + 1, k=k + 1, sup_abs=sups[i],
+                                         dyadic=tuple(profiles[i])))
+        return SumDiagnostics(cross=cross, pair_sums=tuple(pair_sums),
+                              diag=tuple(diag), n0=self.n0, hypothesis_ok=hyp_ok)
+
+
+def _sums(sins, n0: int, n_max: int, hyp_ok: bool) -> SumDiagnostics:
+    """Cross and diagonal sums of the sin(2 theta_bar_j) rows, given over
+    the sites n0..n_max, added to :class:`_LaneSums` block by block."""
+    acc = _LaneSums(len(sins), n0, n_max)
+    for s0 in range(0, n_max - n0 + 1, _kernels._BLOCK):
+        acc.add([row[s0:s0 + _kernels._BLOCK] for row in sins])
+    return acc.result(hyp_ok)
 
 
 def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
@@ -387,36 +407,50 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
         raise LengthMismatch(f"all trajectories must reach N = {n_max}")
     _check_frequencies([t.param.x for t in trajs])
     n0, hyp_ok = common_onset(trajs, n_max)
-    return _sums([_sin_2theta_bar(t.theta, t.param.x, n0, n_max)
+    return _sums([_sin_2theta_bar(t.theta[n0:n_max + 1], t.param.x)
                   for t in trajs], n0, n_max, hyp_ok)
 
 
 def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     """The sums of :func:`prufer_sum_diagnostics` over the trajectories of
-    ``evolve_trajectories(spec, params)`` to N, from the angles alone.
+    ``evolve_trajectories(spec, params)`` to N, in one streamed pass.
 
-    The lemma reads only theta, so no radius is formed: V is evaluated
-    once and the onsets read off one reverse cumulative max of |V|; each
-    parameter's rescaled pairs are lifted to theta and dropped before the
-    next parameter is evolved, and sin(2 theta_bar) overwrites theta.
+    The lemma reads only theta, so no radius is formed.  V is evaluated
+    once, into the one array as long as the lattice (8 bytes a site), and
+    the onsets are read off its block maxima.  Then, per block of
+    _kernels._BLOCK sites, the blocks from the onset n0 on aligned at n0,
+    every parameter advances as one block of the streamed driver
+    (``_kernels._forward_windows``), its angle is lifted with its carried
+    state (``prufer._lift``), and from n0 on sin(2 theta_bar) enters the
+    carried sums (:class:`_LaneSums`).  The sites before n0 are evolved and
+    lifted but not summed.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
     if not params:
         raise LengthMismatch("need at least one spectral parameter")
     _check_frequencies([p.x for p in params])
-    n = spec.n
+    n, width = spec.n, _kernels._BLOCK
     V = spec.potential.value_array(n)
-    onsets = _onsets(_reverse_max(np.abs(V[1:])), [p.sin_x for p in params])
+    onsets = _onsets(V[1:], [p.sin_x for p in params])
     n0, hyp_ok = max([1] + onsets.tolist()), bool(onsets.all())
-    u0, u1 = boundary_values(spec.phi)
-    sins = []
-    for p in params:
-        theta = _angles(*(a[1:] for a in _kernels.prufer_forward(
-            V, p.E, u0, u1)[:2]), p)
-        sins.append(_sin_2theta_bar(theta, p.x, n0, n, out=theta[n0:]))
-    del V
-    return _sums(sins, n0, n, hyp_ok)
+    ends = ((_kernels._ends(0, n0 - 1, width) if n0 > 1 else [])
+            + _kernels._ends(n0 - 1, n, width))
+    windows = _kernels._forward_windows(V, [p.E for p in params],
+                                        *boundary_values(spec.phi), ends)
+    xs = np.array([[p.x] for p in params])
+    theta = np.empty((len(params), width))
+    states = [None] * len(params)
+    acc = _LaneSums(len(params), n0, n)
+    lo = 1
+    for hi, (cur, prev, _) in zip(ends, windows):
+        t = theta[:, :hi - lo + 1]
+        for i, p in enumerate(params):
+            states[i] = _lift(cur[i], prev[i], p, states[i], t[i])
+        if lo >= n0:
+            acc.add(_sin_2theta_bar(t, xs, out=t))
+        lo = hi + 1
+    return acc.result(hyp_ok)
 
 
 # --------------------------------------------------------------------------

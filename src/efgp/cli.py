@@ -511,6 +511,10 @@ def main(argv=None) -> int:
     except EfgpError as exc:
         print(f"error in {args.config}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error in {args.config}: out of memory; lower N or the "
+              f"number of x_values", file=sys.stderr)
+        return 1
     if not args.quiet:
         print(f"report written to {Path(cfg.output_dir) / 'report.json'}")
     return report["exit_code"]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import EmptyRange, EmptyTable, ParamOutOfRange, PhaseOutOfRange, UnknownFamily
 
 FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
@@ -137,9 +138,16 @@ class Potential:
         return v
 
     def value_array(self, n_max: int) -> np.ndarray:
-        """Site-indexed layout for the kernels: V[n] = V(n), slot 0 = 0."""
-        out = np.zeros(n_max + 1)
-        out[1:] = self.values(1, n_max)
+        """Site-indexed layout for the kernels: V[n] = V(n), slot 0 = 0.
+
+        The values are written block by block, so the temporaries of
+        :meth:`values` stay block-sized; a non-finite value raises
+        ParamOutOfRange naming its block's range."""
+        out = np.empty(n_max + 1)
+        out[0] = 0.0
+        for lo in range(1, n_max + 1, _kernels._BLOCK):
+            hi = min(lo + _kernels._BLOCK - 1, n_max)
+            out[lo:hi + 1] = self.values(lo, hi)
         return out
 
 

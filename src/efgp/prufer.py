@@ -21,13 +21,15 @@ for |nu| < 1/2.
 Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
 ``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
-gets it as rescaled pairs with a log scale.  The angle lift is one
-function, ``_angles``, which works through the sites in cache-sized
-blocks; ``analysis.lemma_sums`` reads nothing else.  A trajectory adds
-ln R from the radius formula: ``to_prufer`` transforms a stored
-solution, ``evolve_trajectories`` the pairs (all sharing one V), adding
-the log scale back to ln R.  ``R`` and ``u_values()`` raise Overflow
-rather than return inf.
+gets it as rescaled pairs with a log scale, window by window.  The angle
+lift is one block step, ``_lift``, which carries its state (theta(1), the
+last principal angle, the running sum of the steps) from one block of
+sites to the next; ``_angles`` runs it over a stored row, and
+``evolve_trajectories`` and ``analysis.lemma_sums`` over the driver's
+windows as they come.  A trajectory adds ln R from the radius formula:
+``to_prufer`` transforms a stored solution, ``evolve_trajectories`` the
+pairs (all sharing one V), adding the log scale back to ln R.  ``R`` and
+``u_values()`` raise Overflow rather than return inf.
 """
 
 from __future__ import annotations
@@ -184,53 +186,66 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     return Solution(u=u, spec=spec, param=param)
 
 
-def _angles(un, um, param: SpectralParam) -> np.ndarray:
-    """The lifted angle theta(0..N), site-indexed (slot 0 = nan), of the
-    pairs (u(n), u(n-1)) proportional to (un, um), given for n = 1..N.
+def _lift(un, um, param: SpectralParam, state, out):
+    """One block step of the angle lift: theta at the next L sites, written
+    into out, of the pairs (u(n), u(n-1)) proportional to (un, um), given
+    for those L sites.
 
     theta(1) is the principal angle of the first pair, and each theta(n+1)
     is the representative of its principal angle closest to theta(n) + x:
-    theta(n+1) = theta(1) + n x + sum of the wrapped steps.  The sites are
-    taken in _kernels._CHUNK blocks, written into the output row; the last
-    principal angle and the running sum of the steps cross each block end,
-    so every theta(n) gets the bits an unblocked evaluation gives.
+    theta(n+1) = theta(1) + n x + sum of the wrapped steps.  ``state``
+    carries (sites lifted so far, theta(1), the last principal angle, the
+    running sum of the steps) across block ends, None before the first
+    block; the step returns the state after its block.  The sum continues
+    left to right, so every theta(n) gets the bits an unblocked evaluation
+    gives.
     """
+    s, p0, prev, carry = state or (0, 0.0, 0.0, 0.0)
+    e = s + un.shape[0]
+    ca = um * param.cos_x
+    np.subtract(un, ca, out=ca)
+    cb = um * param.sin_x
+    if np.count_nonzero(cb) < cb.size:  # R = 0 needs cb = 0
+        zero = (ca == 0.0) & (cb == 0.0)
+        if zero.any():
+            raise DegenerateSolution(
+                f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
+    principal = np.arctan2(cb, ca, out=cb)
+    if s == 0:
+        p0 = prev = principal[0]
+    # the wrapped steps principal(n+1) - principal(n) - x; the carry added
+    # to the first one continues the left-to-right sum exactly
+    d = out
+    np.subtract(principal[1:], principal[:-1], out=d[1:])
+    d[0] = principal[0] - prev
+    d -= param.x
+    _wrap_pi(d, out=d)
+    if s == 0:
+        d[0] = 0.0  # theta(1) takes no step
+    d[0] += carry
+    np.cumsum(d, out=d)
+    carry, prev = d[-1], principal[-1]
+    # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..e-1
+    base = np.arange(s, e, dtype=np.float64)
+    base *= param.x
+    base += p0
+    d += base
+    if s == 0:
+        d[0] = p0
+    return e, p0, prev, carry
+
+
+def _angles(un, um, param: SpectralParam) -> np.ndarray:
+    """The lifted angle theta(0..N), site-indexed (slot 0 = nan), of the
+    pairs (u(n), u(n-1)) proportional to (un, um), given for n = 1..N:
+    :func:`_lift` over blocks of _kernels._CHUNK sites."""
     n = un.shape[0]
     theta = np.empty(n + 1)
     theta[0] = np.nan
-    carry = 0.0
+    state = None
     for s in range(0, n, _kernels._CHUNK):
         e = min(s + _kernels._CHUNK, n)
-        ca = um[s:e] * param.cos_x
-        np.subtract(un[s:e], ca, out=ca)
-        cb = um[s:e] * param.sin_x
-        if np.count_nonzero(cb) < cb.size:  # R = 0 needs cb = 0
-            zero = (ca == 0.0) & (cb == 0.0)
-            if zero.any():
-                raise DegenerateSolution(
-                    f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
-        principal = np.arctan2(cb, ca, out=cb)
-        if s == 0:
-            p0 = prev = principal[0]
-        # the wrapped steps principal(n+1) - principal(n) - x; the carry
-        # added to the first one continues the left-to-right sum exactly
-        d = theta[s + 1:e + 1]
-        np.subtract(principal[1:], principal[:-1], out=d[1:])
-        d[0] = principal[0] - prev
-        d -= param.x
-        _wrap_pi(d, out=d)
-        if s == 0:
-            d[0] = 0.0  # theta(1) takes no step
-        d[0] += carry
-        np.cumsum(d, out=d)
-        carry, prev = d[-1], principal[-1]
-        # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..e-1
-        base = np.arange(s, e, dtype=np.float64)
-        base *= param.x
-        base += p0
-        d += base
-    if n:
-        theta[1] = p0
+        state = _lift(un[s:e], um[s:e], param, state, theta[s + 1:e + 1])
     return theta
 
 
@@ -258,16 +273,29 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
 
     The kernel rescales the evolving pair and keeps a log-scale
     accumulator, so ln R is exact for N up to millions of sites regardless
-    of amplitude growth; the pairs then go through the same transform as
-    :func:`to_prufer`.  The parameters are evolved one at a time, so the
-    pairs of only one energy are held at once.
+    of amplitude growth.  All parameters are evolved as the blocks of one
+    streamed driver, and each window of pairs goes through the transform
+    of :func:`to_prufer` (:func:`_lift` and the radius formula) as it
+    comes, so no pair array spans the lattice.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
-    V = spec.potential.value_array(spec.n)
-    u0, u1 = boundary_values(spec.phi)
-    return [_transform(*(a[1:] for a in _kernels.prufer_forward(V, p.E, u0, u1)),
-                       V, p) for p in params]
+    n = spec.n
+    V = spec.potential.value_array(n)
+    theta, ln_r = np.empty((2, len(params), n + 1))
+    theta[:, 0] = ln_r[:, 0] = np.nan
+    states = [None] * len(params)
+    ends = _kernels._ends(0, n, _kernels._CHUNK)
+    lo = 1
+    for hi, (cur, prev, scale) in zip(ends, _kernels._forward_windows(
+            V, [p.E for p in params], *boundary_values(spec.phi), ends)):
+        for i, p in enumerate(params):
+            states[i] = _lift(cur[i], prev[i], p, states[i], theta[i, lo:hi + 1])
+            r = np.hypot(cur[i] - prev[i] * p.cos_x, prev[i] * p.sin_x)
+            np.add(np.log(r, out=r), scale[i], out=ln_r[i, lo:hi + 1])
+        lo = hi + 1
+    return [PruferTrajectory(theta=t, ln_R=lr, V=V, param=p)
+            for t, lr, p in zip(theta, ln_r, params)]
 
 
 def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
@@ -364,32 +392,48 @@ def _reverse_max(a):
     return np.maximum.accumulate(a[::-1])[::-1]
 
 
-def _onsets(rev, sin_x):
-    """Hypothesis onset for each sin x: the first site n with
-    fl(rev[n-1] / sin x) < 1/2, or 0 if there is none.
-
-    rev is the reverse cumulative max of |V(1..N)|.  Division by sin x > 0
-    is monotone under rounding, so fl(rev / sin x) is the reverse
-    cumulative max of |nu| = fl(|V| / sin x), and the onset is the first
-    site from which |nu| stays below 1/2.
-    """
-    s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
+def _failing_prefix(rev, s):
+    """For each entry of s, the count of leading entries of the
+    non-increasing rev failing fl(rev / s) < 1/2: the test holds on a tail,
+    so bisect, adding each power of two whose last entry still fails."""
     n = rev.shape[0]
-    # the test holds on a tail of the sites; bisect for the count of sites
-    # before it, adding each power of two whose last site still fails
     fails = np.zeros(s.shape, dtype=np.intp)
     for k in reversed(range(n.bit_length())):
         more = fails + (1 << k)
         failing = ~(rev[np.minimum(more, n) - 1] / s < 0.5)
         fails = np.where((more <= n) & failing, more, fails)
-    return np.where(fails < n, fails + 1, 0)
+    return fails
+
+
+def _onsets(V, sin_x):
+    """Hypothesis onset for each sin x: the first site n from which every
+    fl(|V(k)| / sin x), k >= n, stays below 1/2, or 0 if site N fails;
+    V holds V(1..N).
+
+    Division by sin x > 0 is monotone under rounding, so fl(max / sin x) is
+    the max of the quotients, and the sites that fail form a prefix of the
+    reverse cumulative max.  That prefix is bisected twice: over the
+    reverse max of the maxima of |V| in blocks of _kernels._BLOCK sites,
+    read off the block maxima and minima of V, for the last failing block,
+    then over the reverse max of |V| in that block.
+    """
+    s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
+    n, width = V.shape[0], _kernels._BLOCK
+    starts = np.arange(0, n, width)
+    top = np.maximum(np.maximum.reduceat(V, starts), -np.minimum.reduceat(V, starts))
+    last = _failing_prefix(_reverse_max(top), s) - 1  # the last failing block
+    onsets = np.ones(s.shape, dtype=np.intp)
+    for b in np.unique(last[last >= 0]).tolist():
+        which = np.flatnonzero(last == b)
+        lo = b * width
+        rev = _reverse_max(np.abs(V[lo:lo + width]))
+        end = lo + _failing_prefix(rev, s[which])  # the last failing site
+        onsets[which] = np.where(end < n, end + 1, 0)
+    return onsets
 
 
 def common_onset(trajs, n_max: int) -> tuple:
     """First site from which every |nu_j| stays below 1/2, and whether one
-    exists within range (the angle-increment hypothesis); trajectories
-    sharing V share one reverse cumulative max of |V|."""
-    revs = {id(t.V): t.V for t in trajs}
-    revs = {k: _reverse_max(np.abs(V[1:n_max + 1])) for k, V in revs.items()}
-    onsets = [int(_onsets(revs[id(t.V)], t.param.sin_x)[0]) for t in trajs]
+    exists within range (the angle-increment hypothesis)."""
+    onsets = [int(_onsets(t.V[1:n_max + 1], t.param.sin_x)[0]) for t in trajs]
     return max([1] + onsets), all(onsets)

@@ -37,7 +37,6 @@ from .operators import JacobiMatrix, OperatorSpec, Potential, _instance, _int, _
 from .prufer import (
     SpectralParam,
     _onsets,
-    _reverse_max,
     _transform,
     boundary_values,
 )
@@ -230,9 +229,9 @@ def classify_spectrum(spec: OperatorSpec, energies,
     (0, nan) and the certificate fails.  The decay exponent is fitted over
     [max(2, N/2), N].
 
-    V is evaluated once, and every onset is read off one reverse cumulative
-    max of |V|.  The energies are evolved in groups of max(1, _CHUNK // N)
-    by one batched recurrence each, and ln R is formed only at site 1, the
+    V is evaluated once, and every onset is read off its block maxima.
+    The energies are evolved in groups of max(1, _CHUNK // N) by one
+    batched recurrence each, and ln R is formed only at site 1, the
     checkpoints and the fit window; each record equals the one a
     single-energy evolution gives.
     """
@@ -254,7 +253,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
     fit_sites = np.arange(fit_lo, n + 1) if n > fit_lo else np.arange(0)
     sites = np.concatenate(([1], cps, fit_sites))
     u0, u1 = boundary_values(spec.phi)
-    onsets = _onsets(_reverse_max(np.abs(V[1:])), [p.sin_x for p in params])
+    onsets = _onsets(V[1:], [p.sin_x for p in params])
     group = max(1, _kernels._CHUNK // n)
     records = []
     for g in range(0, len(params), group):

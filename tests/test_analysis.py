@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,12 +43,12 @@ from efgp.prufer import (
     SpectralParam,
     _angles,
     _onsets,
-    _reverse_max,
     boundary_values,
     common_onset,
 )
 from efgp.spectral import eigenvalues_in_window
 from efgp.operators import build_jacobi
+from test_prufer import _reverse_max
 from test_spectral import POTENTIALS
 
 PI = math.pi
@@ -336,6 +337,12 @@ def _unblocked_angles(un, um, param):
 
 _CHUNK = _kernels._CHUNK
 _RANDOM_SIGN = make_potential("random_sign", c=1.0, seed=3)
+# a 1e120 spike cuts the pair at site 11, before the onset 32 that V(31) = 1
+# sets; a resonant table with |V| < sin(x)/2 pumps R at x = 1.1 until the
+# pair leaves the band twice after the onset 1
+_SPIKE = make_potential("table", values=[0.0] * 9 + [1e120] + [0.0] * 20 + [1.0])
+_PUMP = make_potential("table", values=[0.4 * math.sin(2.2 * k)
+                                        for k in range(1, 6001)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -347,6 +354,11 @@ _RANDOM_SIGN = make_potential("random_sign", c=1.0, seed=3)
 @example(pot=make_potential("coulomb", c=3.0), phi=2.0, n=_CHUNK + 1,
          xs=[0.4, 1.1, 2.5])
 @example(pot=_RANDOM_SIGN, phi=1.0, n=2 * _CHUNK + 3, xs=[0.4, 1.1, 1.9, 2.5])
+# pairs rescaled before the onset, and after it
+@example(pot=_SPIKE, phi=1.0, n=150, xs=[1.1, 1.9])
+@example(pot=_PUMP, phi=1.0, n=6000, xs=[1.1, 1.9])
+# onset 2: a one-site window is lifted before the sums start
+@example(pot=make_potential("table", values=[1.0]), phi=1.0, n=50, xs=[1.1])
 def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
     assume(not _degenerate(xs))
     spec = OperatorSpec(pot, phi, n)
@@ -359,6 +371,33 @@ def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
         un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))
         got = _angles(un[1:], um[1:], p)
         assert got.tobytes() == _unblocked_angles(un[1:], um[1:], p).tobytes()
+
+
+@pytest.mark.parametrize("pot, n, before", [(_SPIKE, 150, True),
+                                             (_PUMP, 6000, False)])
+def test_rescaling_examples_rescale_where_they_claim(pot, n, before):
+    spec = OperatorSpec(pot, 1.0, n)
+    params = [SpectralParam.from_x(x) for x in (1.1, 1.9)]
+    n0 = lemma_sums(spec, params).n0
+    ln_scale = _kernels.prufer_forward(pot.value_array(n), params[0].E,
+                                       *boundary_values(1.0))[2]
+    cuts = np.flatnonzero(np.diff(ln_scale[1:])) + 1  # the cut sites
+    assert cuts.size and ((cuts < n0) if before else (cuts > n0)).all()
+
+
+def test_lemma_sums_holds_v_and_a_few_mib():
+    # V is the one lattice-long array: 8 bytes a site (tracemalloc sees
+    # numpy's buffers); the whole-row evolution peaked at 24.9 MB here
+    n = 4 * 10 ** 5
+    spec = OperatorSpec(make_potential("random_sign", c=1.0, seed=7), 1.0, n)
+    params = [SpectralParam.from_x(x) for x in (0.4, 1.1, 1.9, 2.5)]
+    tracemalloc.start()
+    try:
+        lemma_sums(spec, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + 1) + 4 * 2 ** 20
 
 
 def _unblocked_sums(sins, n0, n_max, hyp_ok):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from efgp import Potential, _kernels, errors, prufer
+from efgp import Potential, _kernels, analysis, errors, prufer
 from efgp.cli import MAX_N, main, parse_config, run
 
 PI = math.pi
@@ -134,8 +134,8 @@ def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Potential, "values", counting)
-    monkeypatch.setattr(_kernels, "prufer_forward",
-                        counted(forward, _kernels.prufer_forward))
+    monkeypatch.setattr(_kernels, "_forward_windows",
+                        counted(forward, _kernels._forward_windows))
     monkeypatch.setattr(prufer, "_transform", counted(transform, prufer._transform))
     path = tmp_path / "cfg.json"
     path.write_text(_cfg(command="lemma-sums",
@@ -144,11 +144,29 @@ def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
                          phi=1.0, N=2000, x_values=[0.4, 1.1, 1.9, 2.5],
                          output_dir=str(tmp_path / "o")))
     assert main([str(path), "--quiet"]) == 0
-    # one evaluation serves all four parameters, each evolved once and
-    # lifted to its angle alone: no trajectory, so no radius, is formed
+    # one evaluation serves all four parameters, evolved together as the
+    # blocks of one streamed driver and lifted to their angles alone: no
+    # trajectory, so no radius, is formed
     assert calls == [(1, 2000)]
-    assert len(forward) == 4
+    assert len(forward) == 1
     assert transform == []
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # a stage that runs out of memory, simulated: nothing large is allocated
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(analysis, "lemma_sums", exhausted)
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="lemma-sums",
+                         potential={"family": "coulomb", "c": 1.0},
+                         phi=1.0, N=1000, x_values=[0.4, 1.1],
+                         output_dir=str(tmp_path / "o")))
+    assert main([str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"error in {path}: out of memory" in err
+    assert "Traceback" not in err
 
 
 def test_bound_check_negative_control_exit_2(tmp_path):

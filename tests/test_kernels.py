@@ -373,3 +373,201 @@ def test_kahan_cumsum_blocks_and_lanes(data, n):
                           for b in np.split(rows, cuts, axis=1)], axis=1)
     assert _bits(got[0]) == _bits(lanes)
     assert _bits(got[1].real) == _bits(_kernels.kahan_cumsum(x[::-1].copy()))
+
+
+# -- the windowed driver against the whole-row driver it replaced ----------
+
+def _whole_row_pairs(sub, n_sites, w0, w1, cur, prev, scale):
+    """The driver as it was before it yielded windows: (B, ·) outputs holding
+    each block's last cur.shape[1] sites, kept here as the reference."""
+    chunk_max = _kernels._CHUNK
+    nb = cur.shape[0]
+    first = n_sites - cur.shape[1] + 1
+    scale[...] = 0.0
+    ids, k = np.arange(nb), np.ones(nb, dtype=np.intp)
+    a, b = np.array(w1, dtype=np.float64), np.array(w0, dtype=np.float64)
+    if first == 1:
+        cur[:, 0], prev[:, 0] = a, b
+    offsets = np.arange(max(chunk_max, nb) + 1)
+    grow = chunk_max
+    rescaled = False
+    while ids.size:
+        n_act = ids.size
+        left = n_sites - k
+        fewest, most = int(left.min()), int(left.max())
+        chunk = min(max(1, chunk_max // n_act), grow, most)
+        last = np.minimum(left, chunk)
+        sites = (k if fewest < most else k[:1])[:, None] + offsets[:chunk]
+        w = sub(ids, np.minimum(sites, n_sites - 1) if chunk > fewest else sites)
+        if chunk > fewest:
+            w[sites >= n_sites] = 0.0
+        y = _kernels._recur(b, a, w)
+        over = ~np.isfinite(y[:, -1])
+        i = 0
+        while over[i:-1].any():
+            i += int(over[i:-1].argmax()) + 1
+            y[i:] = _kernels._recur(b[i:], a[i:], w[i:])
+            over[i:] = ~np.isfinite(y[i:, -1])
+        ay = np.abs(y)
+        rows = offsets[:n_act]
+        if ay.max() <= RESCALE_HI and ay.min() >= RESCALE_LO:
+            cut, j, mj = np.zeros(n_act, dtype=bool), last, np.ones(n_act)
+        else:
+            m = np.maximum(ay[:, 1:], ay[:, :-1])
+            out = (m > RESCALE_HI) | ((m < RESCALE_LO) & (m != 0.0))
+            if chunk > fewest:
+                out[offsets[:chunk + 1] > last[:, None]] = False
+            if chunk >= fewest:
+                end = np.flatnonzero(last == left)
+                out[end, last[end]] = ~np.isfinite(m[end, last[end]])
+            cut = out.any(axis=1)
+            j = np.where(cut, out.argmax(axis=1), last)
+            if over.any():
+                j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
+            mj = np.where(cut, m[rows, j], 1.0)
+        for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(), k.tolist(),
+                                       j.tolist(), cut.tolist(), mj.tolist()):
+            lo = max(kb + 1, first)
+            if lo <= kb + jb:
+                cur[bk, lo - first:kb + jb + 1 - first] = y[i, lo - kb + 1:jb + 2]
+                prev[bk, lo - first:kb + jb + 1 - first] = y[i, lo - kb:jb + 1]
+            if c:
+                rescaled = True
+                scale[bk, max(kb + jb + 1 - first, 0)] += math.log(d)
+        a, b, k = y[rows, j + 1] / mj, y[rows, j] / mj, k + j
+        grow = int(j.max())
+        grow += grow // 4 + 16
+        if chunk >= fewest:
+            going = k < n_sites
+            ids, k, a, b = ids[going], k[going], a[going], b[going]
+    if rescaled:
+        np.cumsum(scale, axis=1, out=scale)
+
+
+def _whole_row_forward(V, E, u0, u1):
+    n_max = V.shape[0] - 1
+    es = np.reshape(np.asarray(E, dtype=np.float64), (-1, 1))
+    out = np.full((3, es.shape[0], n_max + 1), np.nan)
+    _whole_row_pairs(lambda blocks, sites: V[sites] - es[blocks], n_max,
+                     np.full(es.shape[0], u0), np.full(es.shape[0], u1),
+                     out[0, :, 1:], out[1, :, 1:], out[2, :, 1:])
+    return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
+
+
+def _whole_row_backward(amp, omega, delta, E, u_next, u_launch, n_launch,
+                        n_record):
+    def sub(blocks, sites):
+        n = (n_launch + 1 - sites).astype(np.float64)
+        return amp * np.sin(omega * n + delta) / n - E
+
+    un, um, ln_scale = out = np.full((3, n_record + 1), np.nan)
+    _whole_row_pairs(sub, n_launch + 1, [u_next], [u_launch],
+                     um[None, :0:-1], un[None, :0:-1], ln_scale[None, :0:-1])
+    return tuple(out)
+
+
+def _whole_row_sturm(diag, shifts):
+    nb, n = shifts.shape[0], diag.shape[0]
+    cur, prev, scale = np.empty((3, nb, n))
+    _whole_row_pairs(lambda blocks, sites: diag[sites - 1] - shifts[blocks, None],
+                     n + 1, np.zeros(nb), np.ones(nb), cur, prev, scale)
+    same = np.signbit(cur) == np.signbit(prev)
+    return np.count_nonzero((cur != 0.0) & (same | (prev == 0.0)), axis=1)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _spikes(n, sites, value=1e120):
+    """Site-indexed V, zero but for value at each of sites: the pair leaves
+    the band at the site after each spike."""
+    V = np.zeros(n + 1)
+    V[sites] = value
+    return V
+
+
+def _last_site_overflow(n):
+    # V(n-2) = 50 lifts |u(n-1)| past 1.8, and the step over V(n-1) = 1e308
+    # then overflows: only the pair at the last site n leaves the float range
+    V = np.zeros(n + 1)
+    V[n - 2], V[n - 1] = 50.0, 1e308
+    return V
+
+
+W = _kernels._CHUNK  # a window width the cases below cut at
+WINDOW_CASES = {
+    "table12-N1e5": lambda: _table12(10 ** 5),
+    "jump1e250": _jump1e250,
+    # a cut at a window's last site, the site before and the site after it
+    "cut-at-window-end": lambda: _spikes(2 * W + 50, [W - 1, 2 * W - 1]),
+    "cut-before-window-end": lambda: _spikes(2 * W + 50, [W - 2]),
+    "cut-after-window-end": lambda: _spikes(2 * W + 50, [W, 2 * W]),
+    "inf-at-last-site": lambda: _last_site_overflow(2 * W),
+    "inf-at-last-site-mid-window": lambda: _last_site_overflow(W + 77),
+}
+
+
+def _windowed_forward(V, E, u0, u1, ends):
+    """The (cur, prev, scale) rows of the sites 1..N, joined from the
+    windows of _forward_windows ending at ends."""
+    parts = [tuple(a.copy() for a in window)
+             for window in _kernels._forward_windows(V, E, u0, u1, ends)]
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_forward_windows_match_whole_row_driver(case):
+    V = WINDOW_CASES[case]()
+    n = V.shape[0] - 1
+    u0, u1 = boundary_values(1.0)
+    for E in ([2.0 * math.cos(x) for x in BATCH_XS], 2.0 * math.cos(1.0)):
+        want = _whole_row_forward(V, E, u0, u1)
+        assert np.count_nonzero(np.diff(want[2][..., 1:])) > 0  # it rescales
+        _assert_same_bits(_kernels.prufer_forward(V, E, u0, u1), want)
+        es = np.atleast_1d(E)
+        rows = [a.reshape(es.size, -1)[:, 1:] for a in want]
+        # one-site windows at the start, where no step is taken in the first
+        # one, and windows ending around W and 2W
+        odd = sorted({1, 2, 3, W - 1, W, W + 1, 2 * W} & set(range(1, n))) + [n]
+        regular = [_kernels._ends(0, n, w) for w in (W, _kernels._BLOCK, 100)]
+        for ends in regular + [odd]:
+            _assert_same_bits(_windowed_forward(V, es, u0, u1, ends), rows)
+
+
+def test_window_end_cuts_fall_where_the_case_names():
+    u0, u1 = boundary_values(1.0)
+    E = 2.0 * math.cos(1.0)
+    for case, sites in [("cut-at-window-end", [W, 2 * W]),
+                        ("cut-before-window-end", [W - 1]),
+                        ("cut-after-window-end", [W + 1, 2 * W + 1])]:
+        ln_scale = _kernels.prufer_forward(WINDOW_CASES[case](), E, u0, u1)[2]
+        assert _rescale_sites(ln_scale).tolist() == sites
+
+
+# the first stored site of the mirrored run, 32002 - n_record, lies inside
+# a window, at the window start W + 1 and at the site after it
+@pytest.mark.parametrize("n_record", [2000, 32002 - (W + 1), 32002 - (W + 2)])
+def test_backward_windows_match_whole_row_driver(n_record):
+    # c = 1e5 rescales all along, before the first stored site too
+    launch, x, delta, c = 32000, 1.1, 0.4, 1e5
+    param = SpectralParam.from_x(x)
+    theta = x * launch + 0.5 * delta
+    u_launch = math.sin(theta) / param.sin_x
+    u_next = math.cos(theta) + u_launch * param.cos_x
+    args = (c, 2 * x, delta, param.E, u_next, u_launch, launch, n_record)
+    want = _whole_row_backward(*args)
+    assert want[2][n_record] > 0.0  # rescaled before the first stored site
+    _assert_same_bits(_kernels.backward_resonant(*args), want)
+
+
+@pytest.mark.parametrize("n", [600, 3 * W + 7])
+def test_sturm_count_windows_match_whole_row_driver(n):
+    noise = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    d = 40.0 + noise
+    d[0] = 2.0
+    shifts = np.array([2.0, 0.0, 39.5, 40.0, 41.2])
+    got = _kernels.sturm_counts(d, shifts)
+    assert got.tolist() == _whole_row_sturm(d, shifts).tolist()

@@ -11,6 +11,7 @@ from efgp import (
     errors,
     make_potential,
 )
+from efgp import _kernels
 from efgp.operators import random_signs
 
 PI = math.pi
@@ -204,3 +205,28 @@ def test_gershgorin_encloses_spectrum():
     lo, hi = jac.gershgorin()
     w = np.linalg.eigvalsh(jac.to_dense())
     assert w.min() >= lo - 1e-12 and w.max() <= hi + 1e-12
+
+
+_B = _kernels._BLOCK  # value_array evaluates V in blocks of this many sites
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("family,kwargs", [
+    ("coulomb", {"c": 1.3}),
+    ("alternating", {"c": -0.7}),
+    ("resonant", {"c": 2.2, "omega": 2.1, "delta": 0.4}),
+    ("random_sign", {"c": 1.0, "seed": 7}),
+    ("table", {"values": [0.5, -0.25] * 3000}),  # shorter than the largest N
+])
+def test_value_array_is_values_block_by_block(family, kwargs, n):
+    # onsets in the first block and in the second, past the first block end
+    for n0 in (1, _B - 2, _B + 3):
+        p = make_potential(family, n0=n0, **kwargs)
+        want = np.concatenate(([0.0], p.values(1, n)))
+        assert p.value_array(n).tobytes() == want.tobytes()
+
+
+def test_value_array_rejects_a_non_finite_block():
+    p = make_potential("resonant", c=1.0, omega=1.2e307)
+    with pytest.raises(errors.ParamOutOfRange):
+        p.value_array(3 * _B)

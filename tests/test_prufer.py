@@ -348,3 +348,58 @@ def _onset_case(draw):
 def test_onsets_match_division_scan(case):
     rev, sin_x = case
     assert _onsets(rev, sin_x).tolist() == _scanned_onsets(rev, sin_x).tolist()
+
+
+def _reverse_max(a):
+    """max(a[i:]) for every i."""
+    return np.maximum.accumulate(a[::-1])[::-1]
+
+
+def _bisected_onsets(rev, sin_x):
+    """The onsets bisected on the reverse cumulative max rev of |V(1..N)|,
+    as _onsets computed them before it read block maxima of V."""
+    s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
+    n = rev.shape[0]
+    fails = np.zeros(s.shape, dtype=np.intp)
+    for k in reversed(range(n.bit_length())):
+        more = fails + (1 << k)
+        failing = ~(rev[np.minimum(more, n) - 1] / s < 0.5)
+        fails = np.where((more <= n) & failing, more, fails)
+    return np.where(fails < n, fails + 1, 0)
+
+
+_B = _kernels._BLOCK
+
+
+@st.composite
+def _potential_onset_case(draw):
+    """V(1..N) on a plateau, with values set at block ends and one site to
+    either side of them, anywhere, and at the last site."""
+    sin_x = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    half = sin_x[0] / 2
+    value = st.sampled_from([0.0, half, np.nextafter(half, 0.0),
+                             np.nextafter(half, 1.0), 0.3, 1.0, 3.0])
+    value |= st.floats(0.0, 2.0)
+    n = draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 5])
+             | st.integers(1, 3 * _B + 5))
+    V = np.full(n, draw(st.sampled_from([0.0, 0.01, np.nextafter(half, 0.0)])))
+    ends = [k * _B + d for k in range(1, 4) for d in (-2, -1, 0)]
+    for site in draw(st.lists(st.sampled_from(ends) | st.integers(0, n - 1),
+                              max_size=6)):
+        if site < n:
+            V[site] = draw(value)
+    if draw(st.booleans()):
+        V[-1] = draw(value)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.where(rng.integers(0, 2, n) == 1, V, -V), sin_x
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_potential_onset_case())
+@example(case=(np.full(3 * _B, -3.0), [0.5, 1.0]))  # no onset
+@example(case=(np.concatenate((np.zeros(_B), [0.5])), [1.0]))  # the last site fails
+@example(case=(np.concatenate((np.full(_B, 0.5), np.zeros(_B))), [1.0, 0.99]))
+def test_onsets_from_block_maxima_match_reverse_max_bisection(case):
+    V, sin_x = case
+    assert (_onsets(V, sin_x).tolist()
+            == _bisected_onsets(_reverse_max(np.abs(V)), sin_x).tolist())
