@@ -17,9 +17,9 @@ real and imaginary lanes of one complex sum: the cos and sin parts of an
 oscillatory series, and pairs of the Prufer-angle sums, which take the
 sites in cache-sized blocks with the running sums carried across block
 ends, keeping per sum only its sup and dyadic maxima.  ``lemma_sums``
-feeds them in one streamed pass: each block of sites is evolved, lifted
-to the angle and summed before the next, so besides V no array is as long
-as the lattice.
+feeds them in one streamed pass: each block of sites reads its V, is
+evolved, lifted to the angle and summed before the next, on block buffers
+allocated once per call, so no array is as long as the lattice.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .operators import OperatorSpec, _instance, _instances, _int, _real
 from .prufer import (
     PruferTrajectory,
     SpectralParam,
-    _lift,
-    _onsets,
+    _block_onsets,
+    _Lift,
     boundary_values,
     common_onset,
 )
@@ -306,13 +306,15 @@ class _LaneSums:
 
     Each sum is one lane of a complex row (:func:`_kernels.kahan_cumsum`):
     the m diagonal lanes first, then the m(m-1)/2 cross lanes, each group
-    padded with a zero lane to fill its last row.  Blocks hold
-    _kernels._BLOCK sites, the last one possibly fewer, so their (rows,
-    block) buffers stay in a core's cache, and every block after the first
-    starts at n0 + a multiple of _BLOCK, inside one dyadic bin.  The carry
-    continues every sum across block ends, so each lane gets the bits of
-    one unblocked sum.  Per lane only the running sup and the maxima of the
-    dyadic bins of :func:`dyadic_profile` are kept.
+    padded with a zero lane to fill its last row.  The sites are summed in
+    pieces of _kernels._BLOCK // 2, the last one possibly shorter, so the
+    three (rows, piece) complex buffers, allocated once here, stay in a
+    core's cache beside the blocks of the driver and the lift, and every
+    piece after the first starts at n0 + a multiple of its width, inside
+    one dyadic bin.  The carry continues every sum across piece ends, so
+    each lane gets the bits of one unblocked sum.  Per lane only the
+    running sup and the maxima of the dyadic bins of :func:`dyadic_profile`
+    are kept.
     """
 
     def __init__(self, m: int, n0: int, n_max: int):
@@ -326,15 +328,25 @@ class _LaneSums:
         self.carry = np.zeros((2, self.rows), dtype=np.complex128)
         self.sup = np.zeros(2 * self.rows)
         self.bins = np.zeros((2 * self.rows, n_bins))
+        # piece buffers: the terms, the sum and its scratch array, and the
+        # site of each float of a complex row, advanced piece by piece
+        width = self.width = min(_kernels._BLOCK // 2, n_max - n0 + 1)
+        self.terms = np.empty((self.rows, width), dtype=np.complex128)
+        self.work = np.empty((2, self.rows, width), dtype=np.complex128)
+        self.n2 = np.repeat(np.arange(n0, n0 + width, dtype=np.float64), 2)
 
     def add(self, sins):
         """Add the rows sins[j] of sin(2 theta_bar_j) at the next sites."""
+        for lo in range(0, len(sins[0]), self.width):
+            self._add_piece([row[lo:lo + self.width] for row in sins])
+
+    def _add_piece(self, sins):
         rows, s0 = self.rows, self.s0
-        e0 = self.s0 = s0 + len(sins[0])
-        terms = np.empty((rows, e0 - s0), dtype=np.complex128)
+        length = len(sins[0])
+        e0 = self.s0 = s0 + length
+        terms = self.terms[:, :length]
         tv = terms.view(np.float64).reshape(rows, -1, 2)
-        # the site of each float of a complex row
-        n2 = np.repeat(np.arange(self.n0 + s0, self.n0 + e0, dtype=np.float64), 2)
+        n2 = self.n2[:2 * length]
         for i, jk in enumerate(self.lanes):
             out = tv[i // 2, :, i % 2]
             if jk is None:
@@ -342,17 +354,21 @@ class _LaneSums:
             else:
                 np.multiply(sins[jk[0]], sins[jk[1]], out=out)
         np.divide(tv.reshape(rows, -1), n2, out=tv.reshape(rows, -1))
-        sums = _kernels.kahan_cumsum(terms, self.carry)
-        # |ln N / 2 - diagonal sum| and |cross sum|, as (row, site, lane)
+        sums = _kernels.kahan_cumsum(terms, self.carry, self.work[:, :, :length])
+        # |ln N / 2 - diagonal sum| and |cross sum|, as (row, site, lane);
+        # ln N / 2 goes into the sum's spent scratch array
         dev = sums.view(np.float64).reshape(rows, -1, 2)
         diag_rows = dev[:self.n_diag].reshape(self.n_diag, -1)
-        np.subtract(0.5 * np.log(n2), diag_rows, out=diag_rows)
+        half_log = np.log(n2, out=self.work[1, 0, :length].view(np.float64))
+        half_log *= 0.5
+        np.subtract(half_log, diag_rows, out=diag_rows)
         np.abs(dev, out=dev)
+        self.n2 += length
         # per part: a reduction over the middle axis runs 2 floats at a time
         top = np.stack((dev[..., 0].max(axis=1), dev[..., 1].max(axis=1)), axis=1)
         top = top.reshape(-1)  # lane i is (row i // 2, part i % 2)
         np.maximum(self.sup, top, out=self.sup)
-        if s0 == 0:  # the first block spans bins 0 .. log2 of its length
+        if s0 == 0:  # the first piece spans bins 0 .. log2 of its length
             lim = min(e0, self.counted)
             starts = np.concatenate(([0], 2 ** np.arange(lim.bit_length() - 1)))
             first = np.maximum.reduceat(dev[:, :lim], starts, axis=1)
@@ -415,15 +431,19 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     """The sums of :func:`prufer_sum_diagnostics` over the trajectories of
     ``evolve_trajectories(spec, params)`` to N, in one streamed pass.
 
-    The lemma reads only theta, so no radius is formed.  V is evaluated
-    once, into the one array as long as the lattice (8 bytes a site), and
-    the onsets are read off its block maxima.  Then, per block of
-    _kernels._BLOCK sites, the blocks from the onset n0 on aligned at n0,
-    every parameter advances as one block of the streamed driver
-    (``_kernels._forward_windows``), its angle is lifted with its carried
-    state (``prufer._lift``), and from n0 on sin(2 theta_bar) enters the
+    The lemma reads only theta, so no radius is formed, and no array as
+    long as the lattice is held: V is read block by block
+    (``spec.potential.values``), twice.  A first pass keeps the maximum of
+    |V| per block of _kernels._BLOCK sites and reads the onsets off them
+    (``prufer._block_onsets``).  Then, per block, the blocks from the onset
+    n0 on aligned at n0, every parameter advances as one block of the
+    streamed driver (``_kernels._forward_windows``), which reads the
+    block's V, all the angles are lifted in one step with their carried
+    state (``prufer._Lift``), and from n0 on sin(2 theta_bar) enters the
     carried sums (:class:`_LaneSums`).  The sites before n0 are evolved and
-    lifted but not summed.
+    lifted but not summed.  The driver, the lift and the sums each hold
+    their block buffers, allocated once per call, so the memory used does
+    not grow with N.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
@@ -431,22 +451,21 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
         raise LengthMismatch("need at least one spectral parameter")
     _check_frequencies([p.x for p in params])
     n, width = spec.n, _kernels._BLOCK
-    V = spec.potential.value_array(n)
-    onsets = _onsets(V[1:], [p.sin_x for p in params])
+    values = spec.potential.values
+    onsets = _block_onsets(values, n, [p.sin_x for p in params])
     n0, hyp_ok = max([1] + onsets.tolist()), bool(onsets.all())
     ends = ((_kernels._ends(0, n0 - 1, width) if n0 > 1 else [])
             + _kernels._ends(n0 - 1, n, width))
-    windows = _kernels._forward_windows(V, [p.E for p in params],
+    windows = _kernels._forward_windows(values, [p.E for p in params],
                                         *boundary_values(spec.phi), ends)
     xs = np.array([[p.x] for p in params])
-    theta = np.empty((len(params), width))
-    states = [None] * len(params)
+    theta = np.empty((len(params), min(width, n)))
+    lift = _Lift(params, theta.shape[1])
     acc = _LaneSums(len(params), n0, n)
     lo = 1
     for hi, (cur, prev, _) in zip(ends, windows):
         t = theta[:, :hi - lo + 1]
-        for i, p in enumerate(params):
-            states[i] = _lift(cur[i], prev[i], p, states[i], t[i])
+        lift.step(cur, prev, t)
         if lo >= n0:
             acc.add(_sin_2theta_bar(t, xs, out=t))
         lo = hi + 1

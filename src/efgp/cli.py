@@ -59,7 +59,9 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-# Largest N and envelope_range end: one float64 array this long is 800 MB.
+# Largest N and envelope_range end.  lemma-sums holds no array this long
+# and has run at it in 62 MB; the other commands hold several float64
+# arrays this long per energy, 800 MB each.
 MAX_N = 10 ** 8
 
 

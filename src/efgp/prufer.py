@@ -22,13 +22,14 @@ Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
 ``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
 gets it as rescaled pairs with a log scale, window by window.  The angle
-lift is one block step, ``_lift``, which carries its state (theta(1), the
-last principal angle, the running sum of the steps) from one block of
-sites to the next; ``_angles`` runs it over a stored row, and
-``evolve_trajectories`` and ``analysis.lemma_sums`` over the driver's
-windows as they come.  A trajectory adds ln R from the radius formula:
-``to_prufer`` transforms a stored solution, ``evolve_trajectories`` the
-pairs (all sharing one V), adding the log scale back to ln R.  ``R`` and
+lift, ``_Lift``, takes one block of sites of B rows per step, one row per
+spectral parameter, and carries its state (theta(1), the last principal
+angle, the running sum of the steps) from one block to the next;
+``_angles`` runs it over a stored row, and ``evolve_trajectories`` and
+``analysis.lemma_sums`` over the driver's windows as they come.  A
+trajectory adds ln R from the radius formula: ``to_prufer`` transforms a
+stored solution, ``evolve_trajectories`` the pairs (all sharing one V),
+adding the log scale back to ln R.  ``R`` and
 ``u_values()`` raise Overflow rather than return inf.
 """
 
@@ -58,10 +59,11 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _wrap_pi(a, out=None):
-    """Reduce modulo 2*pi into (-pi, pi], into out if given."""
+def _wrap_pi(a, out=None, work=None):
+    """Reduce modulo 2*pi into (-pi, pi], into out if given, using work (an
+    array of a's shape) as scratch if given."""
     # k is an array even for a scalar a, so it is rounded up in place
-    k = np.subtract(a, np.pi, out=np.empty(np.shape(a)))
+    k = np.subtract(a, np.pi, out=np.empty(np.shape(a)) if work is None else work)
     k /= 2.0 * np.pi
     np.ceil(k, out=k)
     k *= 2.0 * np.pi
@@ -186,66 +188,81 @@ def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     return Solution(u=u, spec=spec, param=param)
 
 
-def _lift(un, um, param: SpectralParam, state, out):
-    """One block step of the angle lift: theta at the next L sites, written
-    into out, of the pairs (u(n), u(n-1)) proportional to (un, um), given
-    for those L sites.
+class _Lift:
+    """The angle lift of B rows of pairs, one block of sites at a time.
 
-    theta(1) is the principal angle of the first pair, and each theta(n+1)
-    is the representative of its principal angle closest to theta(n) + x:
-    theta(n+1) = theta(1) + n x + sum of the wrapped steps.  ``state``
-    carries (sites lifted so far, theta(1), the last principal angle, the
-    running sum of the steps) across block ends, None before the first
-    block; the step returns the state after its block.  The sum continues
-    left to right, so every theta(n) gets the bits an unblocked evaluation
-    gives.
+    :meth:`step` takes the pairs (u(n), u(n-1)), proportional to the rows
+    of (un, um), at the next L sites, for the spectral parameters ``params``
+    (one per row), and writes theta at those sites into out.  theta(1) is
+    the principal angle of the first pair, and each theta(n+1) is the
+    representative of its principal angle closest to theta(n) + x:
+    theta(n+1) = theta(1) + n x + sum of the wrapped steps.  The state
+    carried across block ends is the sites lifted so far, and per row
+    theta(1), the last principal angle and the running sum of the steps.
+    The sum continues left to right, so every theta(n) gets the bits an
+    unblocked evaluation of its row alone gives.  Blocks hold at most
+    ``width`` sites; the one scratch block and the row of site numbers are
+    allocated here, once.
     """
-    s, p0, prev, carry = state or (0, 0.0, 0.0, 0.0)
-    e = s + un.shape[0]
-    ca = um * param.cos_x
-    np.subtract(un, ca, out=ca)
-    cb = um * param.sin_x
-    if np.count_nonzero(cb) < cb.size:  # R = 0 needs cb = 0
-        zero = (ca == 0.0) & (cb == 0.0)
-        if zero.any():
-            raise DegenerateSolution(
-                f"trivial solution: R({s + int(zero.argmax()) + 1}) = 0")
-    principal = np.arctan2(cb, ca, out=cb)
-    if s == 0:
-        p0 = prev = principal[0]
-    # the wrapped steps principal(n+1) - principal(n) - x; the carry added
-    # to the first one continues the left-to-right sum exactly
-    d = out
-    np.subtract(principal[1:], principal[:-1], out=d[1:])
-    d[0] = principal[0] - prev
-    d -= param.x
-    _wrap_pi(d, out=d)
-    if s == 0:
-        d[0] = 0.0  # theta(1) takes no step
-    d[0] += carry
-    np.cumsum(d, out=d)
-    carry, prev = d[-1], principal[-1]
-    # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..e-1
-    base = np.arange(s, e, dtype=np.float64)
-    base *= param.x
-    base += p0
-    d += base
-    if s == 0:
-        d[0] = p0
-    return e, p0, prev, carry
+
+    def __init__(self, params, width: int):
+        self.x, self.cos_x, self.sin_x = (np.array([[getattr(p, a)] for p in params])
+                                          for a in ("x", "cos_x", "sin_x"))
+        nb = len(params)
+        self.s = 0
+        self.p0, self.prev, self.carry = np.zeros((3, nb))
+        self.work = np.empty((nb, width))
+        self.sites = np.arange(width, dtype=np.float64)  # the n of theta(n + 1)
+
+    def step(self, un, um, out):
+        """theta at the next L sites of the rows of (un, um), into out."""
+        s, length = self.s, un.shape[1]
+        work = self.work[:, :length]
+        ca = np.multiply(um, self.cos_x, out=out)
+        np.subtract(un, ca, out=ca)
+        cb = np.multiply(um, self.sin_x, out=work)
+        if np.count_nonzero(cb) < cb.size:  # R = 0 needs cb = 0
+            zero = (ca == 0.0) & (cb == 0.0)
+            if zero.any():
+                site = int(zero[zero.any(axis=1).argmax()].argmax())
+                raise DegenerateSolution(f"trivial solution: R({s + site + 1}) = 0")
+        principal = np.arctan2(cb, ca, out=cb)
+        if s == 0:
+            self.p0[...] = self.prev[...] = principal[:, 0]
+        # the wrapped steps principal(n+1) - principal(n) - x; the carry
+        # added to the first one continues the left-to-right sum exactly
+        d = out
+        np.subtract(principal[:, 1:], principal[:, :-1], out=d[:, 1:])
+        np.subtract(principal[:, 0], self.prev, out=d[:, 0])
+        self.prev[...] = principal[:, -1]
+        d -= self.x
+        _wrap_pi(d, out=d, work=work)
+        if s == 0:
+            d[:, 0] = 0.0  # theta(1) takes no step
+        d[:, 0] += self.carry
+        np.cumsum(d, axis=1, out=d)
+        self.carry[...] = d[:, -1]
+        # theta(n + 1) = (theta(1) + n x) + the summed steps, n = s..s+L-1
+        base = np.multiply(self.sites[:length], self.x, out=work)
+        base += self.p0[:, None]
+        d += base
+        if s == 0:
+            d[:, 0] = self.p0
+        self.s += length
+        self.sites += length
 
 
 def _angles(un, um, param: SpectralParam) -> np.ndarray:
     """The lifted angle theta(0..N), site-indexed (slot 0 = nan), of the
     pairs (u(n), u(n-1)) proportional to (un, um), given for n = 1..N:
-    :func:`_lift` over blocks of _kernels._CHUNK sites."""
+    :class:`_Lift` over blocks of _kernels._CHUNK sites."""
     n = un.shape[0]
     theta = np.empty(n + 1)
     theta[0] = np.nan
-    state = None
+    lift = _Lift([param], min(n, _kernels._CHUNK))
     for s in range(0, n, _kernels._CHUNK):
         e = min(s + _kernels._CHUNK, n)
-        state = _lift(un[s:e], um[s:e], param, state, theta[s + 1:e + 1])
+        lift.step(un[None, s:e], um[None, s:e], theta[None, s + 1:e + 1])
     return theta
 
 
@@ -275,8 +292,8 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
     accumulator, so ln R is exact for N up to millions of sites regardless
     of amplitude growth.  All parameters are evolved as the blocks of one
     streamed driver, and each window of pairs goes through the transform
-    of :func:`to_prufer` (:func:`_lift` and the radius formula) as it
-    comes, so no pair array spans the lattice.
+    of :func:`to_prufer` (one :class:`_Lift` step for all parameters and
+    the radius formula) as it comes, so no pair array spans the lattice.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
@@ -284,15 +301,14 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
     V = spec.potential.value_array(n)
     theta, ln_r = np.empty((2, len(params), n + 1))
     theta[:, 0] = ln_r[:, 0] = np.nan
-    states = [None] * len(params)
+    lift = _Lift(params, min(n, _kernels._CHUNK))
     ends = _kernels._ends(0, n, _kernels._CHUNK)
     lo = 1
     for hi, (cur, prev, scale) in zip(ends, _kernels._forward_windows(
             V, [p.E for p in params], *boundary_values(spec.phi), ends)):
-        for i, p in enumerate(params):
-            states[i] = _lift(cur[i], prev[i], p, states[i], theta[i, lo:hi + 1])
-            r = np.hypot(cur[i] - prev[i] * p.cos_x, prev[i] * p.sin_x)
-            np.add(np.log(r, out=r), scale[i], out=ln_r[i, lo:hi + 1])
+        lift.step(cur, prev, theta[:, lo:hi + 1])
+        r = np.hypot(cur - prev * lift.cos_x, prev * lift.sin_x)
+        np.add(np.log(r, out=r), scale, out=ln_r[:, lo:hi + 1])
         lo = hi + 1
     return [PruferTrajectory(theta=t, ln_R=lr, V=V, param=p)
             for t, lr, p in zip(theta, ln_r, params)]
@@ -405,31 +421,39 @@ def _failing_prefix(rev, s):
     return fails
 
 
-def _onsets(V, sin_x):
+def _block_onsets(values, n: int, sin_x):
     """Hypothesis onset for each sin x: the first site n from which every
-    fl(|V(k)| / sin x), k >= n, stays below 1/2, or 0 if site N fails;
-    V holds V(1..N).
+    fl(|V(k)| / sin x), k >= n, stays below 1/2, or 0 if site N = n fails;
+    ``values(n_lo, n_hi)`` returns V(n_lo..n_hi).
 
     Division by sin x > 0 is monotone under rounding, so fl(max / sin x) is
     the max of the quotients, and the sites that fail form a prefix of the
     reverse cumulative max.  That prefix is bisected twice: over the
     reverse max of the maxima of |V| in blocks of _kernels._BLOCK sites,
-    read off the block maxima and minima of V, for the last failing block,
-    then over the reverse max of |V| in that block.
+    read block by block in one pass of values, for the last failing block,
+    then over the reverse max of |V| in that block, read again.  No array
+    as long as the lattice is formed.
     """
     s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
-    n, width = V.shape[0], _kernels._BLOCK
-    starts = np.arange(0, n, width)
-    top = np.maximum(np.maximum.reduceat(V, starts), -np.minimum.reduceat(V, starts))
+    width = _kernels._BLOCK
+    top = np.empty(-(-n // width))
+    for b in range(top.size):
+        v = values(b * width + 1, min(b * width + width, n))
+        top[b] = max(v.max(), -v.min())
     last = _failing_prefix(_reverse_max(top), s) - 1  # the last failing block
     onsets = np.ones(s.shape, dtype=np.intp)
     for b in np.unique(last[last >= 0]).tolist():
         which = np.flatnonzero(last == b)
         lo = b * width
-        rev = _reverse_max(np.abs(V[lo:lo + width]))
+        rev = _reverse_max(np.abs(values(lo + 1, min(lo + width, n))))
         end = lo + _failing_prefix(rev, s[which])  # the last failing site
         onsets[which] = np.where(end < n, end + 1, 0)
     return onsets
+
+
+def _onsets(V, sin_x):
+    """:func:`_block_onsets` of the values V(1..N) held in V."""
+    return _block_onsets(lambda n_lo, n_hi: V[n_lo - 1:n_hi], V.shape[0], sin_x)
 
 
 def common_onset(trajs, n_max: int) -> tuple:

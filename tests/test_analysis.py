@@ -386,7 +386,7 @@ def test_rescaling_examples_rescale_where_they_claim(pot, n, before):
 
 
 def test_lemma_sums_holds_v_and_a_few_mib():
-    # V is the one lattice-long array: 8 bytes a site (tracemalloc sees
+    # the bound of a design that held V, 8 bytes a site (tracemalloc sees
     # numpy's buffers); the whole-row evolution peaked at 24.9 MB here
     n = 4 * 10 ** 5
     spec = OperatorSpec(make_potential("random_sign", c=1.0, seed=7), 1.0, n)
@@ -398,6 +398,24 @@ def test_lemma_sums_holds_v_and_a_few_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (n + 1) + 4 * 2 ** 20
+
+
+def test_lemma_sums_memory_does_not_grow_with_n():
+    # no array as long as the lattice: V is read block by block, and the
+    # block buffers of the driver, the lift and the sums (about 3 MiB for
+    # four parameters) are allocated once per call
+    params = [SpectralParam.from_x(x) for x in (0.4, 1.1, 1.9, 2.5)]
+    peaks = []
+    for n in (2 ** 17 + 5, 2 ** 20 + 5):
+        spec = OperatorSpec(make_potential("random_sign", c=1.0, seed=7), 1.0, n)
+        tracemalloc.start()
+        try:
+            lemma_sums(spec, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4 * 2 ** 20
+    assert abs(peaks[1] - peaks[0]) < 256 * 2 ** 10
 
 
 def _unblocked_sums(sins, n0, n_max, hyp_ok):

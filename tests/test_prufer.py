@@ -21,7 +21,7 @@ from efgp import (
     verify_recursions,
 )
 from efgp import _kernels
-from efgp.prufer import _onsets, boundary_values
+from efgp.prufer import _block_onsets, _onsets, boundary_values
 
 PI = math.pi
 
@@ -403,3 +403,25 @@ def test_onsets_from_block_maxima_match_reverse_max_bisection(case):
     V, sin_x = case
     assert (_onsets(V, sin_x).tolist()
             == _bisected_onsets(_reverse_max(np.abs(V)), sin_x).tolist())
+
+
+def _failing_at(n, sites):
+    """V(1..n), zero but for 3.0 at each of sites, which fail every sin x."""
+    V = np.zeros(n)
+    V[np.array(sites, dtype=np.intp) - 1] = 3.0
+    return V
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_potential_onset_case())
+@example(case=(_failing_at(2 * _B + 5, [_B]), [0.5]))  # a block's last site
+@example(case=(_failing_at(2 * _B + 5, [_B - 1]), [0.5]))  # the site before it
+@example(case=(_failing_at(3 * _B + 5, [3 * _B + 2]), [0.5, 1.0]))  # partial block
+@example(case=(_failing_at(_B + 7, [_B + 7]), [0.5]))  # site N: no onset
+@example(case=(np.zeros(2 * _B + 5), [0.5]))  # no failing site
+def test_streamed_onsets_match_in_memory_onsets(case):
+    V, sin_x = case
+    pot = make_potential("table", values=V)
+    got = _block_onsets(pot.values, V.shape[0], sin_x).tolist()
+    assert got == _onsets(pot.value_array(V.shape[0])[1:], sin_x).tolist()
+    assert got == _bisected_onsets(_reverse_max(np.abs(V)), sin_x).tolist()
