@@ -17,7 +17,9 @@ array or a function of the site range), the backward resonant launch (one
 block, storing only the sites it returns) and Sturm counts (one block per
 shift); ``analysis.lemma_sums`` consumes its windows as they come and
 passes ``Potential.values``, so besides block buffers no array is as long
-as the lattice.
+as the lattice.  ``spectral.classify_spectrum`` runs one call per group of
+energies, each storing into a slice of one pair buffer that it allocates
+once for all its groups.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -236,18 +238,27 @@ def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
                     j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
                 # the rescaled pairs: dividing by 1 leaves the others exact
                 mj = np.where(cut, m[rows, j], 1.0)
-            for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(), k.tolist(),
-                                           j.tolist(), cut.tolist(), mj.tolist()):
+            if fewest == most and not cut.any():
+                # every block at one site and none cut: one stretch for all
+                jb = int(last[0])
                 if jb and cur is not None:
-                    cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
-                    prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
-                if c:
-                    # ln of the divisor at the first site after the rescale
-                    if kb + jb < hi:
-                        rescaled = True
-                        scale[bk, kb + jb + 1 - lo] += math.log(d)
-                    else:
-                        pending[bk] += math.log(d)
+                    at = int(k[0]) + 1 - lo
+                    cur[ids, at:at + jb] = y[:, 2:jb + 2]
+                    prev[ids, at:at + jb] = y[:, 1:jb + 1]
+            else:
+                for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(),
+                                               k.tolist(), j.tolist(),
+                                               cut.tolist(), mj.tolist()):
+                    if jb and cur is not None:
+                        cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
+                        prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
+                    if c:
+                        # ln of the divisor at the first site after the rescale
+                        if kb + jb < hi:
+                            rescaled = True
+                            scale[bk, kb + jb + 1 - lo] += math.log(d)
+                        else:
+                            pending[bk] += math.log(d)
             a, b, k = y[rows, j + 1] / mj, y[rows, j] / mj, k + j
             # a cut sets the next length from the stretch kept; a chunk
             # that ended at the window end does not shorten the next one

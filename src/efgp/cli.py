@@ -277,10 +277,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, columns, rows, stamp: str):
-    lines = [f"# {stamp}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+# formatters that give _fmt's text for every value of their exact type
+_FORMATTERS = {float: float.__repr__, int: int.__repr__,
+               bool: ("false", "true").__getitem__}
+
+
+def _write_csv(path: Path, names, columns, stamp: str):
+    """A stamp line, the header ``names`` and one line per row of the
+    equal-length ``columns``, each value as _fmt writes it.  A column whose
+    values share one type is formatted with that type's formatter."""
+    fmts = []
+    for col in columns:
+        kinds = set(map(type, col))
+        fmts.append(_FORMATTERS.get(kinds.pop(), _fmt) if len(kinds) == 1
+                    else _fmt)
+    rows = zip(*(map(fmt, col) for fmt, col in zip(fmts, columns)))
+    lines = [f"# {stamp}", ",".join(names), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -397,7 +409,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
                                 eset, c_used, cfg.certified_only)
         # written only once every stage has succeeded
         _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
-                   [_record_row(r) for r in eset.records], stamp)
+                   list(zip(*map(_record_row, eset.records))), stamp)
         record_dicts = [_record_dict(r) for r in eset.records]
         if report is None:
             note(f"spectrum: {len(energies)} eigenvalues in window")
@@ -415,12 +427,12 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
         def one(j, xval):
             traj = evolve_trajectory(spec, SpectralParam.from_x(xval))
             u = traj.u_values()
-            rows = zip(range(1, traj.n + 1), u[1:].tolist(),
+            columns = (range(1, traj.n + 1), u[1:].tolist(),
                        traj.R[1:].tolist(), traj.theta[1:].tolist(),
                        traj.theta_bar[1:].tolist(), traj.ln_R[1:].tolist())
             _write_csv(out_dir / f"trajectory_{j}.csv",
                        ("n", "u", "R", "theta", "theta_bar", "ln_R"),
-                       rows, stamp)
+                       columns, stamp)
             return {"x": xval, "E": traj.param.E, "r1": traj.r1,
                     "ln_R_final": float(traj.ln_R[-1]),
                     "theta_final": float(traj.theta[-1]),

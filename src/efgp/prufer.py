@@ -70,6 +70,11 @@ def _wrap_pi(a, out=None, work=None):
     return np.subtract(a, k, out=out)
 
 
+def _param_fields(x: float) -> tuple:
+    """(x, E, sin_x) of the spectral parameter x: E = 2 cos(x)."""
+    return x, 2.0 * math.cos(x), math.sin(x)
+
+
 @dataclass(frozen=True)
 class SpectralParam:
     """Spectral parameter x in (0, pi) with E = 2 cos(x)."""
@@ -83,7 +88,7 @@ class SpectralParam:
         x = _real(x, "x")
         if not 0.0 < x < math.pi:
             raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
-        return cls(x=x, E=2.0 * math.cos(x), sin_x=math.sin(x))
+        return cls(*_param_fields(x))
 
     @classmethod
     def from_energy(cls, E: float) -> "SpectralParam":

@@ -37,6 +37,7 @@ from .operators import JacobiMatrix, OperatorSpec, Potential, _instance, _int, _
 from .prufer import (
     SpectralParam,
     _onsets,
+    _param_fields,
     _transform,
     boundary_values,
 )
@@ -189,7 +190,10 @@ def default_checkpoints(n: int) -> list:
 
 def _decay_exponents(ln_r: np.ndarray, n_lo: int) -> list:
     """Negated least-squares slopes of ln R against ln n, one per row of
-    ln_r, given on the sites n_lo, n_lo + 1, ..."""
+    ln_r, given on the sites n_lo, n_lo + 1, ...; the bits do not depend on
+    the memory layout of ln_r."""
+    # row means and dot products sum in another order on other layouts
+    ln_r = np.ascontiguousarray(ln_r)
     t = np.log(np.arange(n_lo, n_lo + ln_r.shape[1]))
     t_c = t - t.mean()
     tt = np.dot(t_c, t_c)
@@ -230,10 +234,13 @@ def classify_spectrum(spec: OperatorSpec, energies,
     [max(2, N/2), N].
 
     V is evaluated once, and every onset is read off its block maxima.
-    The energies are evolved in groups of max(1, _CHUNK // N) by one
-    batched recurrence each, and ln R is formed only at site 1, the
-    checkpoints and the fit window; each record equals the one a
-    single-energy evolution gives.
+    The energies are evolved in groups of G = max(1, _CHUNK // N), each by
+    one batched driver call (``_kernels._forward_windows``) into the same
+    (3, G, N) pair buffer; the pairs at site 1, the checkpoints and the fit
+    window are gathered into one more buffer, and ln R is formed only
+    there.  Both buffers are allocated once per call, so no group allocates
+    an output of its own.  Each record equals the one a single-energy
+    evolution gives.
     """
     _instance(spec, OperatorSpec, "spec")
     try:
@@ -246,31 +253,43 @@ def classify_spectrum(spec: OperatorSpec, energies,
             raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
     n = spec.n
     cps = _checked_checkpoints(n, checkpoints)
-    params = [SpectralParam.from_energy(E) for E in es]
+    # (x, E, sin x) of SpectralParam.from_energy, without an object each
+    xs, e_x, sin_x = np.array(
+        [_param_fields(math.acos(E / 2.0)) for E in es]).reshape(-1, 3).T
     V = spec.potential.value_array(n)
     fit_lo = max(2, n // 2)
     # a slope needs at least two sites (the window is a single site at N=2)
     fit_sites = np.arange(fit_lo, n + 1) if n > fit_lo else np.arange(0)
     sites = np.concatenate(([1], cps, fit_sites))
     u0, u1 = boundary_values(spec.phi)
-    onsets = _onsets(V[1:], [p.sin_x for p in params])
+    onsets = _onsets(V[1:], sin_x)
     group = max(1, _kernels._CHUNK // n)
+    # every group stores into buffers allocated once: the pairs at sites
+    # 1..N and the pairs at the sites read
+    size = min(group, len(es))
+    pairs = np.empty((3, size, n))
+    taken = np.empty(3 * size * sites.size)
     records = []
-    for g in range(0, len(params), group):
-        ps = params[g:g + group]
-        un, um, ln_scale = (np.take(a, sites, axis=1) for a in
-                            _kernels.prufer_forward(V, [p.E for p in ps], u0, u1))
-        cos_x = np.array([[p.cos_x] for p in ps])
-        sin_x = np.array([[p.sin_x] for p in ps])
-        r = np.hypot(un - um * cos_x, um * sin_x)
+    for g in range(0, len(es), group):
+        at = slice(g, g + group)
+        k = len(es[at])
+        out = pairs[:, :k]
+        for _ in _kernels._forward_windows(V, e_x[at], u0, u1, [n], out):
+            pass
+        # the sites are in range, so mode="clip" only lets take write into
+        # its C-contiguous out without a buffer
+        un, um, ln_scale = np.take(
+            out, sites - 1, axis=2, mode="clip",
+            out=taken[:3 * k * sites.size].reshape(3, k, -1))
+        r = np.hypot(un - um * (e_x[at, None] / 2.0), um * sin_x[at, None])
         if np.any(r == 0.0):
             raise DegenerateSolution("trivial solution: R = 0")
         ln_r = np.log(r) + ln_scale
         ln_rel = ln_r - ln_r[:, :1]
         decay = (_decay_exponents(ln_rel[:, 1 + len(cps):], fit_lo)
-                 if fit_sites.size else [None] * len(ps))
-        for p, E, onset, at_cps, ln_r1, dec in zip(
-                ps, es[g:g + group], onsets[g:g + group].tolist(),
+                 if fit_sites.size else [None] * k)
+        for x, E, onset, at_cps, ln_r1, dec in zip(
+                xs[at].tolist(), es[at], onsets[at].tolist(),
                 ln_rel[:, 1:1 + len(cps)].tolist(), ln_r[:, 0].tolist(), decay):
             best = (None, 0, math.nan)
             for c, v in zip(cps, at_cps):
@@ -286,7 +305,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
             _, n_star, rn_sq = best
             records.append(EigenvalueRecord(
                 E=E,
-                x=p.x,
+                x=x,
                 weight=theorem_weight(E),
                 certificate=Certificate(
                     n_star=n_star, rn_sq=rn_sq,

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 from efgp import Potential, _kernels, analysis, errors, prufer
-from efgp.cli import MAX_N, main, parse_config, run
+from efgp.cli import MAX_N, _write_csv, main, parse_config, run
 
 PI = math.pi
 
@@ -234,6 +234,44 @@ def test_csv_outputs_deterministic(tmp_path):
     a = run_once(tmp_path / "a")
     b = run_once(tmp_path / "b")
     assert a == b
+
+
+def _fmt_row_wise(v) -> str:
+    # the oracle: the formatter the writer applied value by value
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+# values of the types the writers meet, with nan, +-inf and -0.0
+_CELLS = [True, False, np.True_, np.False_,
+          0, -7, 2 ** 70, -(2 ** 63), np.int64(-3), np.uint8(255), np.int32(0),
+          0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
+          np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
+          np.float32(-math.inf), np.float16(65504.0)]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 12])
+def test_csv_columns_match_row_wise_formatting(tmp_path, n_rows):
+    # a column of each type (one formatter for the column) and columns that
+    # mix every type (the general one)
+    by_type = {}
+    for v in _CELLS:
+        by_type.setdefault(type(v), []).append(v)
+    columns = [[values[i % len(values)] for i in range(n_rows)]
+               for values in by_type.values()]
+    rng = np.random.default_rng(n_rows)
+    columns += [[_CELLS[i] for i in rng.integers(0, len(_CELLS), n_rows)]
+                for _ in range(3)]
+    names = [f"c{i}" for i in range(len(columns))]
+    want = "\n".join(["# stamp", ",".join(names)] + [
+        ",".join(_fmt_row_wise(v) for v in row) for row in zip(*columns)]) + "\n"
+    _write_csv(tmp_path / "t.csv", names, columns, "stamp")
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
 def test_report_json_stable_and_versioned(tmp_path):

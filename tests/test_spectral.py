@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +395,13 @@ POTENTIALS = st.one_of(
 # the onset at 801 comes after the only checkpoint: n_star = 0
 @example(pot=make_potential("coulomb", c=2.0), phi=1.0, n=4000,
          es=[2.0 * math.cos(0.005)], cps=[98])
+# groups of 16, 16 and 1 energies on one reused buffer
+@example(pot=make_potential("coulomb", c=2.0), phi=1.0, n=1000,
+         es=[2.0 * math.cos(0.09 * j + 0.05) for j in range(31)], cps=None)
+# a group that rescales (E = -1.9 does, three times) between groups that do
+# not (E = 1.9 does not): no stale scale or pair column in either direction
+@example(pot=make_potential("coulomb", c=200.0), phi=1.0, n=1000,
+         es=[1.9] * 16 + [-1.9] * 16 + [1.9], cps=None)
 def test_classify_spectrum_matches_one_energy_route(pot, phi, n, es, cps):
     # duplicates included; checkpoints mapped into [2, N]
     es = es + es[:2]
@@ -426,6 +438,53 @@ def test_classify_many_energies_stays_cheap():
         best = min(best, time.perf_counter() - t0)
     assert best < 0.3
     assert len(recs) == 1001
+
+
+def test_classify_many_energies_stays_off_the_page_fault_path():
+    # window-bound's size: each group must store its pairs and the pairs at
+    # the sites read into buffers of the call, not into fresh outputs that
+    # the allocator hands back to the OS between groups (about 8k minor
+    # faults per call when it did).  A fresh process, because a large block
+    # freed earlier raises glibc's thresholds for handing memory back, which
+    # would hide the cost here.
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""
+        import math, resource
+        import numpy as np
+        from efgp import OperatorSpec, classify_spectrum, make_potential
+        pot = make_potential("resonant", c=2.2, omega=2.0 * math.pi / 3.0,
+                             delta=1.3575974530435633)
+        spec = OperatorSpec(pot, 2.4891024719091113, 1000)
+        es = 2.0 * np.cos(np.linspace(0.002, math.pi - 0.002, 1001))
+        classify_spectrum(spec, es)
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            classify_spectrum(spec, es)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        print(min(faults))
+    """)
+    src = str(Path(efgp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 17), (16, 501), (20, 800)])
+def test_decay_exponents_do_not_depend_on_memory_layout(shape):
+    rng = np.random.default_rng(shape)
+    ln_r = rng.standard_normal(shape) * 30.0 - 5.0
+    want = spectral._decay_exponents(ln_r, 7)
+    # a strided view: every other row and column of a wider array
+    wide = np.zeros((2 * shape[0], 2 * shape[1] + 1))
+    wide[::2, 1::2] = ln_r
+    for other in (np.asfortranarray(ln_r), wide[::2, 1::2],
+                  np.asfortranarray(wide)[::2, 1::2]):
+        assert spectral._decay_exponents(other, 7) == want
 
 
 def test_theorem_weight_single_definition():
