@@ -50,7 +50,7 @@ from .prufer import (
     boundary_values,
     common_onset,
 )
-from .spectral import EigenvalueSet, theorem_weight
+from .spectral import EigenvalueSet
 
 STABILIZATION_THRESHOLD = 0.05
 _FREQ_TOL = 1e-9
@@ -104,6 +104,7 @@ def check_theorem(eset: EigenvalueSet, C: float,
     certificate passed contribute; raw truncation eigenvalues would
     otherwise trivially overfill the left side.
     """
+    _instance(eset, EigenvalueSet, "eset")
     rhs = theorem_bound(C)
     records = [r for r in eset.records
                if not certified_only or r.certificate.passed]
@@ -143,11 +144,11 @@ def dyadic_profile(abs_partials: np.ndarray) -> list:
     return np.maximum.accumulate(blocks).tolist()
 
 
-def dyadic_stabilized(profile, threshold: float = STABILIZATION_THRESHOLD) -> bool:
-    """True when the sup grew by less than threshold over the last window."""
+def dyadic_stabilized(profile) -> bool:
+    """True when the last window raised the sup by under STABILIZATION_THRESHOLD."""
     if len(profile) < 2:
         return False
-    return (profile[-1] - profile[-2]) < threshold
+    return (profile[-1] - profile[-2]) < STABILIZATION_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,13 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
     n = np.arange(1, n_max + 1, dtype=np.float64)
     if gamma_rule is None:
         gamma = np.zeros(n_max)
-    elif callable(gamma_rule):
-        gamma = np.asarray(gamma_rule(n), dtype=float)
     else:
-        gamma = np.asarray(gamma_rule, dtype=float)
+        gamma = gamma_rule(n) if callable(gamma_rule) else gamma_rule
+        try:
+            gamma = np.asarray(gamma, dtype=float)
+        except (TypeError, ValueError):
+            raise ParamOutOfRange(
+                f"gamma must hold real values, got a {type(gamma).__name__}") from None
     if gamma.shape != (n_max,):
         raise LengthMismatch(
             f"gamma has shape {gamma.shape}, expected ({n_max},)")
@@ -397,15 +401,6 @@ class _LaneSums:
                               diag=tuple(diag), n0=self.n0, hypothesis_ok=hyp_ok)
 
 
-def _sums(sins, n0: int, n_max: int, hyp_ok: bool) -> SumDiagnostics:
-    """Cross and diagonal sums of the sin(2 theta_bar_j) rows, given over
-    the sites n0..n_max, added to :class:`_LaneSums` block by block."""
-    acc = _LaneSums(len(sins), n0, n_max)
-    for s0 in range(0, n_max - n0 + 1, _kernels._BLOCK):
-        acc.add([row[s0:s0 + _kernels._BLOCK] for row in sins])
-    return acc.result(hyp_ok)
-
-
 def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
     """Cross and diagonal oscillatory sums over a family of trajectories.
 
@@ -423,8 +418,9 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
         raise LengthMismatch(f"all trajectories must reach N = {n_max}")
     _check_frequencies([t.param.x for t in trajs])
     n0, hyp_ok = common_onset(trajs, n_max)
-    return _sums([_sin_2theta_bar(t.theta[n0:n_max + 1], t.param.x)
-                  for t in trajs], n0, n_max, hyp_ok)
+    acc = _LaneSums(len(trajs), n0, n_max)
+    acc.add([_sin_2theta_bar(t.theta[n0:n_max + 1], t.param.x) for t in trajs])
+    return acc.result(hyp_ok)
 
 
 def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
@@ -496,6 +492,8 @@ class WeightedVector:
 
 def weighted_dot(b: WeightedVector, c: WeightedVector) -> float:
     """Scalar product sum_n n * b(n) * c(n) over the shared index range."""
+    _instance(b, WeightedVector, "b")
+    _instance(c, WeightedVector, "c")
     if b.n0 != c.n0 or b.n_end != c.n_end:
         raise RangeMismatch(
             f"ranges [{b.n0}, {b.n_end}) and [{c.n0}, {c.n_end}) differ")
@@ -529,6 +527,8 @@ def almost_orthogonality_check(g: WeightedVector, e) -> OrthogonalityReport:
     1e-12 relative slack so the exact-equality Bessel case is not flipped
     by rounding.
     """
+    _instance(g, WeightedVector, "g")
+    e = _instances(e, WeightedVector, "e")
     m = len(e)
     if m == 0:
         raise PreconditionFailed("need at least one unit vector")

@@ -168,9 +168,13 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
         raise ParamOutOfRange("onset n0 must be >= 1")
     table = ()
     if fam == "table":
-        if values is None or len(values) == 0:
+        try:
+            table = tuple(_real(v, "table value")
+                          for v in (() if values is None else values))
+        except TypeError:
+            raise ParamOutOfRange(f"values must be a sequence, got {values!r}") from None
+        if not table:
             raise EmptyTable("table family requires a nonempty value sequence")
-        table = tuple(float(v) for v in values)
         if not all(math.isfinite(v) for v in table):
             raise ParamOutOfRange("table values must be finite")
     return Potential(family=fam, amplitude=c, omega=omega, delta=delta,
@@ -179,6 +183,7 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
 
 def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
     """Empirical Coulomb envelope max n*|V(n)| over [n_lo, n_hi]."""
+    _instance(p, Potential, "p")
     n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     if not 1 <= n_lo <= n_hi:
         raise EmptyRange(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
@@ -195,6 +200,7 @@ class OperatorSpec:
     n: int
 
     def __post_init__(self):
+        _instance(self.potential, Potential, "potential")
         object.__setattr__(self, "phi", _real(self.phi, "phi"))
         object.__setattr__(self, "n", _int(self.n, "truncation N"))
         if not 0.0 < self.phi < math.pi:
@@ -241,6 +247,7 @@ def build_jacobi(spec: OperatorSpec) -> JacobiMatrix:
     Eliminating y(0) = -y(1) cot(phi) turns the boundary condition into the
     row-one shift; the far end gets a hard wall y(N+1) = 0.
     """
+    _instance(spec, OperatorSpec, "spec")
     if not 0.0 < spec.phi < math.pi:
         raise PhaseOutOfRange(f"phi must lie in (0, pi), got {spec.phi}")
     d = spec.potential.values(1, spec.n).copy()

@@ -21,16 +21,14 @@ for |nu| < 1/2.
 Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
 ``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
-gets it as rescaled pairs with a log scale, window by window.  The angle
-lift, ``_Lift``, takes one block of sites of B rows per step, one row per
-spectral parameter, and carries its state (theta(1), the last principal
-angle, the running sum of the steps) from one block to the next;
-``_angles`` runs it over a stored row, and ``evolve_trajectories`` and
-``analysis.lemma_sums`` over the driver's windows as they come.  A
-trajectory adds ln R from the radius formula: ``to_prufer`` transforms a
-stored solution, ``evolve_trajectories`` the pairs (all sharing one V),
-adding the log scale back to ln R.  ``R`` and
-``u_values()`` raise Overflow rather than return inf.
+gets it as rescaled pairs with a log scale, window by window.  One
+transform, ``_trajectories``, takes windows of pairs of B rows, one per
+spectral parameter, from ``evolve_trajectories`` (the driver's) or
+``to_prufer`` (a stored solution's): per window one step of the angle
+lift, ``_Lift``, which carries theta(1), the last principal angle and the
+running sum of the steps to the next window, and ln R from ``_ln_r``, the
+only place the radius formula is evaluated.  ``R`` and ``u_values()``
+raise Overflow rather than return inf.
 """
 
 from __future__ import annotations
@@ -169,12 +167,6 @@ def boundary_values(phi: float) -> tuple:
     return math.cos(phi), -math.sin(phi)
 
 
-def transfer_step(V_n: float, E: float, state: tuple) -> tuple:
-    """One step (u(n), u(n-1)) -> (u(n+1), u(n)); the 2x2 map has det 1."""
-    un, um = state
-    return (E - V_n) * un - um, un
-
-
 def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
     """Evolve the boundary-condition solution out to site N.
 
@@ -257,36 +249,43 @@ class _Lift:
         self.sites += length
 
 
-def _angles(un, um, param: SpectralParam) -> np.ndarray:
-    """The lifted angle theta(0..N), site-indexed (slot 0 = nan), of the
-    pairs (u(n), u(n-1)) proportional to (un, um), given for n = 1..N:
-    :class:`_Lift` over blocks of _kernels._CHUNK sites."""
-    n = un.shape[0]
-    theta = np.empty(n + 1)
-    theta[0] = np.nan
-    lift = _Lift([param], min(n, _kernels._CHUNK))
-    for s in range(0, n, _kernels._CHUNK):
-        e = min(s + _kernels._CHUNK, n)
-        lift.step(un[None, s:e], um[None, s:e], theta[None, s + 1:e + 1])
-    return theta
+def _ln_r(un, um, ln_scale, cos_x, sin_x, out=None):
+    """ln R of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um) from the
+    radius formula, into out if given; DegenerateSolution where R = 0."""
+    r = np.hypot(un - um * cos_x, um * sin_x, out=out)
+    if not r.all():
+        raise DegenerateSolution("trivial solution: R = 0")
+    np.log(r, out=r)
+    r += ln_scale
+    return r
 
 
-def _transform(un, um, ln_scale, V, param: SpectralParam) -> PruferTrajectory:
-    """Prufer variables of the pairs (u(n), u(n-1)) = exp(ln_scale) (un, um),
-    given for the sites n = 1..N, along the site-indexed potential V: the
-    lifted angle of :func:`_angles` and ln R from the radius formula.
-    """
-    theta = _angles(un, um, param)
-    lnr = np.empty_like(theta)
-    lnr[0] = np.nan
-    lnr[1:] = np.log(np.hypot(un - um * param.cos_x, um * param.sin_x)) + ln_scale
-    return PruferTrajectory(theta=theta, ln_R=lnr, V=V, param=param)
+def _trajectories(V, params, windows, ends) -> list:
+    """Trajectories along the site-indexed V, one per parameter, of the
+    pairs (u(n), u(n-1)) = exp(scale) (cur, prev) that windows yields, one
+    window per end in ends, of the sites after the previous end (0 first),
+    at most _kernels._CHUNK: per window one :class:`_Lift` step and
+    :func:`_ln_r`."""
+    n = ends[-1]
+    theta, ln_r = np.empty((2, len(params), n + 1))
+    theta[:, 0] = ln_r[:, 0] = np.nan
+    lift = _Lift(params, min(n, _kernels._CHUNK))
+    for lo, hi, (cur, prev, scale) in zip([0] + ends, ends, windows):
+        lift.step(cur, prev, theta[:, lo + 1:hi + 1])
+        _ln_r(cur, prev, scale, lift.cos_x, lift.sin_x, out=ln_r[:, lo + 1:hi + 1])
+    return [PruferTrajectory(theta=t, ln_R=lr, V=V, param=p)
+            for t, lr, p in zip(theta, ln_r, params)]
 
 
 def to_prufer(sol: Solution) -> PruferTrajectory:
-    """Prufer variables of a stored solution (vectorized route)."""
-    return _transform(sol.u[1:], sol.u[:-1], 0.0,
-                      sol.spec.potential.value_array(sol.n), sol.param)
+    """Prufer variables of a stored solution: :func:`_trajectories` over
+    windows of its pairs, unscaled."""
+    _instance(sol, Solution, "sol")
+    u, ends = sol.u[None], _kernels._ends(0, sol.n, _kernels._CHUNK)
+    windows = ((u[:, lo + 1:hi + 1], u[:, lo:hi], 0.0)
+               for lo, hi in zip([0] + ends, ends))
+    return _trajectories(sol.spec.potential.value_array(sol.n), [sol.param],
+                         windows, ends)[0]
 
 
 def evolve_trajectories(spec: OperatorSpec, params) -> list:
@@ -296,27 +295,16 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
     The kernel rescales the evolving pair and keeps a log-scale
     accumulator, so ln R is exact for N up to millions of sites regardless
     of amplitude growth.  All parameters are evolved as the blocks of one
-    streamed driver, and each window of pairs goes through the transform
-    of :func:`to_prufer` (one :class:`_Lift` step for all parameters and
-    the radius formula) as it comes, so no pair array spans the lattice.
+    streamed driver, whose windows :func:`_trajectories` transforms as they
+    come, so no pair array spans the lattice.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
-    n = spec.n
-    V = spec.potential.value_array(n)
-    theta, ln_r = np.empty((2, len(params), n + 1))
-    theta[:, 0] = ln_r[:, 0] = np.nan
-    lift = _Lift(params, min(n, _kernels._CHUNK))
-    ends = _kernels._ends(0, n, _kernels._CHUNK)
-    lo = 1
-    for hi, (cur, prev, scale) in zip(ends, _kernels._forward_windows(
-            V, [p.E for p in params], *boundary_values(spec.phi), ends)):
-        lift.step(cur, prev, theta[:, lo:hi + 1])
-        r = np.hypot(cur - prev * lift.cos_x, prev * lift.sin_x)
-        np.add(np.log(r, out=r), scale, out=ln_r[:, lo:hi + 1])
-        lo = hi + 1
-    return [PruferTrajectory(theta=t, ln_R=lr, V=V, param=p)
-            for t, lr, p in zip(theta, ln_r, params)]
+    V = spec.potential.value_array(spec.n)
+    ends = _kernels._ends(0, spec.n, _kernels._CHUNK)
+    windows = _kernels._forward_windows(V, [p.E for p in params],
+                                        *boundary_values(spec.phi), ends)
+    return _trajectories(V, params, windows, ends)
 
 
 def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
@@ -363,6 +351,8 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     Residuals are absolute errors divided by (1 + local magnitudes), so the
     thresholds are scale-free.
     """
+    _instance(sol, Solution, "sol")
+    _instance(traj, PruferTrajectory, "traj")
     if traj.n != sol.n:
         raise LengthMismatch(f"solution has N={sol.n}, trajectory N={traj.n}")
     p = sol.param
@@ -373,17 +363,14 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
 
     theta = traj.theta[1:]
     nu = traj.nu[1:]
-    tb = theta[:-1] + p.x
     ratio = np.exp(2.0 * np.diff(traj.ln_R[1:]))
-    rhs1 = 1.0 - nu[:-1] * np.sin(2.0 * tb) + nu[:-1] ** 2 * np.sin(tb) ** 2
+    rhs1, predicted = prufer_step(theta[:-1], nu[:-1], p.x)
     res1 = np.abs(ratio - rhs1) / (1.0 + np.abs(ratio) + np.abs(rhs1))
 
     # angle identity, branch-resolved: theta(n+1) must equal the pole-free
-    # reconstruction from theta(n); comparing as a wrapped difference keeps
-    # the common lift magnitude out of the residual
-    predicted = np.arctan2(np.sin(tb), np.cos(tb) - nu[:-1] * np.sin(tb))
-    res2_raw = np.abs(_wrap_pi(theta[1:] - predicted))
-    res2 = res2_raw / (1.0 + np.abs(nu[:-1]))
+    # step from theta(n); comparing as a wrapped difference keeps the
+    # common lift magnitude out of the residual
+    res2 = np.abs(_wrap_pi(theta[1:] - predicted)) / (1.0 + np.abs(nu[:-1]))
 
     return VerifyReport(
         max_res_efgp0=float(res0.max()),
@@ -392,19 +379,17 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     )
 
 
-def angle_increment_check(traj: PruferTrajectory, nu=None) -> list:
+def angle_increment_check(traj: PruferTrajectory) -> list:
     """Sites violating the angle-increment bound while |nu| < 1/2.
 
     Returns every n with |nu(n)| < 1/2 but
     |theta(n+1) - theta(n) - x| > pi*|nu(n)|; empty means the bound is
     verified along this trajectory.  A 1e-12 slack absorbs rounding.
     """
-    nu_arr = traj.nu[1:] if nu is None else np.asarray(nu, dtype=float)
-    if nu_arr.shape[0] < traj.n:
-        raise LengthMismatch("nu shorter than the trajectory")
+    _instance(traj, PruferTrajectory, "traj")
+    nu = np.abs(traj.nu[1:-1])
     inc = np.abs(np.diff(traj.theta[1:]) - traj.param.x)
-    small = np.abs(nu_arr[:traj.n - 1]) < 0.5
-    bad = small & (inc > np.pi * np.abs(nu_arr[:traj.n - 1]) + 1e-12)
+    bad = (nu < 0.5) & (inc > np.pi * nu + 1e-12)
     return [int(i) + 1 for i in np.nonzero(bad)[0]]
 
 

@@ -27,18 +27,18 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import _kernels
 from .errors import (
-    DegenerateSolution,
     NoConvergence,
     ParamOutOfRange,
     SubcriticalAmplitude,
     ZeroInitial,
 )
-from .operators import JacobiMatrix, OperatorSpec, Potential, _instance, _int, _real, make_potential
+from .operators import (JacobiMatrix, OperatorSpec, Potential, _instance,
+                        _instances, _int, _real, make_potential)
 from .prufer import (
     SpectralParam,
     _onsets,
+    _ln_r,
     _param_fields,
-    _transform,
     boundary_values,
 )
 
@@ -48,6 +48,7 @@ DISTINCT_TOL = 1e-8  # records this close in E are one eigenvalue
 def _checked_diagonal(J: JacobiMatrix, *shifts: float) -> np.ndarray:
     """The diagonal d of J, nonempty and finite, with d - E finite for each
     shift E (rounding is monotone: checking min(d) and max(d) suffices)."""
+    _instance(J, JacobiMatrix, "J")
     d = J.diagonal
     if d.size == 0:
         raise ParamOutOfRange("Jacobi matrix must not be empty")
@@ -155,6 +156,7 @@ class EigenvalueSet:
 
 def theorem_weight(E: float) -> float:
     """Weight 1 - E^2/4 of an eigenvalue; equals sin^2(x) for E = 2cos(x)."""
+    E = _real(E, "E")
     return 1.0 - E * E / 4.0
 
 
@@ -166,6 +168,7 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
 def make_eigenvalue_set(records) -> EigenvalueSet:
     """Sort records by E and merge numerical duplicates (energies within
     DISTINCT_TOL), keeping the better certificate of each merged cluster."""
+    records = _instances(records, EigenvalueRecord, "records")
     ordered = sorted(records, key=lambda r: r.E)
     merged = []
     for rec in ordered:
@@ -281,10 +284,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
         un, um, ln_scale = np.take(
             out, sites - 1, axis=2, mode="clip",
             out=taken[:3 * k * sites.size].reshape(3, k, -1))
-        r = np.hypot(un - um * (e_x[at, None] / 2.0), um * sin_x[at, None])
-        if np.any(r == 0.0):
-            raise DegenerateSolution("trivial solution: R = 0")
-        ln_r = np.log(r) + ln_scale
+        ln_r = _ln_r(un, um, ln_scale, e_x[at, None] / 2.0, sin_x[at, None])
         ln_rel = ln_r - ln_r[:, :1]
         decay = (_decay_exponents(ln_rel[:, 1 + len(cps):], fit_lo)
                  if fit_sites.size else [None] * k)
@@ -383,10 +383,10 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     u_next = math.cos(theta) + u_launch * param.cos_x
     un, um, ln_scale = _kernels.backward_resonant(
         c, omega, delta, param.E, u_next, u_launch, launch, n)
-    traj = _transform(un[1:], um[1:], ln_scale[1:], potential.value_array(n),
-                      param)
     fit_lo = min(1000, max(10, n // 100))
-    fitted = _decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]
+    ln_r = _ln_r(un[fit_lo:], um[fit_lo:], ln_scale[fit_lo:], param.cos_x,
+                 param.sin_x)
+    fitted = _decay_exponents(ln_r[None], fit_lo)[0]
     phi = math.atan2(-un[1], um[1]) % math.pi
     if phi == 0.0:
         raise ZeroInitial("degenerate boundary pair: no admissible phase")

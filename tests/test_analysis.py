@@ -34,20 +34,20 @@ from efgp.analysis import (
     DiagonalSum,
     PairSum,
     SumDiagnostics,
-    _sums,
+    _LaneSums,
     dyadic_profile,
     dyadic_stabilized,
     normalize_weighted,
 )
 from efgp.prufer import (
     SpectralParam,
-    _angles,
     _onsets,
     boundary_values,
     common_onset,
 )
 from efgp.spectral import eigenvalues_in_window
 from efgp.operators import build_jacobi
+from test_kernels import prufer_forward
 from test_prufer import _reverse_max
 from test_spectral import POTENTIALS
 
@@ -324,7 +324,8 @@ def test_evolve_trajectories_share_v_and_match_one_at_a_time(pot, phi, n, xs):
 
 
 def _unblocked_angles(un, um, param):
-    """The lift in one pass over all sites, as _angles computes it blockwise."""
+    """The lift in one pass over all sites, as prufer._Lift computes it
+    blockwise."""
     n = un.shape[0]
     theta = np.full(n + 1, np.nan)
     principal = np.arctan2(um * param.sin_x, un - um * param.cos_x)
@@ -368,8 +369,8 @@ def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
                                       n).to_json_dict())
     V = pot.value_array(n)
     for p in params:
-        un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))
-        got = _angles(un[1:], um[1:], p)
+        un, um, _ = prufer_forward(V, p.E, *boundary_values(phi))
+        got = evolve_trajectory(spec, p).theta
         assert got.tobytes() == _unblocked_angles(un[1:], um[1:], p).tobytes()
 
 
@@ -379,8 +380,8 @@ def test_rescaling_examples_rescale_where_they_claim(pot, n, before):
     spec = OperatorSpec(pot, 1.0, n)
     params = [SpectralParam.from_x(x) for x in (1.1, 1.9)]
     n0 = lemma_sums(spec, params).n0
-    ln_scale = _kernels.prufer_forward(pot.value_array(n), params[0].E,
-                                       *boundary_values(1.0))[2]
+    ln_scale = prufer_forward(pot.value_array(n), params[0].E,
+                              *boundary_values(1.0))[2]
     cuts = np.flatnonzero(np.diff(ln_scale[1:])) + 1  # the cut sites
     assert cuts.size and ((cuts < n0) if before else (cuts > n0)).all()
 
@@ -418,9 +419,17 @@ def test_lemma_sums_memory_does_not_grow_with_n():
     assert abs(peaks[1] - peaks[0]) < 256 * 2 ** 10
 
 
+def _lane_sums(sins, n0, n_max, hyp_ok):
+    """The sums of the rows sins, given over the sites n0..n_max, as
+    prufer_sum_diagnostics forms them: one _LaneSums.add of the whole rows."""
+    acc = _LaneSums(len(sins), n0, n_max)
+    acc.add(sins)
+    return acc.result(hyp_ok)
+
+
 def _unblocked_sums(sins, n0, n_max, hyp_ok):
-    """The sums one at a time over all sites, as _sums computes them in
-    two-lane blocks."""
+    """The sums one at a time over all sites, as _LaneSums computes them in
+    two-lane pieces."""
     m = len(sins)
     sites = np.arange(n0, n_max + 1, dtype=np.float64)
     half_log_n = 0.5 * np.log(sites)
@@ -445,12 +454,13 @@ def _unblocked_sums(sins, n0, n_max, hyp_ok):
 @pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16384, 16385, 2 ** 15 + 3])
 @pytest.mark.parametrize("n0", [1, 37])
 def test_sums_match_one_sum_at_a_time(m, size, n0):
-    # block ends before, at and after the 8192-site blocks and the dyadic
-    # bins; odd m leaves a zero padding lane in both lane groups
+    # rows ending before, at and after multiples of the 4096-site pieces
+    # and the dyadic bins; odd m leaves a zero padding lane in both lane
+    # groups
     rng = np.random.default_rng(100 * m + size % 97 + n0)
     sins = [np.sin(rng.uniform(0.0, 7.0, size)) for _ in range(m)]
     n_max = n0 + size - 1
-    got = _sums(sins, n0, n_max, True)
+    got = _lane_sums(sins, n0, n_max, True)
     want = _unblocked_sums(sins, n0, n_max, True)
     assert got.to_json_dict() == want.to_json_dict()
     assert np.array_equal(got.cross, want.cross)
@@ -460,7 +470,7 @@ def test_sums_propagate_nan_like_one_sum_at_a_time():
     rng = np.random.default_rng(4)
     sins = [np.sin(rng.uniform(0.0, 7.0, 20000)) for _ in range(3)]
     sins[1][9000] = np.nan
-    got = _sums(sins, 5, 20004, False).to_json_dict()
+    got = _lane_sums(sins, 5, 20004, False).to_json_dict()
     want = _unblocked_sums(sins, 5, 20004, False).to_json_dict()
     # NaN != NaN in a dict comparison; the JSON text spells it out
     assert "NaN" in json.dumps(got)

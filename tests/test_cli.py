@@ -2,13 +2,23 @@ import json
 import math
 import platform
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from efgp import Potential, _kernels, analysis, errors, prufer
+from efgp import (
+    OperatorSpec,
+    Potential,
+    SpectralParam,
+    _kernels,
+    analysis,
+    errors,
+    evolve_trajectory,
+    make_potential,
+)
 from efgp.cli import MAX_N, _write_csv, main, parse_config, run
 
 PI = math.pi
@@ -121,22 +131,27 @@ def test_lemma_sums_degenerate_exit_code(tmp_path, capsys):
 def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
     calls = []
     values = Potential.values
-    forward, transform = [], []
+    forward, radius = [], []
 
     def counting(self, n_lo, n_hi):
         calls.append((n_lo, n_hi))
         return values(self, n_lo, n_hi)
 
     def counted(log, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             log.append(1)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(Potential, "values", counting)
     monkeypatch.setattr(_kernels, "_forward_windows",
                         counted(forward, _kernels._forward_windows))
-    monkeypatch.setattr(prufer, "_transform", counted(transform, prufer._transform))
+    # ln R is formed only by _ln_r: count the calls at every binding
+    bound = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("efgp.") and hasattr(m, "_ln_r")]
+    assert {"efgp.prufer", "efgp.spectral"} <= {m.__name__ for m in bound}
+    for m in bound:
+        monkeypatch.setattr(m, "_ln_r", counted(radius, m._ln_r))
     path = tmp_path / "cfg.json"
     path.write_text(_cfg(command="lemma-sums",
                          potential={"family": "random_sign", "c": 1.0,
@@ -157,7 +172,11 @@ def test_lemma_sums_evaluates_the_potential_once(tmp_path, monkeypatch):
     assert thrice.size == 0 or (
         (thrice[0] - 1) // _kernels._BLOCK == (thrice[-1] - 1) // _kernels._BLOCK)
     assert len(forward) == 1
-    assert transform == []
+    assert radius == []
+    # the counter sees a radius where one is formed
+    evolve_trajectory(OperatorSpec(make_potential("coulomb"), 1.0, 10),
+                      SpectralParam.from_x(1.0))
+    assert radius
 
 
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,9 @@ from efgp import (
     JacobiMatrix,
     OperatorSpec,
     SpectralParam,
+    almost_orthogonality_check,
+    angle_increment_check,
+    build_jacobi,
     check_theorem,
     classify_point_spectrum,
     classify_spectrum,
@@ -35,6 +38,10 @@ from efgp import (
     solve_recurrence,
     sturm_count,
     theorem_bound,
+    theorem_weight,
+    to_prufer,
+    verify_recursions,
+    weighted_dot,
 )
 from efgp.cli import main
 
@@ -133,6 +140,10 @@ NON_REAL_CALLS = {
     "check_theorem-none": lambda: check_theorem(make_eigenvalue_set([]), None),
     "partial_sums-text": lambda: oscillatory_partial_sums("a", None, 10),
     "log_bound-text": lambda: log_bound_check("a", 0.5),
+    "theorem_weight-text": lambda: theorem_weight("a"),
+    "table-scalar": lambda: make_potential("table", values=5),
+    "table-text-entry": lambda: make_potential("table", values=[1, "a"]),
+    "partial_sums-text-gamma": lambda: oscillatory_partial_sums(1.0, "abc", 3),
 }
 
 
@@ -144,6 +155,7 @@ def test_non_real_scalars_rejected(name):
 
 _P = SpectralParam.from_x(1.0)
 _TRAJ = evolve_trajectory(_SPEC, _P)
+_SOL = solve_recurrence(_SPEC, _P)
 
 # library objects of the wrong type: a spec, parameters or trajectories
 WRONG_TYPE_CALLS = {
@@ -162,6 +174,20 @@ WRONG_TYPE_CALLS = {
     "lemma_sums-floats": lambda: lemma_sums(_SPEC, [1.0, 2.0]),
     "lemma_sums-trajectories": lambda: lemma_sums(_SPEC, [_TRAJ]),
     "lemma_sums-float-spec": lambda: lemma_sums(1.0, [_P]),
+    "to_prufer-float": lambda: to_prufer(1.0),
+    "verify_recursions-float-solution": lambda: verify_recursions(1.0, _TRAJ),
+    "verify_recursions-float-trajectory": lambda: verify_recursions(_SOL, 1.0),
+    "angle_increment_check-float": lambda: angle_increment_check(1.0),
+    "make_eigenvalue_set-floats": lambda: make_eigenvalue_set([1.0]),
+    "check_theorem-float-set": lambda: check_theorem(1.0, 1.0),
+    "build_jacobi-float": lambda: build_jacobi(1.0),
+    "envelope_constant-float": lambda: envelope_constant(1.0, 1, 2),
+    "sturm_count-float": lambda: sturm_count(1.0, 0.0),
+    "window-float-matrix": lambda: eigenvalues_in_window(1.0, (0, 1)),
+    "eigenvector-float": lambda: eigenvector(1.0, 0.0),
+    "weighted_dot-ints": lambda: weighted_dot(1, 2),
+    "almost_orthogonality-ints": lambda: almost_orthogonality_check(1, [1]),
+    "operator_spec-float-potential": lambda: OperatorSpec(1.0, 1.0, 10),
 }
 
 

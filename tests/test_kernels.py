@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efgp import OperatorSpec, _kernels, make_potential
-from efgp.prufer import (SpectralParam, _transform, boundary_values,
-                         evolve_trajectory)
+from efgp.prufer import SpectralParam, _ln_r, boundary_values, evolve_trajectory
 
 RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
@@ -20,6 +19,28 @@ RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 def _rescale_needed(a, b):
     m = max(abs(a), abs(b))
     return m if m > RESCALE_HI or (m < RESCALE_LO and m != 0.0) else None
+
+
+def prufer_forward(V, E, u0, u1):
+    """The forward pairs of one window over all sites, stored by
+    _kernels._forward_windows into its out, as classify_spectrum does.
+
+    E is one energy or a vector of B energies.  Returns (un, um, ln_scale),
+    site-indexed with slot 0 = nan, of shape (N+1,) or (B, N+1): the pair
+    (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]).
+    """
+    n_max = V.shape[0] - 1
+    out = np.empty((3, np.size(E), n_max + 1))
+    out[:, :, 0] = np.nan  # the driver writes every site from 1 on
+    for _ in _kernels._forward_windows(V, E, u0, u1, [n_max], out[:, :, 1:]):
+        pass
+    return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
+
+
+def _ln_r_of(pairs, param):
+    """ln R of site-indexed (un, um, ln_scale) at the sites 1..N."""
+    un, um, ln_scale = (a[1:] for a in pairs)
+    return _ln_r(un, um, ln_scale, param.cos_x, param.sin_x)
 
 
 def loop_forward(V, E, u0, u1):
@@ -56,10 +77,9 @@ def _rescale_sites(ln_scale):
     return np.flatnonzero(np.diff(ln_scale[1:])) + 1
 
 
-def _assert_same_evolution(got, want, V, param):
+def _assert_same_evolution(got, want, param):
     assert np.array_equal(_rescale_sites(got[2]), _rescale_sites(want[2]))
-    lnr = _transform(*(a[1:] for a in got), V, param).ln_R[1:]
-    ref = _transform(*(a[1:] for a in want), V, param).ln_R[1:]
+    lnr, ref = _ln_r_of(got, param), _ln_r_of(want, param)
     np.testing.assert_array_less(
         np.abs(lnr - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -87,10 +107,10 @@ def test_prufer_forward_matches_loop(case):
     V = make_v()
     param = SpectralParam.from_x(1.0)
     u0, u1 = math.cos(1.0), -math.sin(1.0)
-    got = _kernels.prufer_forward(V, param.E, u0, u1)
+    got = prufer_forward(V, param.E, u0, u1)
     want = loop_forward(V, param.E, u0, u1)
     assert _rescale_sites(want[2]).size == rescales
-    _assert_same_evolution(got, want, V[1:], param)
+    _assert_same_evolution(got, want, param)
 
 
 def _jump1e250(jump=545, tail=20):
@@ -119,12 +139,12 @@ def test_prufer_forward_batch_rows_match_loop(case):
     V = BATCH_CASES[case]()
     params = [SpectralParam.from_x(x) for x in BATCH_XS]
     u0, u1 = math.cos(1.0), -math.sin(1.0)
-    got = _kernels.prufer_forward(V, [p.E for p in params], u0, u1)
+    got = prufer_forward(V, [p.E for p in params], u0, u1)
     assert all(a.shape == (len(params), V.shape[0]) for a in got)
     for i, p in enumerate(params):
         row = tuple(a[i] for a in got)
-        _assert_same_evolution(row, loop_forward(V, p.E, u0, u1), V[1:], p)
-        for a, b in zip(row, _kernels.prufer_forward(V, p.E, u0, u1)):
+        _assert_same_evolution(row, loop_forward(V, p.E, u0, u1), p)
+        for a, b in zip(row, prufer_forward(V, p.E, u0, u1)):
             assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -139,28 +159,27 @@ def test_backward_resonant_matches_loop(c, rescales):
     args = (c, 2 * x, delta, param.E, u_next, u_launch, launch, n)
     want = loop_backward(*args)
     assert _rescale_sites(want[2]).size == rescales
-    V = make_potential("resonant", c=c, omega=2 * x, delta=delta).values(1, n)
-    _assert_same_evolution(_kernels.backward_resonant(*args), want, V, param)
+    _assert_same_evolution(_kernels.backward_resonant(*args), want, param)
 
 
 def test_exact_zero_pair_takes_the_cut_search():
     # (u(1), u(0)) = (0, 1): the first chunk holds an exact zero, so its
     # min |pair| = 0 < _RESCALE_LO, and it must still cut at the rescales
     V = _table12(2000)
-    got = _kernels.prufer_forward(V, 0.0, 1.0, 0.0)
+    got = prufer_forward(V, 0.0, 1.0, 0.0)
     want = loop_forward(V, 0.0, 1.0, 0.0)
     assert want[0][1] == 0.0 and _rescale_sites(want[2]).size > 10
-    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.0))
+    _assert_same_evolution(got, want, SpectralParam.from_energy(0.0))
 
 
 def test_rescale_of_a_chunk_wholly_below_the_band():
     # no pair exceeds _RESCALE_HI (12^40 < 1e100), so only the lower edge
     # of the band calls for the cut at site 1
     V = _table12(40)
-    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
+    got = prufer_forward(V, 0.5, 1e-200, 3e-201)
     want = loop_forward(V, 0.5, 1e-200, 3e-201)
     assert _rescale_sites(want[2]).tolist() == [1]
-    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.5))
+    _assert_same_evolution(got, want, SpectralParam.from_energy(0.5))
 
 
 def test_sturm_counts_exact_zero_pair_with_rescales():
@@ -177,10 +196,10 @@ def test_sturm_counts_exact_zero_pair_with_rescales():
 def test_rescale_at_first_site():
     # a launch pair already below the band is rescaled before the first step
     V = _table12(300)
-    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
+    got = prufer_forward(V, 0.5, 1e-200, 3e-201)
     want = loop_forward(V, 0.5, 1e-200, 3e-201)
     assert _rescale_sites(want[2])[0] == 1
-    _assert_same_evolution(got, want, V[1:], SpectralParam.from_energy(0.5))
+    _assert_same_evolution(got, want, SpectralParam.from_energy(0.5))
 
 
 def test_solve_forward_extended_precision():
@@ -234,9 +253,9 @@ def test_solve_forward_overflow_flag():
 def test_many_rescales_stay_cheap():
     # 1030 rescales at N = 1e5: each restart re-solves only a short chunk
     V = _table12(10 ** 5)
-    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
+    prufer_forward(V, 1.0, 1.0, 0.5)
     t0 = time.perf_counter()
-    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
+    prufer_forward(V, 1.0, 1.0, 0.5)
     assert time.perf_counter() - t0 < 0.3
 
 
@@ -246,12 +265,12 @@ def test_batched_rescales_stay_cheap():
     # near that of one block's 1030 restarts
     V = _table12(10 ** 5)
     es = np.linspace(-1.9, 1.9, 16)
-    _kernels.prufer_forward(V, es, 1.0, 0.5)
+    prufer_forward(V, es, 1.0, 0.5)
     # best of three: a shared machine can run 2x slower for seconds
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        ln_scale = _kernels.prufer_forward(V, es, 1.0, 0.5)[2]
+        ln_scale = prufer_forward(V, es, 1.0, 0.5)[2]
         best = min(best, time.perf_counter() - t0)
     assert best < 0.3
     sites = [set(_rescale_sites(row).tolist()) for row in ln_scale]
@@ -263,7 +282,7 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
     # backwards from M = 16N is forwards on the mirrored potential
     # W(k) = V(M + 1 - k), with w(k) = u(M + 1 - k): one recurrence and one
     # rescale rule, so both give the same ln R once the pairs go through
-    # the shared transform (the radius is symmetric in its two arguments).
+    # the radius formula (which is symmetric in its two arguments).
     # c = 2.5 is a decaying resonance; c = 1000 crosses 1e100 repeatedly.
     n, x, delta = 2000, 1.1, 0.4
     launch = 16 * n
@@ -274,17 +293,16 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
     u_next = math.cos(theta) + u_launch * param.cos_x
     un, um, ln_scale = _kernels.backward_resonant(
         c, 2 * x, delta, param.E, u_next, u_launch, launch, n)
-    back = _transform(un[1:], um[1:], ln_scale[1:], pot.values(1, n), param)
 
     W = np.zeros(launch + 2)
     W[1:launch + 1] = pot.values(1, launch)[::-1]
-    fn, fm, fs = _kernels.prufer_forward(W, param.E, u_next, u_launch)
+    fn, fm, fs = prufer_forward(W, param.E, u_next, u_launch)
     assert np.unique(ln_scale[1:]).size == 1 + rescales
     assert ln_scale[1] == pytest.approx(fs[-1], rel=1e-12)
-    fwd = _transform(fn[1:], fm[1:], fs[1:], W[1:], param)
+    fwd = _ln_r_of((fn, fm, fs), param)
     # backward site n is forward site M + 2 - n
-    mirrored = fwd.ln_R[launch + 2 - np.arange(1, n + 1)]
-    lnr = back.ln_R[1:]
+    mirrored = fwd[launch + 1 - np.arange(1, n + 1)]
+    lnr = _ln_r_of((un, um, ln_scale), param)
     np.testing.assert_array_less(
         np.abs(mirrored - lnr), 1e-12 * np.maximum(1.0, np.abs(lnr)))
 
@@ -526,7 +544,7 @@ def test_forward_windows_match_whole_row_driver(case):
     for E in ([2.0 * math.cos(x) for x in BATCH_XS], 2.0 * math.cos(1.0)):
         want = _whole_row_forward(V, E, u0, u1)
         assert np.count_nonzero(np.diff(want[2][..., 1:])) > 0  # it rescales
-        _assert_same_bits(_kernels.prufer_forward(V, E, u0, u1), want)
+        _assert_same_bits(prufer_forward(V, E, u0, u1), want)
         es = np.atleast_1d(E)
         rows = [a.reshape(es.size, -1)[:, 1:] for a in want]
         # one-site windows at the start, where no step is taken in the first
@@ -543,7 +561,7 @@ def test_window_end_cuts_fall_where_the_case_names():
     for case, sites in [("cut-at-window-end", [W, 2 * W]),
                         ("cut-before-window-end", [W - 1]),
                         ("cut-after-window-end", [W + 1, 2 * W + 1])]:
-        ln_scale = _kernels.prufer_forward(WINDOW_CASES[case](), E, u0, u1)[2]
+        ln_scale = prufer_forward(WINDOW_CASES[case](), E, u0, u1)[2]
         assert _rescale_sites(ln_scale).tolist() == sites
 
 

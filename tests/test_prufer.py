@@ -17,11 +17,10 @@ from efgp import (
     prufer_step,
     solve_recurrence,
     to_prufer,
-    transfer_step,
     verify_recursions,
 )
 from efgp import _kernels
-from efgp.prufer import _block_onsets, _onsets, boundary_values
+from efgp.prufer import _block_onsets, _ln_r, _onsets, boundary_values
 
 PI = math.pi
 
@@ -112,25 +111,6 @@ def test_trajectory_beyond_float_range_raises_overflow():
         traj.u_values()
 
 
-def test_transfer_step_basics():
-    assert transfer_step(0.0, 0.0, (1.0, 0.0)) == (0.0, 1.0)
-    x = 0.8
-    nxt, cur = transfer_step(0.0, 2 * math.cos(x), (math.sin(x), 0.0))
-    assert nxt == pytest.approx(math.sin(2 * x), rel=1e-15)
-    assert cur == math.sin(x)
-
-
-def test_transfer_step_determinant_one():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        vn, e = rng.uniform(-3, 3, 2)
-        # columns = images of (1,0) and (0,1)
-        a = transfer_step(vn, e, (1.0, 0.0))
-        b = transfer_step(vn, e, (0.0, 1.0))
-        det = a[0] * b[1] - a[1] * b[0]
-        assert det == pytest.approx(1.0, abs=0)
-
-
 def test_wronskian_constant():
     p = make_potential("random_sign", c=1.5, seed=21)
     spec = OperatorSpec(p, PI / 2, 10 ** 5)
@@ -196,6 +176,19 @@ def test_degenerate_pair_named_across_a_block_end():
                    param=SpectralParam.from_x(1.0))
     with pytest.raises(errors.DegenerateSolution, match=rf"R\({m + 2}\) = 0"):
         to_prufer(sol)
+
+
+def test_ln_r_rejects_a_zero_radius():
+    # classify and construct form ln R without the lift, which names the
+    # site; the radius formula itself refuses R = 0
+    param = SpectralParam.from_x(1.0)
+    un, um = np.array([[1.0, 0.0, 2.0]]), np.array([[0.5, 0.0, 1.0]])
+    with pytest.raises(errors.DegenerateSolution):
+        _ln_r(un, um, np.zeros((1, 3)), param.cos_x, param.sin_x)
+    ok = _ln_r(un[:, ::2], um[:, ::2], 3.0, param.cos_x, param.sin_x)
+    want = np.log(np.hypot(un[:, ::2] - um[:, ::2] * param.cos_x,
+                           um[:, ::2] * param.sin_x)) + 3.0
+    assert ok.tobytes() == want.tobytes()
 
 
 def test_prufer_step_identity_at_zero_nu():
