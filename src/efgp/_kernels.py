@@ -309,6 +309,27 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
                          ends, out)
 
 
+def prufer_forward(V, E, u0, u1):
+    """Three-term recurrence with rescaling, for the Prufer transform.
+
+    E is one energy or a vector of B energies, all evolved from the same
+    (u(0), u(1)) by one batched driver.  Returns (un, um, ln_scale),
+    site-indexed with slot 0 = nan, of shape (N+1,) or (B, N+1): the pair
+    (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]).  The pair is
+    rescaled once max(|u(n)|, |u(n-1)|) leaves [_RESCALE_LO, _RESCALE_HI]
+    (unless it is 0), so it never overflows and ln R stays exact; each
+    energy gets the bits of its own single-energy call.  No program route
+    calls it: the tests use it as the whole-row reference, and the
+    benchmark's tracer wraps it.
+    """
+    n_max = V.shape[0] - 1
+    out = np.empty((3, np.size(E), n_max + 1))
+    out[:, :, 0] = np.nan  # the driver writes every site from 1 on
+    for _ in _forward_windows(V, E, u0, u1, [n_max], out[:, :, 1:]):
+        pass
+    return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
+
+
 def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
                       n_record):
     """Run the recurrence backwards from (u(M+1), u(M)) = (u_next, u_launch).

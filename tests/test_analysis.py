@@ -47,7 +47,6 @@ from efgp.prufer import (
 )
 from efgp.spectral import eigenvalues_in_window
 from efgp.operators import build_jacobi
-from test_kernels import prufer_forward
 from test_prufer import _reverse_max
 from test_spectral import POTENTIALS
 
@@ -369,7 +368,7 @@ def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
                                       n).to_json_dict())
     V = pot.value_array(n)
     for p in params:
-        un, um, _ = prufer_forward(V, p.E, *boundary_values(phi))
+        un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))
         got = evolve_trajectory(spec, p).theta
         assert got.tobytes() == _unblocked_angles(un[1:], um[1:], p).tobytes()
 
@@ -380,7 +379,7 @@ def test_rescaling_examples_rescale_where_they_claim(pot, n, before):
     spec = OperatorSpec(pot, 1.0, n)
     params = [SpectralParam.from_x(x) for x in (1.1, 1.9)]
     n0 = lemma_sums(spec, params).n0
-    ln_scale = prufer_forward(pot.value_array(n), params[0].E,
+    ln_scale = _kernels.prufer_forward(pot.value_array(n), params[0].E,
                               *boundary_values(1.0))[2]
     cuts = np.flatnonzero(np.diff(ln_scale[1:])) + 1  # the cut sites
     assert cuts.size and ((cuts < n0) if before else (cuts > n0)).all()

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efgp import OperatorSpec, _kernels, make_potential
-from efgp.prufer import SpectralParam, _ln_r, boundary_values, evolve_trajectory
+from efgp import OperatorSpec, _kernels, make_potential, resonance_construct
+from efgp.prufer import (SpectralParam, _ln_r, _trajectories, boundary_values,
+                         evolve_trajectory)
+from efgp.spectral import _decay_exponents
 
 RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
@@ -19,22 +21,6 @@ RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 def _rescale_needed(a, b):
     m = max(abs(a), abs(b))
     return m if m > RESCALE_HI or (m < RESCALE_LO and m != 0.0) else None
-
-
-def prufer_forward(V, E, u0, u1):
-    """The forward pairs of one window over all sites, stored by
-    _kernels._forward_windows into its out, as classify_spectrum does.
-
-    E is one energy or a vector of B energies.  Returns (un, um, ln_scale),
-    site-indexed with slot 0 = nan, of shape (N+1,) or (B, N+1): the pair
-    (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]).
-    """
-    n_max = V.shape[0] - 1
-    out = np.empty((3, np.size(E), n_max + 1))
-    out[:, :, 0] = np.nan  # the driver writes every site from 1 on
-    for _ in _kernels._forward_windows(V, E, u0, u1, [n_max], out[:, :, 1:]):
-        pass
-    return tuple(out.reshape((3,) + np.shape(E) + (n_max + 1,)))
 
 
 def _ln_r_of(pairs, param):
@@ -107,7 +93,7 @@ def test_prufer_forward_matches_loop(case):
     V = make_v()
     param = SpectralParam.from_x(1.0)
     u0, u1 = math.cos(1.0), -math.sin(1.0)
-    got = prufer_forward(V, param.E, u0, u1)
+    got = _kernels.prufer_forward(V, param.E, u0, u1)
     want = loop_forward(V, param.E, u0, u1)
     assert _rescale_sites(want[2]).size == rescales
     _assert_same_evolution(got, want, param)
@@ -139,12 +125,12 @@ def test_prufer_forward_batch_rows_match_loop(case):
     V = BATCH_CASES[case]()
     params = [SpectralParam.from_x(x) for x in BATCH_XS]
     u0, u1 = math.cos(1.0), -math.sin(1.0)
-    got = prufer_forward(V, [p.E for p in params], u0, u1)
+    got = _kernels.prufer_forward(V, [p.E for p in params], u0, u1)
     assert all(a.shape == (len(params), V.shape[0]) for a in got)
     for i, p in enumerate(params):
         row = tuple(a[i] for a in got)
         _assert_same_evolution(row, loop_forward(V, p.E, u0, u1), p)
-        for a, b in zip(row, prufer_forward(V, p.E, u0, u1)):
+        for a, b in zip(row, _kernels.prufer_forward(V, p.E, u0, u1)):
             assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -166,7 +152,7 @@ def test_exact_zero_pair_takes_the_cut_search():
     # (u(1), u(0)) = (0, 1): the first chunk holds an exact zero, so its
     # min |pair| = 0 < _RESCALE_LO, and it must still cut at the rescales
     V = _table12(2000)
-    got = prufer_forward(V, 0.0, 1.0, 0.0)
+    got = _kernels.prufer_forward(V, 0.0, 1.0, 0.0)
     want = loop_forward(V, 0.0, 1.0, 0.0)
     assert want[0][1] == 0.0 and _rescale_sites(want[2]).size > 10
     _assert_same_evolution(got, want, SpectralParam.from_energy(0.0))
@@ -176,7 +162,7 @@ def test_rescale_of_a_chunk_wholly_below_the_band():
     # no pair exceeds _RESCALE_HI (12^40 < 1e100), so only the lower edge
     # of the band calls for the cut at site 1
     V = _table12(40)
-    got = prufer_forward(V, 0.5, 1e-200, 3e-201)
+    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
     want = loop_forward(V, 0.5, 1e-200, 3e-201)
     assert _rescale_sites(want[2]).tolist() == [1]
     _assert_same_evolution(got, want, SpectralParam.from_energy(0.5))
@@ -196,7 +182,7 @@ def test_sturm_counts_exact_zero_pair_with_rescales():
 def test_rescale_at_first_site():
     # a launch pair already below the band is rescaled before the first step
     V = _table12(300)
-    got = prufer_forward(V, 0.5, 1e-200, 3e-201)
+    got = _kernels.prufer_forward(V, 0.5, 1e-200, 3e-201)
     want = loop_forward(V, 0.5, 1e-200, 3e-201)
     assert _rescale_sites(want[2])[0] == 1
     _assert_same_evolution(got, want, SpectralParam.from_energy(0.5))
@@ -253,9 +239,9 @@ def test_solve_forward_overflow_flag():
 def test_many_rescales_stay_cheap():
     # 1030 rescales at N = 1e5: each restart re-solves only a short chunk
     V = _table12(10 ** 5)
-    prufer_forward(V, 1.0, 1.0, 0.5)
+    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
     t0 = time.perf_counter()
-    prufer_forward(V, 1.0, 1.0, 0.5)
+    _kernels.prufer_forward(V, 1.0, 1.0, 0.5)
     assert time.perf_counter() - t0 < 0.3
 
 
@@ -265,12 +251,12 @@ def test_batched_rescales_stay_cheap():
     # near that of one block's 1030 restarts
     V = _table12(10 ** 5)
     es = np.linspace(-1.9, 1.9, 16)
-    prufer_forward(V, es, 1.0, 0.5)
+    _kernels.prufer_forward(V, es, 1.0, 0.5)
     # best of three: a shared machine can run 2x slower for seconds
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        ln_scale = prufer_forward(V, es, 1.0, 0.5)[2]
+        ln_scale = _kernels.prufer_forward(V, es, 1.0, 0.5)[2]
         best = min(best, time.perf_counter() - t0)
     assert best < 0.3
     sites = [set(_rescale_sites(row).tolist()) for row in ln_scale]
@@ -283,11 +269,15 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
     # W(k) = V(M + 1 - k), with w(k) = u(M + 1 - k): one recurrence and one
     # rescale rule, so both give the same ln R once the pairs go through
     # the radius formula (which is symmetric in its two arguments).
-    # c = 2.5 is a decaying resonance; c = 1000 crosses 1e100 repeatedly.
-    n, x, delta = 2000, 1.1, 0.4
+    # c = 2.5 is a decaying resonance; c = 1000 crosses 1e100 repeatedly,
+    # also inside resonance_construct's fit window.  The pairs are those of
+    # resonance_construct, whose fit must have the bits of the fit over the
+    # trajectory of the same pairs.
+    n, x = 2000, 1.1
+    res = resonance_construct(x, c, n)
+    delta, pot = res.delta, res.potential
     launch = 16 * n
     param = SpectralParam.from_x(x)
-    pot = make_potential("resonant", c=c, omega=2 * x, delta=delta)
     theta = x * launch + 0.5 * delta
     u_launch = math.sin(theta) / param.sin_x
     u_next = math.cos(theta) + u_launch * param.cos_x
@@ -296,7 +286,7 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
 
     W = np.zeros(launch + 2)
     W[1:launch + 1] = pot.values(1, launch)[::-1]
-    fn, fm, fs = prufer_forward(W, param.E, u_next, u_launch)
+    fn, fm, fs = _kernels.prufer_forward(W, param.E, u_next, u_launch)
     assert np.unique(ln_scale[1:]).size == 1 + rescales
     assert ln_scale[1] == pytest.approx(fs[-1], rel=1e-12)
     fwd = _ln_r_of((fn, fm, fs), param)
@@ -305,6 +295,12 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
     lnr = _ln_r_of((un, um, ln_scale), param)
     np.testing.assert_array_less(
         np.abs(mirrored - lnr), 1e-12 * np.maximum(1.0, np.abs(lnr)))
+
+    fit_lo = min(1000, max(10, n // 100))
+    window = [tuple(a[None, 1:] for a in (un, um, ln_scale))]
+    traj, = _trajectories(pot.value_array(n), [param], window, [n])
+    want = _decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]
+    assert res.fitted_exponent.hex() == want.hex()
 
 
 def test_cumsum_adds_left_to_right():
@@ -544,7 +540,7 @@ def test_forward_windows_match_whole_row_driver(case):
     for E in ([2.0 * math.cos(x) for x in BATCH_XS], 2.0 * math.cos(1.0)):
         want = _whole_row_forward(V, E, u0, u1)
         assert np.count_nonzero(np.diff(want[2][..., 1:])) > 0  # it rescales
-        _assert_same_bits(prufer_forward(V, E, u0, u1), want)
+        _assert_same_bits(_kernels.prufer_forward(V, E, u0, u1), want)
         es = np.atleast_1d(E)
         rows = [a.reshape(es.size, -1)[:, 1:] for a in want]
         # one-site windows at the start, where no step is taken in the first
@@ -561,7 +557,7 @@ def test_window_end_cuts_fall_where_the_case_names():
     for case, sites in [("cut-at-window-end", [W, 2 * W]),
                         ("cut-before-window-end", [W - 1]),
                         ("cut-after-window-end", [W + 1, 2 * W + 1])]:
-        ln_scale = prufer_forward(WINDOW_CASES[case](), E, u0, u1)[2]
+        ln_scale = _kernels.prufer_forward(WINDOW_CASES[case](), E, u0, u1)[2]
         assert _rescale_sites(ln_scale).tolist() == sites
 
 

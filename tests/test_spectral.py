@@ -30,7 +30,7 @@ from efgp import (
     resonance_construct,
     sturm_count,
 )
-from efgp.prufer import SpectralParam, _trajectories, common_onset, evolve_trajectory
+from efgp.prufer import SpectralParam, common_onset, evolve_trajectory
 from efgp import _kernels, analysis, spectral
 from efgp.spectral import default_checkpoints
 
@@ -488,7 +488,7 @@ def test_decay_exponents_do_not_depend_on_memory_layout(shape):
 
 
 def test_theorem_weight_single_definition():
-    # analysis no longer imports it; a module that binds it must share it
+    # any module that binds the name shares the one definition
     assert efgp.theorem_weight is spectral.theorem_weight
     assert getattr(analysis, "theorem_weight", efgp.theorem_weight) is efgp.theorem_weight
     assert not hasattr(spectral, "theorem_weight_of")
@@ -566,28 +566,6 @@ def test_resonance_construct_is_one_backward_pass(monkeypatch):
     # second in pure Python, a 94-run phase search about 40 s
     assert time.perf_counter() - t0 < 10.0
     assert calls == [16 * 10 ** 5]
-
-
-@pytest.mark.parametrize("c, rescales", [(2.5, False), (1000.0, True)])
-def test_resonance_fit_reads_the_trajectory_radius(c, rescales):
-    # resonance_construct forms ln R at the fit sites only: its fit has the
-    # bits of the fit over the trajectory of the same backward pairs; at
-    # c = 1000 the pairs rescale inside the fit window
-    n, x = 2000, 1.1
-    res = resonance_construct(x, c, n)
-    param = SpectralParam.from_x(x)
-    launch = 16 * n
-    theta = x * launch + 0.5 * res.delta
-    u_launch = math.sin(theta) / param.sin_x
-    u_next = math.cos(theta) + u_launch * param.cos_x
-    un, um, ln_scale = _kernels.backward_resonant(
-        c, 2 * x, res.delta, param.E, u_next, u_launch, launch, n)
-    fit_lo = min(1000, max(10, n // 100))
-    assert (np.unique(ln_scale[fit_lo:]).size > 1) == rescales
-    window = [tuple(a[None, 1:] for a in (un, um, ln_scale))]
-    traj, = _trajectories(res.potential.value_array(n), [param], window, [n])
-    want = spectral._decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]
-    assert res.fitted_exponent.hex() == want.hex()
 
 
 def test_eigenvalue_set_merges_duplicates():
