@@ -6,20 +6,21 @@ The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
 system with two subdiagonals, so BLAS ``dtbsv`` solves a stretch of it in
 the same sequential order as a loop would (:func:`_recur`).  B independent
 recurrences are B blocks laid end to end in one such system, uncoupled by
-zero entries.  One resumable driver (:func:`_pair_windows`) runs B blocks
-with log-scale rescaling, each rescaled exactly where it would be alone,
-and yields their pairs window by window: consecutive stretches of sites
-whose ends the caller chooses, so no caller needs to hold a pair array as
-long as the lattice.  It reads the coefficients one window at a time and
-solves on band buffers allocated once per call.  It serves the forward
-Prufer evolution (one block per energy, V read window by window from an
-array or a function of the site range), the backward resonant launch (one
-block, storing only the sites it returns) and Sturm counts (one block per
-shift); ``analysis.lemma_sums`` consumes its windows as they come and
-passes ``Potential.values``, so besides block buffers no array is as long
-as the lattice.  ``spectral.classify_spectrum`` runs one call per group of
-energies, each storing into a slice of one pair buffer that it allocates
-once for all its groups.
+zero entries.  One resumable driver (:func:`_forward_windows`) runs B
+blocks, one per energy E_b, with log-scale rescaling, each rescaled
+exactly where it would be alone, and yields their pairs window by window:
+consecutive stretches of sites whose ends the caller chooses, so no caller
+needs to hold a pair array as long as the lattice.  It reads W one window
+at a time, from an array or a function of the site range, forms the
+couplings W(k) - E_b itself and solves on band buffers allocated once per
+call.  It serves the forward Prufer evolution (W = V), the backward
+resonant launch (W(k) = V(M + 1 - k) on the mirrored sites, one block,
+storing only the sites it returns) and Sturm counts (W = the diagonal, one
+block per shift).  ``analysis.lemma_sums`` consumes its windows as they
+come and passes ``Potential.values``, so besides block buffers no array is
+as long as the lattice.  ``spectral.classify_spectrum`` runs one call per
+group of energies, each storing into a slice of one pair buffer that it
+allocates once for all its groups.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -113,38 +114,39 @@ def _ends(start, stop, width):
     return list(range(start + width, stop, width)) + [stop]
 
 
-def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
-    """Rescaled pairs of B independent recurrences
-    w_b(k+1) = -sub_b(k) w_b(k) - w_b(k-1), sites k = 1..n_sites, yielded
-    window by window.
+def _forward_windows(V, E, u0, u1, ends, out=None):
+    """Rescaled pairs of u_b(n+1) = (E_b - V(n)) u_b(n) - u_b(n-1) over the
+    sites n = 1..N, N = ends[-1], for the B energies E_b of the vector E,
+    all from (u(0), u(1)) = (u0, u1), yielded window by window.
 
-    ``ends`` are the increasing last sites of consecutive windows, the
-    first window starting at site 1 and the last ending at n_sites.  For
-    each window of sites lo..hi that takes a step, ``coefs(k0, hi)``, with
-    k0 = max(lo - 1, 1), is called once and returns the window's
-    ``sub(blocks, sites, out)``: it writes into out the (A, L) array of
-    sub_b(k), all finite, for the block indices b in ``blocks`` (shape
-    (A,)) and the sites k0 <= k < hi in the matching rows of ``sites``, of
-    shape (A, L) or (1, L) when one row serves every block.  Block b starts
-    from (w_b(0), w_b(1)) = (w0[b], w1[b]).  Per window the generator
-    yields (cur, prev, scale), each of shape (B, hi - lo + 1):
-    (w_b(k), w_b(k-1)) = exp(scale) * (cur, prev).  They are views of one
-    buffer, overwritten by the next window, or with ``out``, a (3, B, M)
-    array holding the last M sites, its columns for the window's sites.  A
-    window that ends before those sites is not stored: it yields
-    (None, None, scale).  No window may straddle the first stored site.
+    V is the site-indexed potential, or a function ``values(n_lo, n_hi)``
+    returning V(n_lo..n_hi) (as ``Potential.values`` does); every
+    V(n) - E_b must be finite.  ``ends`` are the increasing last sites of
+    consecutive windows, the first starting at site 1.  Each window lo..hi
+    that takes a step reads V at its sites max(lo - 1, 1)..hi - 1 once, as
+    a view of the array V or one call of values, so V is read once in all.
+    Per window the generator yields (cur, prev, scale), each of shape
+    (B, hi - lo + 1): (u_b(n), u_b(n-1)) = exp(scale) * (cur, prev).  They
+    are views of one buffer, overwritten by the next window, or with
+    ``out``, a (3, B, M) array holding the last M sites, its columns for
+    the window's sites.  A window that ends before those sites is not
+    stored: it yields (None, None, scale).  No window may straddle the
+    first stored site.
 
     Each block moves along its own chunks, and one band solve
     (:func:`_band`, :func:`_solve`) advances every block still short of the
     window end by one chunk, of at most about _CHUNK rows in all; its band
     and solution live in buffers allocated once per call, and |solution|
-    in the band's diagonal 0, which BLAS never reads.  A block's chunk is
-    cut at its first site whose max(|w(k)|, |w(k-1)|) leaves
-    [_RESCALE_LO, _RESCALE_HI] (unless it is 0; at k = n_sites only if it
-    is inf), or one site earlier if it is inf; the pair there is stored,
+    in the band's diagonal 0, which BLAS never reads.  The couplings
+    V(n) - E_b of a chunk are formed in one place: from a slice of the
+    window's V when every block is at one site, else from sites clipped to
+    the window, with a zero filler past a block's end.  A block's chunk is
+    cut at its first site whose max(|u(n)|, |u(n-1)|) leaves
+    [_RESCALE_LO, _RESCALE_HI] (unless it is 0; at n = N only if it is
+    inf), or one site earlier if it is inf; the pair there is stored,
     divided by that maximum, and the block's next chunk, a quarter longer
-    than the stretch kept, starts from it.  The recurrence does the
-    same arithmetic wherever a chunk or a window starts, and scale is the
+    than the stretch kept, starts from it.  The recurrence does the same
+    arithmetic wherever a chunk or a window starts, and scale is the
     running sum of the logs of the divisors, accumulated left to right
     across windows (the total so far enters column 0 of a window before
     its cumsum), so every block gets the bits it would get alone in one
@@ -152,13 +154,17 @@ def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
     0 * inf = nan into the blocks after it, so those are solved again, in
     place.
     """
-    nb = len(w0)
-    # each block's pair (w(k), w(k-1)) at the end k of the last window,
-    # rescaled if k was a cut
-    end_a, end_b = np.array(w1, dtype=np.float64), np.array(w0, dtype=np.float64)
+    values = V if callable(V) else (lambda n_lo, n_hi: V[n_lo:n_hi + 1])
+    es = np.asarray(E, dtype=np.float64).reshape(-1)
+    nb = es.shape[0]
+    ends = list(ends)
+    n_sites = ends[-1]
+    # each block's pair (u(n), u(n-1)) at the end n of the last window,
+    # rescaled if n was a cut
+    end_a = np.full(nb, u1, dtype=np.float64)
+    end_b = np.full(nb, u0, dtype=np.float64)
     total = np.zeros(nb)  # the log scale at the last site yielded
     pending = np.zeros(nb)  # logs of divisors at a window's last site
-    ends = list(ends)
     widest = max(hi - lo for lo, hi in zip([0] + ends, ends))
     # a chunk spans at most min(_CHUNK, widest) sites, and all the blocks
     # of one solve at most max(_CHUNK, nb) of them, plus two rows each
@@ -187,10 +193,10 @@ def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
         if lo == 1 and cur is not None:
             cur[:, 0], prev[:, 0] = end_a, end_b
         # the blocks short of the window end, each at its site k with the
-        # pair (a, b) = (w(k), w(k-1)) it continues from
+        # pair (a, b) = (u(k), u(k-1)) it continues from
         ids = np.arange(nb if k0 < hi else 0)
         if ids.size:
-            sub = coefs(k0, hi)
+            v = values(k0, hi - 1)  # v[i] = V(k0 + i)
         k = np.full(ids.size, k0, dtype=np.intp)
         a, b = end_a[ids], end_b[ids]
         while ids.size:
@@ -199,13 +205,16 @@ def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
             fewest, most = int(left.min()), int(left.max())
             chunk = min(max(1, _CHUNK // n_act), grow, most)
             last = np.minimum(left, chunk)  # the block's last site is k + last
-            # blocks all at one site share one row of sites
-            sites = (k if fewest < most else k[:1])[:, None] + offsets[:chunk]
             if band.shape[:2] != (n_act, chunk + 2):
                 # a solve of the last shape left every entry but the couplings
                 band = _band(n_act, chunk + 2, band_buf)
+            if fewest == most:  # every block at one site: one slice of v
+                sel = slice(int(k[0]) - k0, int(k[0]) - k0 + chunk)
+            else:
+                sites = k[:, None] + offsets[:chunk]
+                sel = np.minimum(sites, hi - 1) - k0
             w = band[:, 1:-1, 1]
-            sub(ids, np.minimum(sites, hi - 1) if chunk > fewest else sites, w)
+            np.subtract(v[sel], es[ids, None], out=w)
             if chunk > fewest:
                 w[sites >= hi] = 0.0  # past a block's end: a bounded filler
             # pair at site k + j: y[:, j+1], y[:, j]
@@ -279,36 +288,6 @@ def _pair_windows(coefs, n_sites, w0, w1, ends, out=None):
         lo = hi + 1
 
 
-def _forward_windows(V, E, u0, u1, ends, out=None):
-    """:func:`_pair_windows` of u(n+1) = (E_b - V(n)) u(n) - u(n-1) over
-    the sites n = 1..N, N = ends[-1], for the B energies E_b of the vector
-    E, all from the same (u(0), u(1)); ends and out as there.
-
-    V is the site-indexed potential, or a function ``values(n_lo, n_hi)``
-    returning V(n_lo..n_hi) (as ``Potential.values`` does).  Each window
-    lo..hi reads V at its sites max(lo - 1, 1)..hi - 1 once, as a view of
-    the array V or one call of values, so V is read once in all.
-    """
-    values = V if callable(V) else (lambda n_lo, n_hi: V[n_lo:n_hi + 1])
-    es = np.reshape(np.asarray(E, dtype=np.float64), (-1, 1))
-    nb = es.shape[0]
-
-    def coefs(k0, hi):
-        v = values(k0, hi - 1)  # v[i] = V(k0 + i)
-
-        def sub(blocks, sites, out):
-            lo, hi = sites[0, 0], sites[0, -1]
-            if sites.shape[0] == 1 and hi - lo == sites.shape[1] - 1:
-                # one row of consecutive sites
-                np.subtract(v[lo - k0:hi + 1 - k0], es[blocks], out=out)
-            else:
-                np.subtract(v[sites - k0], es[blocks], out=out)
-        return sub
-
-    return _pair_windows(coefs, ends[-1], np.full(nb, u0), np.full(nb, u1),
-                         ends, out)
-
-
 def prufer_forward(V, E, u0, u1):
     """Three-term recurrence with rescaling, for the Prufer transform.
 
@@ -342,14 +321,14 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
     Returns (un, um, ln_scale) for the sites n = 1..n_record <= M (slot 0 =
     nan): the pair (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]),
     so (u(0), u(1)) = exp(ln_scale[1]) * (um[1], un[1]).  The pair is
-    rescaled by the rule of :func:`_pair_windows`: once
+    rescaled by the rule of :func:`_forward_windows`: once
     max(|u(n)|, |u(n-1)|) leaves [_RESCALE_LO, _RESCALE_HI] (unless it is
     0), so it never overflows and ln R stays exact.
     """
     # forwards on the mirrored sequence w(k) = u(M + 1 - k), W(k) = V(M + 1 - k)
-    def sub(blocks, sites, out):
-        n = (n_launch + 1 - sites).astype(np.float64)
-        out[...] = amp * np.sin(omega * n + delta) / n - E
+    def mirrored(k_lo, k_hi):
+        n = (n_launch + 1 - np.arange(k_lo, k_hi + 1)).astype(np.float64)
+        return amp * np.sin(omega * n + delta) / n
 
     n_sites = n_launch + 1
     first = n_sites + 1 - n_record  # the mirrored site of n = n_record
@@ -358,8 +337,8 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
     # and the windows before the first stored site are not stored
     um, un, ln_scale = out = np.full((3, n_record + 1), np.nan)
     ends = _ends(0, first - 1, _CHUNK) + _ends(first - 1, n_sites, _CHUNK)
-    for _ in _pair_windows(lambda k0, hi: sub, n_sites, [u_next], [u_launch],
-                           ends, out[:, None, :0:-1]):
+    for _ in _forward_windows(mirrored, [E], u_next, u_launch, ends,
+                              out[:, None, :0:-1]):
         pass
     return un, um, ln_scale
 
@@ -371,18 +350,12 @@ def sturm_counts(diag, shifts):
     Martin & Wilkinson, Numer. Math. 9, 1967).  Step k = 1..N counts when
     w(k), w(k+1) agree in sign bit (a product can underflow) or w(k) = 0,
     but not when w(k+1) = 0.  Every diag - shift must be finite.  The
-    shifts are the blocks of one batched driver call, counted window by
-    window.
+    shifts are the energies of one driver call, with V = d, counted window
+    by window.
     """
-    nb, n = shifts.shape[0], diag.shape[0]
-    counts = np.zeros(nb, dtype=np.intp)
-    ends = _ends(0, n + 1, _CHUNK)
-
-    def sub(blocks, sites, out):
-        np.subtract(diag[sites - 1], shifts[blocks, None], out=out)
-
-    windows = _pair_windows(lambda k0, hi: sub, n + 1, np.zeros(nb), np.ones(nb),
-                            ends)
+    counts = np.zeros(shifts.shape[0], dtype=np.intp)
+    windows = _forward_windows(lambda n_lo, n_hi: diag[n_lo - 1:n_hi], shifts,
+                               0.0, 1.0, _ends(0, diag.shape[0] + 1, _CHUNK))
     for i, (cur, prev, _) in enumerate(windows):
         if i == 0:  # site 1 holds the start (w(1), w(0)), not a step
             cur, prev = cur[:, 1:], prev[:, 1:]

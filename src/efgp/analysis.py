@@ -434,12 +434,12 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     (``prufer._block_onsets``).  Then, per block, the blocks from the onset
     n0 on aligned at n0, every parameter advances as one block of the
     streamed driver (``_kernels._forward_windows``), which reads the
-    block's V, all the angles are lifted in one step with their carried
-    state (``prufer._Lift``), and from n0 on sin(2 theta_bar) enters the
-    carried sums (:class:`_LaneSums`).  The sites before n0 are evolved and
-    lifted but not summed.  The driver, the lift and the sums each hold
-    their block buffers, allocated once per call, so the memory used does
-    not grow with N.
+    block's V and forms V - E itself, all the angles are lifted in one
+    step with their carried state (``prufer._Lift``), and from n0 on
+    sin(2 theta_bar) enters the carried sums (:class:`_LaneSums`).  The
+    sites before n0 are evolved and lifted but not summed.  The driver, the
+    lift and the sums each hold their block buffers, allocated once per
+    call, so the memory used does not grow with N.
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyRange, EmptyTable, ParamOutOfRange, PhaseOutOfRange, UnknownFamily
+from .errors import (EmptyRange, EmptyTable, LengthMismatch, ParamOutOfRange,
+                     PhaseOutOfRange, UnknownFamily)
 
 FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
 
@@ -143,6 +144,9 @@ class Potential:
         The values are written block by block, so the temporaries of
         :meth:`values` stay block-sized; a non-finite value raises
         ParamOutOfRange naming its block's range."""
+        n_max = _int(n_max, "n_max")
+        if n_max < 1:
+            raise EmptyRange(f"need n_max >= 1, got {n_max}")
         out = np.empty(n_max + 1)
         out[0] = 0.0
         for lo in range(1, n_max + 1, _kernels._BLOCK):
@@ -222,6 +226,9 @@ class JacobiMatrix:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""
         v = np.asarray(vec, dtype=float)
+        if v.shape != np.shape(self.diagonal):
+            raise LengthMismatch(f"vector of shape {v.shape} for a diagonal "
+                                 f"of shape {np.shape(self.diagonal)}")
         out = self.diagonal * v
         out[:-1] += v[1:]
         out[1:] += v[:-1]
@@ -248,8 +255,6 @@ def build_jacobi(spec: OperatorSpec) -> JacobiMatrix:
     row-one shift; the far end gets a hard wall y(N+1) = 0.
     """
     _instance(spec, OperatorSpec, "spec")
-    if not 0.0 < spec.phi < math.pi:
-        raise PhaseOutOfRange(f"phi must lie in (0, pi), got {spec.phi}")
-    d = spec.potential.values(1, spec.n).copy()
+    d = spec.potential.values(1, spec.n)
     d[0] -= math.cos(spec.phi) / math.sin(spec.phi)
     return JacobiMatrix(diagonal=d)

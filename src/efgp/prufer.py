@@ -296,10 +296,12 @@ def evolve_trajectories(spec: OperatorSpec, params) -> list:
     accumulator, so ln R is exact for N up to millions of sites regardless
     of amplitude growth.  All parameters are evolved as the blocks of one
     streamed driver, whose windows :func:`_trajectories` transforms as they
-    come, so no pair array spans the lattice.
+    come, so no pair array spans the lattice.  No parameters give [].
     """
     _instance(spec, OperatorSpec, "spec")
     params = _instances(params, SpectralParam, "params")
+    if not params:
+        return []
     V = spec.potential.value_array(spec.n)
     ends = _kernels._ends(0, spec.n, _kernels._CHUNK)
     windows = _kernels._forward_windows(V, [p.E for p in params],

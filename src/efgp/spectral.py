@@ -46,10 +46,16 @@ DISTINCT_TOL = 1e-8  # records this close in E are one eigenvalue
 
 
 def _checked_diagonal(J: JacobiMatrix, *shifts: float) -> np.ndarray:
-    """The diagonal d of J, nonempty and finite, with d - E finite for each
-    shift E (rounding is monotone: checking min(d) and max(d) suffices)."""
+    """The diagonal d of J as float64, a nonempty, finite 1-D real array,
+    with d - E finite for each shift E (rounding is monotone: checking
+    min(d) and max(d) suffices)."""
     _instance(J, JacobiMatrix, "J")
     d = J.diagonal
+    if not (isinstance(d, np.ndarray) and d.ndim == 1
+            and d.dtype.kind in "iuf"):
+        raise ParamOutOfRange(
+            f"Jacobi diagonal must be a 1-D real array, got {d!r}")
+    d = d.astype(np.float64, copy=False)
     if d.size == 0:
         raise ParamOutOfRange("Jacobi matrix must not be empty")
     if not np.isfinite(d).all():
@@ -238,12 +244,12 @@ def classify_spectrum(spec: OperatorSpec, energies,
 
     V is evaluated once, and every onset is read off its block maxima.
     The energies are evolved in groups of G = max(1, _CHUNK // N), each by
-    one batched driver call (``_kernels._forward_windows``) into the same
-    (3, G, N) pair buffer; the pairs at site 1, the checkpoints and the fit
-    window are gathered into one more buffer, and ln R is formed only
-    there.  Both buffers are allocated once per call, so no group allocates
-    an output of its own.  Each record equals the one a single-energy
-    evolution gives.
+    one call of the driver (``_kernels._forward_windows``, which forms
+    V - E itself) into the same (3, G, N) pair buffer; the pairs at site
+    1, the checkpoints and the fit window are gathered into one more
+    buffer, and ln R is formed only there.  Both buffers are allocated
+    once per call, so no group allocates an output of its own.  Each
+    record equals the one a single-energy evolution gives.
     """
     _instance(spec, OperatorSpec, "spec")
     try:

@@ -98,6 +98,7 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
              sums,
              lambda: coulomb.values(1, size),
              lambda: coulomb.values(size, 130),
+             lambda: coulomb.value_array(size),
              lambda: envelope_constant(coulomb, 1, size),
              lambda: make_potential("random_sign", c=1.0, seed=size),
              lambda: make_potential("coulomb", c=1.0, n0=size),
@@ -157,8 +158,15 @@ _P = SpectralParam.from_x(1.0)
 _TRAJ = evolve_trajectory(_SPEC, _P)
 _SOL = solve_recurrence(_SPEC, _P)
 
-# library objects of the wrong type: a spec, parameters or trajectories
+# library objects of the wrong type: a spec, parameters, trajectories or a
+# Jacobi diagonal that is not a 1-D real array
 WRONG_TYPE_CALLS = {
+    "sturm_count-2d-diagonal":
+        lambda: sturm_count(JacobiMatrix(np.zeros((2, 2))), 0.0),
+    "window-list-diagonal":
+        lambda: eigenvalues_in_window(JacobiMatrix([0.0, 1.0]), (-1.0, 1.0)),
+    "eigenvector-text-diagonal":
+        lambda: eigenvector(JacobiMatrix(np.array(["a"])), 0.0),
     "evolve_trajectory-float-param": lambda: evolve_trajectory(_SPEC, 1.0),
     "evolve_trajectory-float-spec": lambda: evolve_trajectory(1.0, _P),
     "evolve_trajectories-scalar": lambda: evolve_trajectories(_SPEC, 5),
@@ -195,6 +203,29 @@ WRONG_TYPE_CALLS = {
 def test_wrong_library_types_rejected(name):
     with pytest.raises(errors.ParamOutOfRange):
         WRONG_TYPE_CALLS[name]()
+
+
+# arguments of the right type out of their domain
+DOMAIN_CALLS = {
+    "value_array-float": (lambda: _SPEC.potential.value_array(5.0),
+                          errors.ParamOutOfRange),
+    "value_array-negative": (lambda: _SPEC.potential.value_array(-5),
+                             errors.EmptyRange),
+    "apply-length": (lambda: JacobiMatrix(np.ones(3)).apply(np.ones(4)),
+                     errors.LengthMismatch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_CALLS))
+def test_out_of_domain_arguments_rejected(name):
+    call, error = DOMAIN_CALLS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_empty_parameter_lists_give_empty_results():
+    assert evolve_trajectories(_SPEC, []) == []
+    assert classify_spectrum(_SPEC, []) == []
 
 
 def _time_limit(seconds):

@@ -562,8 +562,11 @@ def test_window_end_cuts_fall_where_the_case_names():
 
 
 # the first stored site of the mirrored run, 32002 - n_record, lies inside
-# a window, at the window start W + 1 and at the site after it
-@pytest.mark.parametrize("n_record", [2000, 32002 - (W + 1), 32002 - (W + 2)])
+# a window, at the window start W + 1, at the site after it, at the last
+# site (n_record = 1) and at site 2, after a one-site window that is not
+# stored (n_record = launch)
+@pytest.mark.parametrize("n_record", [2000, 32002 - (W + 1), 32002 - (W + 2),
+                                      1, 32000])
 def test_backward_windows_match_whole_row_driver(n_record):
     # c = 1e5 rescales all along, before the first stored site too
     launch, x, delta, c = 32000, 1.1, 0.4, 1e5
@@ -573,7 +576,8 @@ def test_backward_windows_match_whole_row_driver(n_record):
     u_next = math.cos(theta) + u_launch * param.cos_x
     args = (c, 2 * x, delta, param.E, u_next, u_launch, launch, n_record)
     want = _whole_row_backward(*args)
-    assert want[2][n_record] > 0.0  # rescaled before the first stored site
+    if n_record < launch:
+        assert want[2][n_record] > 0.0  # rescaled before the first stored site
     _assert_same_bits(_kernels.backward_resonant(*args), want)
 
 

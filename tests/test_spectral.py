@@ -117,6 +117,12 @@ def test_sturm_exact_tie(diag, tie):
     assert eigenvalues_in_window(jac, (tie - 1.0, tie)).size == 0
 
 
+def test_sturm_count_one_site():
+    # one site: the count is whether d(1) lies strictly below E
+    for d0, E in itertools.product([-1.5, 0.0, 0.25, 3.0], [-2.0, 0.0, 0.25, 4.0]):
+        assert sturm_count(JacobiMatrix(np.array([d0])), E) == int(d0 < E)
+
+
 def _char_poly(diag, E):
     """det(E - J) in exact integer arithmetic."""
     p_prev, p = 1, E - diag[0]
