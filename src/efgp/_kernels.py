@@ -121,7 +121,9 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
 
     V is the site-indexed potential, or a function ``values(n_lo, n_hi)``
     returning V(n_lo..n_hi) (as ``Potential.values`` does); every
-    V(n) - E_b must be finite.  ``ends`` are the increasing last sites of
+    V(n) - E_b must be finite.  With a non-finite coupling the rescale rule
+    below keeps stepping back and the driver never terminates; the callers
+    guarantee finite couplings.  ``ends`` are the increasing last sites of
     consecutive windows, the first starting at site 1.  Each window lo..hi
     that takes a step reads V at its sites max(lo - 1, 1)..hi - 1 once, as
     a view of the array V or one call of values, so V is read once in all.

@@ -41,7 +41,8 @@ from .errors import (
     RangeMismatch,
     ResonantFrequency,
 )
-from .operators import OperatorSpec, _instance, _instances, _int, _real
+from .operators import (OperatorSpec, _instance, _instances, _int, _real,
+                        _real_vector)
 from .prufer import (
     PruferTrajectory,
     SpectralParam,
@@ -474,13 +475,21 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
 
 @dataclass(frozen=True)
 class WeightedVector:
-    """Finite sequence b(n), n in [n0, N-1], under <b, c> = sum n b(n) c(n)."""
+    """Finite sequence b(n), n in [n0, N-1], under <b, c> = sum n b(n) c(n).
+
+    entries must be a finite 1-D ndarray of integer or float dtype, stored
+    as float64, and n0, n_end integers; else ParamOutOfRange.
+    """
 
     entries: np.ndarray
     n0: int
     n_end: int
 
     def __post_init__(self):
+        object.__setattr__(self, "entries",
+                           _real_vector(self.entries, "entries"))
+        object.__setattr__(self, "n0", _int(self.n0, "n0"))
+        object.__setattr__(self, "n_end", _int(self.n_end, "n_end"))
         if self.entries.shape[0] != self.n_end - self.n0:
             raise RangeMismatch(
                 f"{self.entries.shape[0]} entries for range [{self.n0}, {self.n_end - 1}]")

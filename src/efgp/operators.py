@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (EmptyRange, EmptyTable, LengthMismatch, ParamOutOfRange,
-                     PhaseOutOfRange, UnknownFamily)
+from .errors import (EmptyRange, EmptyTable, ParamOutOfRange, PhaseOutOfRange,
+                     UnknownFamily)
 
 FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
 
@@ -44,6 +44,18 @@ def _real(v, name: str) -> float:
     if not isinstance(v, numbers.Real):
         raise ParamOutOfRange(f"{name} must be a real number, got {v!r}")
     return float(v)
+
+
+def _real_vector(a, name: str) -> np.ndarray:
+    """a as float64 if it is a finite 1-D ndarray of integer or float dtype,
+    else ParamOutOfRange."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 1
+            and a.dtype.kind in "iuf"):
+        raise ParamOutOfRange(f"{name} must be a 1-D real array, got {a!r}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ParamOutOfRange(f"{name} must be finite")
+    return a
 
 
 def _instance(v, cls, name: str):
@@ -103,6 +115,26 @@ class Potential:
     table: tuple = ()
     onset: int = 1
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise UnknownFamily(f"unknown potential family {self.family!r}")
+        for name in ("amplitude", "omega", "delta"):
+            v = _real(getattr(self, name), name)
+            if not math.isfinite(v):
+                raise ParamOutOfRange(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "seed", _int(self.seed, "seed"))
+        object.__setattr__(self, "onset", _int(self.onset, "onset"))
+        if self.onset < 1:
+            raise ParamOutOfRange(f"onset must be >= 1, got {self.onset}")
+        _instance(self.table, tuple, "table")
+        table = tuple(_real(v, "table value") for v in self.table)
+        if self.family == "table" and not table:
+            raise EmptyTable("table family requires a nonempty value sequence")
+        if not all(math.isfinite(v) for v in table):
+            raise ParamOutOfRange("table values must be finite")
+        object.__setattr__(self, "table", table)
+
     def values(self, n_lo: int, n_hi: int) -> np.ndarray:
         """V(n) for n in [n_lo, n_hi] as a vector."""
         n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
@@ -124,14 +156,12 @@ class Potential:
             # top bit of the stream marks a -1 of random_signs
             v = c / n
             v.view(np.uint64)[...] ^= _splitmix_bits(self.seed, n) & _SIGN_BIT
-        elif self.family == "table":
+        else:  # table
             v = np.zeros(n.shape[0])
             mask = n <= len(self.table)
             if mask.any():
                 idx = n[mask] - 1
                 v[mask] = np.asarray(self.table, dtype=float)[idx]
-        else:  # unreachable through make_potential
-            raise UnknownFamily(self.family)
         if self.onset > 1:
             v = np.where(n < self.onset, 0.0, v)
         if not np.isfinite(v).all():  # resonant omega*n beyond the float range
@@ -158,29 +188,16 @@ class Potential:
 def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
                    delta: float = 0.0, seed: int = 0, values=None,
                    n0: int = 1) -> Potential:
-    """Build a Potential, validating the family-specific parameters."""
+    """Build a Potential from a family name in any case, with - for _;
+    ``values`` is read only by the table family.  Potential checks the
+    parameters."""
     fam = str(family).lower().replace("-", "_")
-    if fam not in FAMILIES:
-        raise UnknownFamily(f"unknown potential family {family!r}")
-    c, omega, delta = _real(c, "c"), _real(omega, "omega"), _real(delta, "delta")
-    seed, n0 = _int(seed, "seed"), _int(n0, "n0")
-    if not math.isfinite(c):
-        raise ParamOutOfRange("amplitude must be finite")
-    if not (math.isfinite(omega) and math.isfinite(delta)):
-        raise ParamOutOfRange(f"omega and delta must be finite, got {omega}, {delta}")
-    if n0 < 1:
-        raise ParamOutOfRange("onset n0 must be >= 1")
     table = ()
     if fam == "table":
         try:
-            table = tuple(_real(v, "table value")
-                          for v in (() if values is None else values))
+            table = tuple(() if values is None else values)
         except TypeError:
             raise ParamOutOfRange(f"values must be a sequence, got {values!r}") from None
-        if not table:
-            raise EmptyTable("table family requires a nonempty value sequence")
-        if not all(math.isfinite(v) for v in table):
-            raise ParamOutOfRange("table values must be finite")
     return Potential(family=fam, amplitude=c, omega=omega, delta=delta,
                      seed=seed, table=table, onset=n0)
 
@@ -215,24 +232,23 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class JacobiMatrix:
-    """Symmetric tridiagonal matrix: given diagonal, off-diagonal all 1."""
+    """Symmetric tridiagonal matrix: given diagonal, off-diagonal all 1.
+
+    The diagonal must be a nonempty, finite 1-D ndarray of integer or float
+    dtype, and is stored as float64; anything else raises ParamOutOfRange.
+    """
 
     diagonal: np.ndarray
+
+    def __post_init__(self):
+        d = _real_vector(self.diagonal, "Jacobi diagonal")
+        if d.size == 0:
+            raise ParamOutOfRange("Jacobi matrix must not be empty")
+        object.__setattr__(self, "diagonal", d)
 
     @property
     def size(self) -> int:
         return self.diagonal.shape[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product."""
-        v = np.asarray(vec, dtype=float)
-        if v.shape != np.shape(self.diagonal):
-            raise LengthMismatch(f"vector of shape {v.shape} for a diagonal "
-                                 f"of shape {np.shape(self.diagonal)}")
-        out = self.diagonal * v
-        out[:-1] += v[1:]
-        out[1:] += v[:-1]
-        return out
 
     def to_dense(self) -> np.ndarray:
         n = self.size
@@ -241,11 +257,6 @@ class JacobiMatrix:
         m[idx, idx + 1] = 1.0
         m[idx + 1, idx] = 1.0
         return m
-
-    def gershgorin(self) -> tuple:
-        """(lower, upper) bound enclosing the whole spectrum."""
-        d = self.diagonal
-        return float(d.min() - 2.0), float(d.max() + 2.0)
 
 
 def build_jacobi(spec: OperatorSpec) -> JacobiMatrix:

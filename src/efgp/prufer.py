@@ -34,7 +34,7 @@ raise Overflow rather than return inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,18 +75,26 @@ def _param_fields(x: float) -> tuple:
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Spectral parameter x in (0, pi) with E = 2 cos(x)."""
+    """Spectral parameter x in (0, pi) with E = 2 cos(x).
+
+    Only x is given; E and sin_x follow from it.  An x that is not a real
+    number in (0, pi), nan and inf included, raises ParamOutOfRange.
+    """
 
     x: float
-    E: float
-    sin_x: float
+    E: float = field(init=False)
+    sin_x: float = field(init=False)
+
+    def __post_init__(self):
+        x = _real(self.x, "x")
+        if not 0.0 < x < math.pi:
+            raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
+        for name, v in zip(("x", "E", "sin_x"), _param_fields(x)):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_x(cls, x: float) -> "SpectralParam":
-        x = _real(x, "x")
-        if not 0.0 < x < math.pi:
-            raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
-        return cls(*_param_fields(x))
+        return cls(x)
 
     @classmethod
     def from_energy(cls, E: float) -> "SpectralParam":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
 from . import _kernels
 from .errors import (
@@ -46,20 +46,10 @@ DISTINCT_TOL = 1e-8  # records this close in E are one eigenvalue
 
 
 def _checked_diagonal(J: JacobiMatrix, *shifts: float) -> np.ndarray:
-    """The diagonal d of J as float64, a nonempty, finite 1-D real array,
-    with d - E finite for each shift E (rounding is monotone: checking
-    min(d) and max(d) suffices)."""
+    """The diagonal d of J, with d - E finite for each shift E (rounding is
+    monotone: checking min(d) and max(d) suffices)."""
     _instance(J, JacobiMatrix, "J")
     d = J.diagonal
-    if not (isinstance(d, np.ndarray) and d.ndim == 1
-            and d.dtype.kind in "iuf"):
-        raise ParamOutOfRange(
-            f"Jacobi diagonal must be a 1-D real array, got {d!r}")
-    d = d.astype(np.float64, copy=False)
-    if d.size == 0:
-        raise ParamOutOfRange("Jacobi matrix must not be empty")
-    if not np.isfinite(d).all():
-        raise ParamOutOfRange("Jacobi diagonal must be finite")
     if not all(math.isfinite(float(v) - E) for v in (d.min(), d.max()) for E in shifts):
         raise ParamOutOfRange(f"diagonal - E is not finite for E in {shifts}")
     return d
@@ -96,35 +86,6 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
         return eigvalsh_tridiagonal(d, np.ones(d.size - 1))[c_lo:c_hi]
     except LinAlgError as exc:
         raise NoConvergence(f"eigvalsh_tridiagonal: {exc}") from exc
-
-
-def eigenvector(J: JacobiMatrix, E: float) -> np.ndarray:
-    """Unit eigenvector of the eigenvalue of J nearest E, largest component
-    positive.
-
-    E must sit within t = 1e-10 * (max|d| + 2) of a true eigenvalue; LAPACK
-    (bisection, then inverse iteration in stein) finds the eigenpairs in
-    (E - t, E + t].
-    """
-    E = _real(E, "E")
-    if not math.isfinite(E):
-        raise ParamOutOfRange(f"E must be finite, got {E}")
-    d = _checked_diagonal(J)
-    bound = float(np.max(np.abs(d))) + 2.0  # Gershgorin: |eigenvalue| <= bound
-    t = 1e-10 * bound
-    # beyond the bound no eigenvalue is near, and (E - t, E + t) may round
-    # to an empty interval that LAPACK rejects
-    if abs(E) > bound + t:
-        raise NoConvergence(f"{E} lies outside the spectral bound {bound:.6g}")
-    try:
-        w, vecs = eigh_tridiagonal(d, np.ones(d.size - 1), select="v",
-                                   select_range=(E - t, E + t))
-    except LinAlgError as exc:
-        raise NoConvergence(f"stein: {exc}") from exc
-    if w.size == 0:
-        raise NoConvergence(f"no eigenvalue within {t:.3e} of {E}")
-    v = vecs[:, int(np.argmin(np.abs(w - E)))]
-    return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
 @dataclass(frozen=True)

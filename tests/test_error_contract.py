@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from efgp import (
     JacobiMatrix,
     OperatorSpec,
+    Potential,
     SpectralParam,
+    WeightedVector,
     almost_orthogonality_check,
     angle_increment_check,
     build_jacobi,
@@ -23,7 +25,6 @@ from efgp import (
     classify_point_spectrum,
     classify_spectrum,
     eigenvalues_in_window,
-    eigenvector,
     envelope_constant,
     errors,
     evolve_trajectories,
@@ -66,8 +67,10 @@ REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
 @given(diag=st.lists(ENTRIES, max_size=20), E=REALS, lo=REALS, hi=REALS,
        checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
 def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
-    J = JacobiMatrix(np.array(diag, dtype=float))
     coulomb = make_potential("coulomb", c=1.0)
+
+    def jacobi():
+        return JacobiMatrix(np.array(diag, dtype=float))
 
     def classify():
         spec = OperatorSpec(make_potential("table", values=diag), 1.0, 20)
@@ -87,10 +90,10 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
         return lemma_sums(spec, [SpectralParam.from_x(1.0),
                                  SpectralParam.from_x(real)])
 
-    calls = (lambda: sturm_count(J, E),
-             lambda: eigenvalues_in_window(J, (lo, hi)),
-             lambda: eigenvalues_in_window(J, (lo,)),
-             lambda: eigenvector(J, E),
+    calls = (lambda: sturm_count(jacobi(), E),
+             lambda: eigenvalues_in_window(jacobi(), (lo, hi)),
+             lambda: eigenvalues_in_window(jacobi(), (lo,)),
+             lambda: jacobi().to_dense(),
              classify,
              classify_many,
              lambda: classify_spectrum(OperatorSpec(coulomb, 1.0, 20), E),
@@ -106,6 +109,8 @@ def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
              lambda: make_potential("coulomb", c=real),
              lambda: make_potential("resonant", c=1.0, omega=real),
              lambda: make_potential("resonant", c=1.0, omega=1.0, delta=real),
+             lambda: Potential("coulomb", amplitude=real).values(1, 3),
+             lambda: Potential("coulomb", 1.0, onset=size).values(1, 3),
              lambda: resonance_construct(math.pi / 3, real, 100),
              lambda: SpectralParam.from_x(real),
              lambda: SpectralParam.from_energy(real),
@@ -128,7 +133,6 @@ _SPEC = OperatorSpec(make_potential("coulomb", c=1.0), 1.0, 20)
 NON_REAL_CALLS = {
     "sturm_count-text": lambda: sturm_count(_J4, "a"),
     "sturm_count-complex": lambda: sturm_count(_J4, 1j),
-    "eigenvector-text": lambda: eigenvector(_J4, "a"),
     "window-text-end": lambda: eigenvalues_in_window(_J4, ("a", 1.0)),
     "window-one-end": lambda: eigenvalues_in_window(_J4, (0.0,)),
     "window-none": lambda: eigenvalues_in_window(_J4, None),
@@ -145,6 +149,9 @@ NON_REAL_CALLS = {
     "table-scalar": lambda: make_potential("table", values=5),
     "table-text-entry": lambda: make_potential("table", values=[1, "a"]),
     "partial_sums-text-gamma": lambda: oscillatory_partial_sums(1.0, "abc", 3),
+    "potential-text-amplitude": lambda: Potential("coulomb", amplitude="a"),
+    "potential-text-onset": lambda: Potential("coulomb", 1.0, onset="a"),
+    "potential-text-table-entry": lambda: Potential("table", table=(1.0, "a")),
 }
 
 
@@ -165,8 +172,9 @@ WRONG_TYPE_CALLS = {
         lambda: sturm_count(JacobiMatrix(np.zeros((2, 2))), 0.0),
     "window-list-diagonal":
         lambda: eigenvalues_in_window(JacobiMatrix([0.0, 1.0]), (-1.0, 1.0)),
-    "eigenvector-text-diagonal":
-        lambda: eigenvector(JacobiMatrix(np.array(["a"])), 0.0),
+    # a text diagonal is rejected when the matrix is built
+    "eigenvector-text-diagonal": lambda: JacobiMatrix(np.array(["a"])),
+    "jacobi-complex-diagonal": lambda: JacobiMatrix(np.ones(2, dtype=complex)),
     "evolve_trajectory-float-param": lambda: evolve_trajectory(_SPEC, 1.0),
     "evolve_trajectory-float-spec": lambda: evolve_trajectory(1.0, _P),
     "evolve_trajectories-scalar": lambda: evolve_trajectories(_SPEC, 5),
@@ -192,10 +200,15 @@ WRONG_TYPE_CALLS = {
     "envelope_constant-float": lambda: envelope_constant(1.0, 1, 2),
     "sturm_count-float": lambda: sturm_count(1.0, 0.0),
     "window-float-matrix": lambda: eigenvalues_in_window(1.0, (0, 1)),
-    "eigenvector-float": lambda: eigenvector(1.0, 0.0),
     "weighted_dot-ints": lambda: weighted_dot(1, 2),
     "almost_orthogonality-ints": lambda: almost_orthogonality_check(1, [1]),
     "operator_spec-float-potential": lambda: OperatorSpec(1.0, 1.0, 10),
+    "weighted_vector-list-entries": lambda: WeightedVector([1.0, 2.0], 0, 2),
+    "weighted_vector-2d-entries":
+        lambda: WeightedVector(np.ones((2, 1)), 0, 2),
+    "weighted_vector-text-n0": lambda: WeightedVector(np.ones(2), "a", 2),
+    "weighted_vector-float-n_end": lambda: WeightedVector(np.ones(2), 0, 2.0),
+    "potential-list-table": lambda: Potential("table", table=[1.0]),
 }
 
 
@@ -211,8 +224,28 @@ DOMAIN_CALLS = {
                           errors.ParamOutOfRange),
     "value_array-negative": (lambda: _SPEC.potential.value_array(-5),
                              errors.EmptyRange),
-    "apply-length": (lambda: JacobiMatrix(np.ones(3)).apply(np.ones(4)),
-                     errors.LengthMismatch),
+    "jacobi-empty-diagonal": (lambda: JacobiMatrix(np.zeros(0)),
+                              errors.ParamOutOfRange),
+    "jacobi-nan-diagonal": (lambda: JacobiMatrix(np.array([0.0, math.nan])),
+                            errors.ParamOutOfRange),
+    "jacobi-inf-diagonal": (lambda: JacobiMatrix(np.array([-math.inf, 0.0])),
+                            errors.ParamOutOfRange),
+    "weighted_vector-nan-entry":
+        (lambda: WeightedVector(np.array([1.0, math.nan]), 0, 2),
+         errors.ParamOutOfRange),
+    "potential-unknown-family": (lambda: Potential("quartic", 1.0),
+                                 errors.UnknownFamily),
+    "potential-nan-amplitude": (lambda: Potential("coulomb", math.nan),
+                                errors.ParamOutOfRange),
+    "potential-inf-omega": (lambda: Potential("resonant", 1.0, math.inf),
+                            errors.ParamOutOfRange),
+    "potential-zero-onset": (lambda: Potential("coulomb", 1.0, onset=0),
+                             errors.ParamOutOfRange),
+    "potential-float-seed": (lambda: Potential("random_sign", 1.0, seed=1.5),
+                             errors.ParamOutOfRange),
+    "potential-empty-table": (lambda: Potential("table"), errors.EmptyTable),
+    "potential-nan-table": (lambda: Potential("table", table=(math.nan,)),
+                            errors.ParamOutOfRange),
 }
 
 

@@ -50,6 +50,14 @@ def test_spectral_param_identities():
         SpectralParam.from_energy(2.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, "a", 0])
+def test_spectral_param_rejects_bad_x(x):
+    # E and sin_x follow from x, so a bad x cannot reach the driver, which
+    # never terminates on a non-finite coupling
+    with pytest.raises(errors.ParamOutOfRange):
+        SpectralParam(x)
+
+
 def test_boundary_condition_exact():
     for phi in (0.3, PI / 2, 2.8):
         u0, u1 = boundary_values(phi)

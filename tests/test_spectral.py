@@ -23,7 +23,6 @@ from efgp import (
     classify_point_spectrum,
     classify_spectrum,
     eigenvalues_in_window,
-    eigenvector,
     errors,
     make_eigenvalue_set,
     make_potential,
@@ -174,11 +173,10 @@ def test_window_rejects_nonfinite_diagonal(bad):
 
 
 def test_empty_jacobi_rejected():
-    empty = free_jacobi(0)
     with pytest.raises(errors.ParamOutOfRange):
-        sturm_count(empty, 0.0)
+        sturm_count(free_jacobi(0), 0.0)
     with pytest.raises(errors.ParamOutOfRange):
-        eigenvalues_in_window(empty, (-2.0, 2.0))
+        eigenvalues_in_window(free_jacobi(0), (-2.0, 2.0))
 
 
 def test_window_lapack_failure_is_no_convergence(monkeypatch):
@@ -224,56 +222,6 @@ def test_interlacing_random_potentials():
         for k in range(19):
             assert lam_full[k] <= lam_sub[k] + 1e-9
             assert lam_sub[k] <= lam_full[k + 1] + 1e-9
-
-
-def test_eigenvector_free_n3():
-    v = eigenvector(free_jacobi(3), 0.0)
-    expect = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-    assert np.max(np.abs(v - expect)) <= 1e-10
-
-
-def test_eigenvector_free_closed_form():
-    n, k = 12, 4
-    e = 2.0 * math.cos(k * PI / (n + 1))
-    v = eigenvector(free_jacobi(n), e)
-    expect = np.sin(np.arange(1, n + 1) * k * PI / (n + 1))
-    expect /= np.linalg.norm(expect)
-    diff = min(np.max(np.abs(v - expect)), np.max(np.abs(v + expect)))
-    assert diff <= 1e-9
-
-
-def test_eigenvector_residual_coulomb():
-    p = make_potential("coulomb", c=1.0)
-    jac = build_jacobi(OperatorSpec(p, PI / 2, 40))
-    eigs = eigenvalues_in_window(jac, (-2.0, 2.0))
-    norm = np.max(np.abs(jac.diagonal)) + 2.0
-    for e in eigs[::7]:
-        v = eigenvector(jac, e)
-        assert np.linalg.norm(jac.apply(v) - e * v) <= 1e-10 * norm
-
-
-def test_eigenvector_no_convergence_off_spectrum():
-    with pytest.raises(errors.NoConvergence):
-        eigenvector(free_jacobi(10), 5.0)
-
-
-def test_eigenvector_rejects_nonfinite_inputs():
-    for e in (float("nan"), float("inf")):
-        with pytest.raises(errors.ParamOutOfRange):
-            eigenvector(free_jacobi(3), e)
-    with pytest.raises(errors.ParamOutOfRange):
-        eigenvector(JacobiMatrix(np.array([0.0, float("nan"), 0.0])), 0.0)
-    with pytest.raises(errors.ParamOutOfRange):
-        eigenvector(free_jacobi(0), 0.0)
-
-
-def test_eigenvector_lapack_failure_is_no_convergence(monkeypatch):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("stein did not converge")
-
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", failing)
-    with pytest.raises(errors.NoConvergence):
-        eigenvector(free_jacobi(3), 0.0)
 
 
 def test_default_checkpoints():
