@@ -24,8 +24,9 @@ allocates once for all its groups.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
-at n=1 with slot 0 set to nan.  The pairs become Prufer variables in one
-place, ``prufer._trajectories``, window by window.
+at n=1 with slot 0 set to nan.  The pairs become Prufer angles through one
+lift, ``prufer._Lift``, window by window: in ``prufer._trajectory`` for
+one trajectory, and in ``analysis.lemma_sums`` for all its parameters.
 """
 
 import math

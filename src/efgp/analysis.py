@@ -83,8 +83,8 @@ class BoundReport:
     margin: float
     records_used: int
 
-    def to_json_dict(self, records=None) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "lhs": self.lhs,
             "rhs": self.rhs,
             "C_used": self.C_used,
@@ -92,9 +92,6 @@ class BoundReport:
             "margin": self.margin,
             "records_used": self.records_used,
         }
-        if records is not None:
-            out["records"] = records
-        return out
 
 
 def check_theorem(eset: EigenvalueSet, C: float,
@@ -425,8 +422,9 @@ def prufer_sum_diagnostics(trajs, n_max: int) -> SumDiagnostics:
 
 
 def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
-    """The sums of :func:`prufer_sum_diagnostics` over the trajectories of
-    ``evolve_trajectories(spec, params)`` to N, in one streamed pass.
+    """The sums of :func:`prufer_sum_diagnostics` over the trajectories
+    ``evolve_trajectory(spec, p)`` of the params to N, in one streamed
+    pass.
 
     The lemma reads only theta, so no radius is formed, and no array as
     long as the lattice is held: V is read block by block

@@ -267,31 +267,18 @@ def parse_config(text: str) -> ExperimentConfig:
 # output helpers
 # --------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
-# formatters that give _fmt's text for every value of their exact type
+# the text of every value of a column, by the one type its values share
 _FORMATTERS = {float: float.__repr__, int: int.__repr__,
                bool: ("false", "true").__getitem__}
 
 
 def _write_csv(path: Path, names, columns, stamp: str):
     """A stamp line, the header ``names`` and one line per row of the
-    equal-length ``columns``, each value as _fmt writes it.  A column whose
-    values share one type is formatted with that type's formatter."""
-    fmts = []
-    for col in columns:
-        kinds = set(map(type, col))
-        fmts.append(_FORMATTERS.get(kinds.pop(), _fmt) if len(kinds) == 1
-                    else _fmt)
-    rows = zip(*(map(fmt, col) for fmt, col in zip(fmts, columns)))
+    equal-length ``columns``.  The values of a column are all float, all
+    int or all bool, and are written by that type's _FORMATTERS entry."""
+    # empty columns (no rows) have no type to look up
+    rows = zip(*(map(_FORMATTERS[type(col[0])], col)
+                 for col in columns if len(col)))
     lines = [f"# {stamp}", ",".join(names), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -301,32 +288,24 @@ def _write_json(path: Path, obj):
                     encoding="utf-8")
 
 
-def _record_dict(rec: spectral.EigenvalueRecord) -> dict:
+def _record_fields(rec: spectral.EigenvalueRecord) -> dict:
+    """The reported fields of a record, None where it has none (x and r1
+    outside (-2, 2), decay_exponent without a fit window)."""
+    cert = rec.certificate
+    return {"E": rec.E, "weight": rec.weight, "x": rec.x,
+            "certificate_N": cert.n_star, "certificate_RNsq": cert.rn_sq,
+            "certificate_passed": cert.passed,
+            "decay_exponent": rec.decay_exponent, "r1": rec.r1}
+
+
+def _json_fields(fields: dict) -> dict:
     # strict JSON has no NaN/Infinity tokens: non-finite floats become null
-    fields = {
-        "E": rec.E,
-        "weight": rec.weight,
-        "x": rec.x,
-        "certificate_N": rec.certificate.n_star,
-        "certificate_RNsq": rec.certificate.rn_sq,
-        "certificate_passed": rec.certificate.passed,
-        "decay_exponent": rec.decay_exponent,
-        "r1": rec.r1,
-    }
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in fields.items()}
 
 
 _SPECTRUM_COLS = ("E", "weight", "x", "certificate_N", "certificate_RNsq",
                   "certificate_passed", "decay_exponent")
-
-
-def _record_row(rec: spectral.EigenvalueRecord) -> tuple:
-    return (rec.E, rec.weight,
-            rec.x if rec.x is not None else float("nan"),
-            rec.certificate.n_star, rec.certificate.rn_sq,
-            rec.certificate.passed,
-            rec.decay_exponent if rec.decay_exponent is not None else float("nan"))
 
 
 class _Stages:
@@ -408,14 +387,16 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             report = stages.run("check_theorem", analysis.check_theorem,
                                 eset, c_used, cfg.certified_only)
         # written only once every stage has succeeded
+        fields = [_record_fields(r) for r in eset.records]
         _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
-                   list(zip(*map(_record_row, eset.records))), stamp)
-        record_dicts = [_record_dict(r) for r in eset.records]
+                   [[math.nan if f[k] is None else f[k] for f in fields]
+                    for k in _SPECTRUM_COLS], stamp)
+        record_dicts = [_json_fields(f) for f in fields]
         if report is None:
             note(f"spectrum: {len(energies)} eigenvalues in window")
             payload = {"count": len(record_dicts), "records": record_dicts}
         else:
-            payload = report.to_json_dict(records=record_dicts)
+            payload = {**report.to_json_dict(), "records": record_dicts}
             if not report.satisfied:
                 exit_code = 2
             note(f"bound-check: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
@@ -473,7 +454,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
                           "c": res.potential.amplitude,
                           "omega": res.potential.omega,
                           "delta": res.potential.delta},
-            "record": _record_dict(record),
+            "record": _json_fields(_record_fields(record)),
             "bound": bound.to_json_dict(),
         }
         note(f"construct: fitted exponent {res.fitted_exponent:.4f} "

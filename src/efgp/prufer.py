@@ -20,14 +20,15 @@ for |nu| < 1/2.
 
 Both routes share one recurrence, solved as BLAS band systems in
 ``_kernels``: ``solve_recurrence`` stores the raw solution, and
-``evolve_trajectories`` (like ``spectral.resonance_construct`` backwards)
+``evolve_trajectory`` (like ``spectral.resonance_construct`` backwards)
 gets it as rescaled pairs with a log scale, window by window.  One
-transform, ``_trajectories``, takes windows of pairs of B rows, one per
-spectral parameter, from ``evolve_trajectories`` (the driver's) or
-``to_prufer`` (a stored solution's): per window one step of the angle
-lift, ``_Lift``, which carries theta(1), the last principal angle and the
-running sum of the steps to the next window, and ln R from ``_ln_r``, the
-only place the radius formula is evaluated.  ``R`` and ``u_values()``
+transform, ``_trajectory``, takes windows of pairs of one spectral
+parameter from ``evolve_trajectory`` (the driver's) or ``to_prufer`` (a
+stored solution's): per window one step of the angle lift, ``_Lift``,
+which carries theta(1), the last principal angle and the running sum of
+the steps to the next window (for B rows at once: ``analysis.lemma_sums``
+lifts all its parameters together), and ln R from ``_ln_r``, the only
+place the radius formula is evaluated.  ``R`` and ``u_values()``
 raise Overflow rather than return inf.
 """
 
@@ -45,7 +46,7 @@ from .errors import (
     Overflow,
     ParamOutOfRange,
 )
-from .operators import OperatorSpec, _instance, _instances, _real
+from .operators import OperatorSpec, _instance, _real
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -268,58 +269,49 @@ def _ln_r(un, um, ln_scale, cos_x, sin_x, out=None):
     return r
 
 
-def _trajectories(V, params, windows, ends) -> list:
-    """Trajectories along the site-indexed V, one per parameter, of the
-    pairs (u(n), u(n-1)) = exp(scale) (cur, prev) that windows yields, one
-    window per end in ends, of the sites after the previous end (0 first),
-    at most _kernels._CHUNK: per window one :class:`_Lift` step and
-    :func:`_ln_r`."""
+def _trajectory(V, param, windows, ends) -> PruferTrajectory:
+    """The trajectory of param along the site-indexed V, of the pairs
+    (u(n), u(n-1)) = exp(scale) (cur, prev) that windows yields as rows of
+    one, one window per end in ends, of the sites after the previous end
+    (0 first), at most _kernels._CHUNK: per window one :class:`_Lift`
+    step and :func:`_ln_r`."""
     n = ends[-1]
-    theta, ln_r = np.empty((2, len(params), n + 1))
+    theta, ln_r = np.empty((2, 1, n + 1))
     theta[:, 0] = ln_r[:, 0] = np.nan
-    lift = _Lift(params, min(n, _kernels._CHUNK))
+    lift = _Lift([param], min(n, _kernels._CHUNK))
     for lo, hi, (cur, prev, scale) in zip([0] + ends, ends, windows):
         lift.step(cur, prev, theta[:, lo + 1:hi + 1])
         _ln_r(cur, prev, scale, lift.cos_x, lift.sin_x, out=ln_r[:, lo + 1:hi + 1])
-    return [PruferTrajectory(theta=t, ln_R=lr, V=V, param=p)
-            for t, lr, p in zip(theta, ln_r, params)]
+    return PruferTrajectory(theta=theta[0], ln_R=ln_r[0], V=V, param=param)
 
 
 def to_prufer(sol: Solution) -> PruferTrajectory:
-    """Prufer variables of a stored solution: :func:`_trajectories` over
+    """Prufer variables of a stored solution: :func:`_trajectory` over
     windows of its pairs, unscaled."""
     _instance(sol, Solution, "sol")
     u, ends = sol.u[None], _kernels._ends(0, sol.n, _kernels._CHUNK)
     windows = ((u[:, lo + 1:hi + 1], u[:, lo:hi], 0.0)
                for lo, hi in zip([0] + ends, ends))
-    return _trajectories(sol.spec.potential.value_array(sol.n), [sol.param],
-                         windows, ends)[0]
-
-
-def evolve_trajectories(spec: OperatorSpec, params) -> list:
-    """Prufer trajectories from the recurrence (kernel route), one per
-    spectral parameter, all sharing one evaluation of V.
-
-    The kernel rescales the evolving pair and keeps a log-scale
-    accumulator, so ln R is exact for N up to millions of sites regardless
-    of amplitude growth.  All parameters are evolved as the blocks of one
-    streamed driver, whose windows :func:`_trajectories` transforms as they
-    come, so no pair array spans the lattice.  No parameters give [].
-    """
-    _instance(spec, OperatorSpec, "spec")
-    params = _instances(params, SpectralParam, "params")
-    if not params:
-        return []
-    V = spec.potential.value_array(spec.n)
-    ends = _kernels._ends(0, spec.n, _kernels._CHUNK)
-    windows = _kernels._forward_windows(V, [p.E for p in params],
-                                        *boundary_values(spec.phi), ends)
-    return _trajectories(V, params, windows, ends)
+    return _trajectory(sol.spec.potential.value_array(sol.n), sol.param,
+                       windows, ends)
 
 
 def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTrajectory:
-    """Prufer trajectory of one spectral parameter (kernel route)."""
-    return evolve_trajectories(spec, [param])[0]
+    """Prufer trajectory of one spectral parameter from the recurrence
+    (kernel route).
+
+    The kernel rescales the evolving pair and keeps a log-scale
+    accumulator, so ln R is exact for N up to millions of sites regardless
+    of amplitude growth.  The streamed driver's windows are transformed by
+    :func:`_trajectory` as they come, so no pair array spans the lattice.
+    """
+    _instance(spec, OperatorSpec, "spec")
+    _instance(param, SpectralParam, "param")
+    V = spec.potential.value_array(spec.n)
+    ends = _kernels._ends(0, spec.n, _kernels._CHUNK)
+    windows = _kernels._forward_windows(V, [param.E],
+                                        *boundary_values(spec.phi), ends)
+    return _trajectory(V, param, windows, ends)
 
 
 def prufer_step(theta_n, nu_n, x):

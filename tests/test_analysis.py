@@ -16,7 +16,6 @@ from efgp import (
     check_theorem,
     classify_point_spectrum,
     errors,
-    evolve_trajectories,
     evolve_trajectory,
     lemma_sums,
     log_bound_check,
@@ -296,32 +295,6 @@ def _degenerate(xs):
     return any(abs(math.remainder(v, PI)) < 1e-6 for v in near)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(pot=POTENTIALS, phi=st.floats(0.01, 3.13), n=st.integers(2, 5000),
-       xs=st.lists(st.floats(0.01, PI - 0.01), min_size=1, max_size=4))
-def test_evolve_trajectories_share_v_and_match_one_at_a_time(pot, phi, n, xs):
-    assume(not _degenerate(xs))
-    spec = OperatorSpec(pot, phi, n)
-    params = [SpectralParam.from_x(x) for x in xs]
-    trajs = evolve_trajectories(spec, params)
-    alone = [evolve_trajectory(spec, p) for p in params]
-    nu_ref = np.concatenate(([np.nan], pot.values(1, n)))
-    for t, a, p in zip(trajs, alone, params):
-        assert t.V is trajs[0].V and a.V is not t.V
-        assert np.array_equal(t.theta, a.theta, equal_nan=True)
-        assert np.array_equal(t.ln_R, a.ln_R, equal_nan=True)
-        assert np.array_equal(t.nu, a.nu, equal_nan=True)
-        # nu(n) = V(n)/sin x from a fresh evaluation of V, slot 0 nan
-        assert np.array_equal(t.nu, nu_ref / p.sin_x, equal_nan=True)
-    # the onsets read off each |nu_j| itself
-    onsets = [int(_onsets(_reverse_max(np.abs(t.nu[1:])), 1.0)[0])
-              for t in trajs]
-    assert common_onset(trajs, n) == (max([1] + onsets), all(onsets))
-    assert common_onset(alone, n) == common_onset(trajs, n)
-    assert (prufer_sum_diagnostics(trajs, n).to_json_dict()
-            == prufer_sum_diagnostics(alone, n).to_json_dict())
-
-
 def _unblocked_angles(un, um, param):
     """The lift in one pass over all sites, as prufer._Lift computes it
     blockwise."""
@@ -363,9 +336,17 @@ def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
     assume(not _degenerate(xs))
     spec = OperatorSpec(pot, phi, n)
     params = [SpectralParam.from_x(x) for x in xs]
+    trajs = [evolve_trajectory(spec, p) for p in params]
     assert (lemma_sums(spec, params).to_json_dict()
-            == prufer_sum_diagnostics(evolve_trajectories(spec, params),
-                                      n).to_json_dict())
+            == prufer_sum_diagnostics(trajs, n).to_json_dict())
+    nu_ref = np.concatenate(([np.nan], pot.values(1, n)))
+    for t, p in zip(trajs, params):
+        # nu(n) = V(n)/sin x from a fresh evaluation of V, slot 0 nan
+        assert np.array_equal(t.nu, nu_ref / p.sin_x, equal_nan=True)
+    # the onsets read off each |nu_j| itself
+    onsets = [int(_onsets(_reverse_max(np.abs(t.nu[1:])), 1.0)[0])
+              for t in trajs]
+    assert common_onset(trajs, n) == (max([1] + onsets), all(onsets))
     V = pot.value_array(n)
     for p in params:
         un, um, _ = _kernels.prufer_forward(V, p.E, *boundary_values(phi))

@@ -27,7 +27,6 @@ from efgp import (
     eigenvalues_in_window,
     envelope_constant,
     errors,
-    evolve_trajectories,
     evolve_trajectory,
     lemma_sums,
     log_bound_check,
@@ -177,9 +176,6 @@ WRONG_TYPE_CALLS = {
     "jacobi-complex-diagonal": lambda: JacobiMatrix(np.ones(2, dtype=complex)),
     "evolve_trajectory-float-param": lambda: evolve_trajectory(_SPEC, 1.0),
     "evolve_trajectory-float-spec": lambda: evolve_trajectory(1.0, _P),
-    "evolve_trajectories-scalar": lambda: evolve_trajectories(_SPEC, 5),
-    "evolve_trajectories-floats": lambda: evolve_trajectories(_SPEC, [_P, 1.0]),
-    "evolve_trajectories-none-spec": lambda: evolve_trajectories(None, [_P]),
     "solve_recurrence-float-param": lambda: solve_recurrence(_SPEC, 1.0),
     "solve_recurrence-text-spec": lambda: solve_recurrence("spec", _P),
     "classify_spectrum-float-spec": lambda: classify_spectrum(1.0, [0.5]),
@@ -257,7 +253,6 @@ def test_out_of_domain_arguments_rejected(name):
 
 
 def test_empty_parameter_lists_give_empty_results():
-    assert evolve_trajectories(_SPEC, []) == []
     assert classify_spectrum(_SPEC, []) == []
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efgp import OperatorSpec, _kernels, make_potential, resonance_construct
-from efgp.prufer import (SpectralParam, _ln_r, _trajectories, boundary_values,
+from efgp.prufer import (SpectralParam, _ln_r, _trajectory, boundary_values,
                          evolve_trajectory)
 from efgp.spectral import _decay_exponents
 
@@ -298,7 +298,7 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
 
     fit_lo = min(1000, max(10, n // 100))
     window = [tuple(a[None, 1:] for a in (un, um, ln_scale))]
-    traj, = _trajectories(pot.value_array(n), [param], window, [n])
+    traj = _trajectory(pot.value_array(n), param, window, [n])
     want = _decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]
     assert res.fitted_exponent.hex() == want.hex()
 
