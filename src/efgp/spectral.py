@@ -160,15 +160,17 @@ def default_checkpoints(n: int) -> list:
 
 def _decay_exponents(ln_r: np.ndarray, n_lo: int) -> list:
     """Negated least-squares slopes of ln R against ln n, one per row of
-    ln_r, given on the sites n_lo, n_lo + 1, ...; the bits do not depend on
-    the memory layout of ln_r."""
-    # row means and dot products sum in another order on other layouts
+    ln_r, given on the sites n_lo, n_lo + 1, ...; the bits of a row do not
+    depend on the memory layout of ln_r, its other rows or the BLAS thread
+    count."""
+    # row sums run in another order on other layouts; BLAS dot products
+    # split long vectors among its threads, so numpy's pairwise sums are used
     ln_r = np.ascontiguousarray(ln_r)
     t = np.log(np.arange(n_lo, n_lo + ln_r.shape[1]))
     t_c = t - t.mean()
-    tt = np.dot(t_c, t_c)
+    tt = np.sum(t_c * t_c)
     dev = ln_r - ln_r.mean(axis=1, keepdims=True)
-    return [-float(np.dot(t_c, d) / tt) for d in dev]
+    return [-float(v / tt) for v in np.sum(dev * t_c, axis=1)]
 
 
 def _checked_checkpoints(n: int, checkpoints) -> list:

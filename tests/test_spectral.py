@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -318,7 +319,7 @@ def _classify_reference(spec, E, checkpoints=None):
         t = np.log(np.arange(fit_lo, spec.n + 1))
         t_c = t - t.mean()
         y = ln_rel[fit_lo:]
-        decay = -float(np.dot(t_c, y - y.mean()) / np.dot(t_c, t_c))
+        decay = -float(np.sum(t_c * (y - y.mean())) / np.sum(t_c * t_c))
     return EigenvalueRecord(
         E=float(E), x=param.x, weight=spectral.theorem_weight(E),
         certificate=Certificate(n_star=n_star, rn_sq=rn_sq,
@@ -419,13 +420,17 @@ def test_classify_many_energies_stays_off_the_page_fault_path():
                           - before)
         print(min(faults))
     """)
-    src = str(Path(efgp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
+
+
+def _src_env(**extra):
+    """The environment for a fresh interpreter that imports this efgp."""
+    src = str(Path(efgp.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (3, 17), (16, 501), (20, 800)])
@@ -439,6 +444,30 @@ def test_decay_exponents_do_not_depend_on_memory_layout(shape):
     for other in (np.asfortranarray(ln_r), wide[::2, 1::2],
                   np.asfortranarray(wide)[::2, 1::2]):
         assert spectral._decay_exponents(other, 7) == want
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the decay fit over [2e4, 4e4] is long enough for a BLAS dot product
+    # to split among threads, which changed the last bit of decay_exponent
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "bound-check",
+        "potential": {"family": "resonant", "c": 2.2,
+                      "omega": 2.0 * PI / 3.0, "delta": 1.3575974530435633},
+        "phi": 2.4891024719091113, "N": 40000,
+        "x_values": [PI / 3.0, 1.0, 2.0]}))
+    csv = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "efgp.cli", str(cfg), "--quiet",
+             "--output-dir", str(out)],
+            env=_src_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csv.append((out / "spectrum.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def test_theorem_weight_single_definition():
