@@ -51,7 +51,7 @@ from .prufer import (
     boundary_values,
     common_onset,
 )
-from .spectral import EigenvalueSet
+from .spectral import EigenvalueSet, _checked_records
 
 STABILIZATION_THRESHOLD = 0.05
 _FREQ_TOL = 1e-9
@@ -104,7 +104,7 @@ def check_theorem(eset: EigenvalueSet, C: float,
     """
     _instance(eset, EigenvalueSet, "eset")
     rhs = theorem_bound(C)
-    records = [r for r in eset.records
+    records = [r for r in _checked_records(eset.records)
                if not certified_only or r.certificate.passed]
     lhs = float(sum(r.weight for r in records))
     return BoundReport(lhs=lhs, rhs=rhs, C_used=float(C),

@@ -109,13 +109,32 @@ class SpectralParam:
         return self.E / 2.0
 
 
+def _float_vector(a, name: str):
+    """ParamOutOfRange unless a is a 1-D float ndarray (nan allowed)."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"):
+        raise ParamOutOfRange(f"{name} must be a 1-D float array, got "
+                              f"{type(a).__name__}")
+
+
 @dataclass(frozen=True)
 class Solution:
-    """Raw solution values u(0..N) for one operator and spectral parameter."""
+    """Raw solution values u(0..N) for one operator and spectral parameter.
+
+    u must be a 1-D float array of N + 1 values: ParamOutOfRange if it is
+    not an array of that kind, LengthMismatch if its length is not N + 1.
+    """
 
     u: np.ndarray
     spec: OperatorSpec
     param: SpectralParam
+
+    def __post_init__(self):
+        _instance(self.spec, OperatorSpec, "spec")
+        _instance(self.param, SpectralParam, "param")
+        _float_vector(self.u, "u")
+        if self.u.shape[0] != self.spec.n + 1:
+            raise LengthMismatch(f"u has {self.u.shape[0]} values, "
+                                 f"N = {self.spec.n} needs {self.spec.n + 1}")
 
     @property
     def n(self) -> int:
@@ -127,13 +146,24 @@ class PruferTrajectory:
     """Prufer variables along one trajectory, site-indexed (slot 0 = nan).
 
     ln_R is exact even when the evolution rescaled internally; R is derived
-    from it, and nu = V/sin(x) from the site-indexed V, often shared.
+    from it, and nu = V/sin(x) from the site-indexed V.  theta, ln_R and V
+    must be 1-D float arrays (ParamOutOfRange) of one length
+    (LengthMismatch).
     """
 
     theta: np.ndarray
     ln_R: np.ndarray
     V: np.ndarray
     param: SpectralParam
+
+    def __post_init__(self):
+        _instance(self.param, SpectralParam, "param")
+        for name in ("theta", "ln_R", "V"):
+            _float_vector(getattr(self, name), name)
+        if not self.theta.shape == self.ln_R.shape == self.V.shape:
+            raise LengthMismatch(
+                f"theta, ln_R and V have lengths {self.theta.shape[0]}, "
+                f"{self.ln_R.shape[0]} and {self.V.shape[0]}")
 
     @property
     def n(self) -> int:

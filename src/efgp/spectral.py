@@ -18,6 +18,7 @@ ln R only where the certificate and the decay fit look;
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -132,10 +133,24 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
     return (not rec.certificate.passed, rec.certificate.n_star * rec.certificate.rn_sq)
 
 
+def _checked_records(records) -> list:
+    """records as a list of EigenvalueRecords whose E and weight are real
+    numbers and whose certificate is a Certificate, else ParamOutOfRange."""
+    records = _instances(records, EigenvalueRecord, "records")
+    # one check per type, not per record: classify gives one per energy
+    reals = {type(r.E) for r in records} | {type(r.weight) for r in records}
+    certs = {type(r.certificate) for r in records}
+    if not (all(issubclass(t, numbers.Real) for t in reals)
+            and all(issubclass(t, Certificate) for t in certs)):
+        raise ParamOutOfRange("records need a real E and weight and a "
+                              "Certificate")
+    return records
+
+
 def make_eigenvalue_set(records) -> EigenvalueSet:
     """Sort records by E and merge numerical duplicates (energies within
     DISTINCT_TOL), keeping the better certificate of each merged cluster."""
-    records = _instances(records, EigenvalueRecord, "records")
+    records = _checked_records(records)
     ordered = sorted(records, key=lambda r: r.E)
     merged = []
     for rec in ordered:

@@ -116,6 +116,22 @@ def test_spectrum_free_n5(tmp_path):
     assert np.max(np.abs(np.array(got) - np.array(expect))) <= 1e-10
 
 
+def test_spectrum_with_no_records(tmp_path):
+    # no eigenvalue of the truncation lies in [5, 6]: a stamp and a header
+    out = tmp_path / "spec"
+    cfg = parse_config(_cfg(command="spectrum",
+                            potential={"family": "coulomb", "c": 0.1},
+                            phi=1.0, N=1000, window=[5.0, 6.0],
+                            output_dir=str(out)))
+    report = run(cfg)
+    assert report["exit_code"] == 0
+    assert report["payload"] == {"count": 0, "records": []}
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# efgp ")
+    assert lines[1] == ("E,weight,x,certificate_N,certificate_RNsq,"
+                        "certificate_passed,decay_exponent")
+
+
 def test_lemma_sums_degenerate_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(_cfg(command="lemma-sums",

@@ -13,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efgp import (
+    Certificate,
+    EigenvalueRecord,
+    EigenvalueSet,
     JacobiMatrix,
     OperatorSpec,
     Potential,
+    PruferTrajectory,
+    Solution,
     SpectralParam,
     WeightedVector,
     almost_orthogonality_check,
@@ -163,6 +168,12 @@ def test_non_real_scalars_rejected(name):
 _P = SpectralParam.from_x(1.0)
 _TRAJ = evolve_trajectory(_SPEC, _P)
 _SOL = solve_recurrence(_SPEC, _P)
+_SPEC5 = OperatorSpec(make_potential("coulomb", c=1.0), 1.0, 5)
+_CERT = Certificate(n_star=100, rn_sq=0.001, passed=True)
+
+
+def _record(E=0.5, weight=0.9375, certificate=_CERT):
+    return EigenvalueRecord(E=E, x=None, weight=weight, certificate=certificate)
 
 # library objects of the wrong type: a spec, parameters, trajectories or a
 # Jacobi diagonal that is not a 1-D real array
@@ -205,6 +216,30 @@ WRONG_TYPE_CALLS = {
     "weighted_vector-text-n0": lambda: WeightedVector(np.ones(2), "a", 2),
     "weighted_vector-float-n_end": lambda: WeightedVector(np.ones(2), 0, 2.0),
     "potential-list-table": lambda: Potential("table", table=[1.0]),
+    # solutions and trajectories built from lists, or with a wrong parameter
+    "solution-list-u":
+        lambda: to_prufer(Solution([0.0, 1, 2, 3, 4, 5], _SPEC5, _P)),
+    "solution-int-u": lambda: Solution(np.arange(6), _SPEC5, _P),
+    "solution-float-param": lambda: Solution(np.zeros(6), _SPEC5, 1.0),
+    "trajectory-lists": lambda: angle_increment_check(
+        PruferTrajectory([0.0] * 6, [0.0] * 6, [0.0] * 6, _P)),
+    "trajectory-2d-V":
+        lambda: PruferTrajectory(np.zeros(6), np.zeros(6), np.zeros((6, 1)), _P),
+    "trajectory-float-param":
+        lambda: PruferTrajectory(np.zeros(6), np.zeros(6), np.zeros(6), 1.0),
+    # records whose E or weight is no real number, or with no Certificate
+    "make_eigenvalue_set-text-E":
+        lambda: make_eigenvalue_set([_record(E="a"), _record()]),
+    "make_eigenvalue_set-text-weight":
+        lambda: make_eigenvalue_set([_record(weight="a")]),
+    "make_eigenvalue_set-no-certificate":
+        lambda: make_eigenvalue_set([_record(certificate=None)]),
+    "check_theorem-text-weight":
+        lambda: check_theorem(EigenvalueSet((_record(weight="a"),)), 1.0),
+    "check_theorem-no-certificate":
+        lambda: check_theorem(EigenvalueSet((_record(certificate=None),)), 1.0),
+    "check_theorem-float-record":
+        lambda: check_theorem(EigenvalueSet((1.0,)), 1.0),
 }
 
 
@@ -242,6 +277,11 @@ DOMAIN_CALLS = {
     "potential-empty-table": (lambda: Potential("table"), errors.EmptyTable),
     "potential-nan-table": (lambda: Potential("table", table=(math.nan,)),
                             errors.ParamOutOfRange),
+    "solution-short-u": (lambda: Solution(np.zeros(5), _SPEC5, _P),
+                         errors.LengthMismatch),
+    "trajectory-unequal-lengths":
+        (lambda: PruferTrajectory(np.zeros(6), np.zeros(5), np.zeros(6), _P),
+         errors.LengthMismatch),
 }
 
 
