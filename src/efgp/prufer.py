@@ -301,8 +301,8 @@ def _ln_r(un, um, ln_scale, cos_x, sin_x, out=None):
 
 def _trajectory(V, param, windows, ends) -> PruferTrajectory:
     """The trajectory of param along the site-indexed V, of the pairs
-    (u(n), u(n-1)) = exp(scale) (cur, prev) that windows yields as rows of
-    one, one window per end in ends, of the sites after the previous end
+    (u(n), u(n-1)) = exp(scale) (cur, prev), one-row arrays, that windows
+    yields, one window per end in ends, of the sites after the previous end
     (0 first), at most _kernels._CHUNK: per window one :class:`_Lift`
     step and :func:`_ln_r`."""
     n = ends[-1]
