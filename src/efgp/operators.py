@@ -97,14 +97,18 @@ def random_signs(seed: int, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """Evaluation rule for V(n), n >= 1; V(n) = 0 for n < onset.
+    """Evaluation rule for V(n), n >= 1: the family's formula, then the
+    explicit values, then V(n) = 0 for n < onset.
 
-    family:    one of coulomb | alternating | resonant | random_sign | table
+    family:    one of coulomb | alternating | resonant | random_sign | table;
+               table is the coulomb formula c/n, with c = 0 unless given
     amplitude: scale c; for the analytic families n*|V(n)| <= c
     omega:     radians per step (resonant only)
     delta:     phase offset (resonant only)
     seed:      key of the sign stream (random_sign only)
-    table:     explicit values, table[0] = V(1) (table only)
+    table:     explicit values V(1..k), table[0] = V(1), which replace the
+               formula's first k values for every family; the table family
+               needs at least one
     """
 
     family: str
@@ -142,26 +146,21 @@ class Potential:
             raise EmptyRange(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
         c = self.amplitude
-        if self.family == "coulomb":
-            v = c / n
-        elif self.family == "alternating":
+        if self.family == "alternating":
             v = np.where(n % 2 == 0, c, -c) / n
         elif self.family == "resonant":
             # omega*n may overflow and sin(inf) is nan: the finiteness
             # check below follows at once
             with np.errstate(over="ignore", invalid="ignore"):
                 v = c * np.sin(self.omega * n + self.delta) / n
-        elif self.family == "random_sign":
+        else:  # coulomb, table and random_sign
+            v = c / n
+        if self.family == "random_sign":
             # (-c)/n = -(c/n) exactly: flip the sign bit of c/n where the
             # top bit of the stream marks a -1 of random_signs
-            v = c / n
             v.view(np.uint64)[...] ^= _splitmix_bits(self.seed, n) & _SIGN_BIT
-        else:  # table
-            v = np.zeros(n.shape[0])
-            mask = n <= len(self.table)
-            if mask.any():
-                idx = n[mask] - 1
-                v[mask] = np.asarray(self.table, dtype=float)[idx]
+        head = self.table[n_lo - 1:n_hi]  # only this range's explicit values
+        v[:len(head)] = head
         if self.onset > 1:
             v = np.where(n < self.onset, 0.0, v)
         if not np.isfinite(v).all():  # resonant omega*n beyond the float range
@@ -189,27 +188,24 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
                    delta: float = 0.0, seed: int = 0, values=None,
                    n0: int = 1) -> Potential:
     """Build a Potential from a family name in any case, with - for _;
-    ``values`` is read only by the table family.  Potential checks the
-    parameters."""
+    ``values`` become the explicit V(1..k) of any family.  Potential checks
+    the parameters."""
     fam = str(family).lower().replace("-", "_")
-    table = ()
-    if fam == "table":
-        try:
-            table = tuple(() if values is None else values)
-        except TypeError:
-            raise ParamOutOfRange(f"values must be a sequence, got {values!r}") from None
+    try:
+        table = tuple(() if values is None else values)
+    except TypeError:
+        raise ParamOutOfRange(f"values must be a sequence, got {values!r}") from None
     return Potential(family=fam, amplitude=c, omega=omega, delta=delta,
                      seed=seed, table=table, onset=n0)
 
 
 def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
-    """Empirical Coulomb envelope max n*|V(n)| over [n_lo, n_hi]."""
+    """Empirical Coulomb envelope max n*|V(n)| over [n_lo, n_hi], explicit
+    values included; :meth:`Potential.values` checks the range."""
     _instance(p, Potential, "p")
-    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
-    if not 1 <= n_lo <= n_hi:
-        raise EmptyRange(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    return float(np.max(n * np.abs(p.values(n_lo, n_hi))))
+    v = p.values(n_lo, n_hi)
+    n = np.arange(n_lo, n_lo + v.shape[0], dtype=np.float64)
+    return float(np.max(n * np.abs(v)))
 
 
 @dataclass(frozen=True)

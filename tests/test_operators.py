@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efgp import (
     OperatorSpec,
@@ -11,7 +14,7 @@ from efgp import (
     make_potential,
 )
 from efgp import _kernels
-from efgp.operators import random_signs
+from efgp.operators import Potential, random_signs
 
 PI = math.pi
 
@@ -220,3 +223,53 @@ def test_value_array_rejects_a_non_finite_block():
     p = make_potential("resonant", c=1.0, omega=1.2e307)
     with pytest.raises(errors.ParamOutOfRange):
         p.value_array(3 * _B)
+
+
+_FORMULAS = {  # each family's formula kwargs; table is coulomb's c/n
+    "coulomb": {"amplitude": 1.3},
+    "alternating": {"amplitude": -0.7},
+    "resonant": {"amplitude": 2.2, "omega": 2.1, "delta": 0.4},
+    "random_sign": {"amplitude": 1.0, "seed": 7},
+    "table": {"amplitude": 0.6},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(family=st.sampled_from(sorted(_FORMULAS)),
+       head=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),
+       n0=st.integers(1, 60), n_lo=st.integers(1, 80),
+       length=st.integers(0, 60))
+@example(family="resonant", head=[-1.1, -0.7, 0.478], n0=1, n_lo=1, length=1)
+@example(family="coulomb", head=[0.5] * 10, n0=3, n_lo=11, length=5)
+@example(family="random_sign", head=[0.5] * 10, n0=12, n_lo=8, length=9)
+def test_explicit_values_replace_the_formula_then_onset_zeroes(
+        family, head, n0, n_lo, length):
+    # ranges before, across and past the k = len(head) explicit values
+    n_hi = n_lo + length
+    kwargs = _FORMULAS[family]
+    formula = Potential("coulomb" if family == "table" else family, **kwargs)
+    want = formula.values(n_lo, n_hi)
+    for i, n in enumerate(range(n_lo, n_hi + 1)):
+        if n <= len(head):
+            want[i] = head[n - 1]
+        if n < n0:
+            want[i] = 0.0
+    p = make_potential(family, values=head, n0=n0, c=kwargs["amplitude"],
+                       omega=kwargs.get("omega", 0.0),
+                       delta=kwargs.get("delta", 0.0),
+                       seed=kwargs.get("seed", 0))
+    assert p.values(n_lo, n_hi).tobytes() == want.tobytes()
+    if family in ("coulomb", "table"):
+        other = "table" if family == "coulomb" else "coulomb"
+        q = Potential(other, table=tuple(head), onset=n0, **kwargs)
+        assert q.values(n_lo, n_hi).tobytes() == want.tobytes()
+
+
+def test_long_table_value_array_is_fast():
+    # each block reads only its own slice of the table
+    p = make_potential("table", values=np.linspace(-1.0, 1.0, 10 ** 6).tolist())
+    t0 = time.perf_counter()
+    v = p.value_array(10 ** 6)
+    elapsed = time.perf_counter() - t0
+    assert v[1:].tobytes() == np.asarray(p.table).tobytes()
+    assert elapsed < 1.0, f"value_array of a 1e6-value table took {elapsed:.2f} s"
