@@ -96,16 +96,21 @@ class BoundReport:
 
 def check_theorem(eset: EigenvalueSet, C: float,
                   certified_only: bool = True) -> BoundReport:
-    """Sum the weights of the (certified) records and compare to the bound.
+    """Sum the weights 1 - E^2/4 of the (certified) records with
+    -2 < E < 2 and compare to the bound.
 
-    With certified_only (the default) only records whose tail-norm
-    certificate passed contribute; raw truncation eigenvalues would
-    otherwise trivially overfill the left side.
+    The paper's sum runs over the eigenvalues embedded in (-2, 2); a record
+    outside the band, which a wider window lists, would enter with a
+    negative weight and could hide a violation.  With certified_only (the
+    default) only records whose tail-norm certificate passed contribute;
+    raw truncation eigenvalues would otherwise trivially overfill the left
+    side.
     """
     _instance(eset, EigenvalueSet, "eset")
     rhs = theorem_bound(C)
     records = [r for r in _checked_records(eset.records)
-               if not certified_only or r.certificate.passed]
+               if -2.0 < r.E < 2.0
+               and (not certified_only or r.certificate.passed)]
     lhs = float(sum(r.weight for r in records))
     return BoundReport(lhs=lhs, rhs=rhs, C_used=float(C),
                        satisfied=lhs <= rhs, margin=rhs - lhs,

@@ -132,6 +132,22 @@ def test_check_theorem_monotone():
     assert theorem_bound(2.0) >= theorem_bound(1.0)
 
 
+@pytest.mark.parametrize("certified_only", [True, False])
+def test_check_theorem_sums_only_inside_the_band(certified_only):
+    # the paper's sum runs over (-2, 2); outside it 1 - E^2/4 <= 0 would
+    # lower the left side
+    def rec(e):
+        return EigenvalueRecord(
+            E=e, x=None, weight=theorem_weight(e),
+            certificate=Certificate(n_star=10, rn_sq=0.01, passed=True))
+
+    eset = make_eigenvalue_set([rec(e) for e in (-3.0, -2.0, 0.0, 1.0, 2.0,
+                                                 7.0)])
+    rep = check_theorem(eset, 0.0, certified_only=certified_only)
+    assert rep.lhs == 1.75 and rep.records_used == 2
+    assert not rep.satisfied
+
+
 # --- oscillatory sums ------------------------------------------------------
 
 def test_alternating_series_sup():
