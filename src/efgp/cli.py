@@ -104,9 +104,16 @@ def _parse_potential(obj, path: str = "potential") -> Potential:
                "values_file", "n0"}
     _reject_unknown(obj, allowed, path + ".")
     family = _need(obj, "family", path + ".")
-    if not isinstance(family, str) or family.lower().replace("-", "_") not in FAMILIES:
+    fam = family.lower().replace("-", "_") if isinstance(family, str) else None
+    if fam not in FAMILIES:
         raise ValidationError(f"{path}.family",
                               f"must be one of {', '.join(FAMILIES)}")
+    # a field that no formula of this family reads would be silently ignored
+    for key, owner in (("omega", "resonant"), ("delta", "resonant"),
+                       ("seed", "random_sign")):
+        if key in obj and fam != owner:
+            raise ValidationError(f"{path}.{key}",
+                                  f"is read only by the {owner} family")
     kwargs = {}
     for key in ("c", "omega", "delta"):
         if key in obj:
@@ -245,6 +252,9 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.certified_only = obj["certified_only"]
 
     if "envelope_range" in obj:
+        if "C" in obj:
+            raise ValidationError("envelope_range",
+                                  "is not read when C is given")
         er = obj["envelope_range"]
         if (not isinstance(er, list) or len(er) != 2
                 or not all(_is_int(v) for v in er)

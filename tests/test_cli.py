@@ -226,6 +226,27 @@ def test_bound_check_negative_control_exit_2(tmp_path):
     assert rep["payload"]["satisfied"] is False
 
 
+@pytest.mark.parametrize("window", [[-2.0, 2.0], [-50.0, 50.0]])
+def test_bound_sums_only_records_inside_the_band(tmp_path, window):
+    # V(1) = 40 puts one eigenvalue near 40 and others outside (-2, 2); a
+    # window that lists them must not lower the uncertified sum
+    out = tmp_path / "o"
+    report = run(parse_config(_cfg(
+        command="bound-check",
+        potential={"family": "table",
+                   "values": [40.0] + [3 / n for n in range(2, 401)]},
+        phi=1.0, N=400, C=3.0, certified_only=False, window=window,
+        output_dir=str(out))))
+    assert report["exit_code"] == 2
+    assert report["payload"]["lhs"] == pytest.approx(200.22305272102625,
+                                                     rel=1e-12)
+    assert report["payload"]["records_used"] == 378
+    # rows outside the band stay in spectrum.csv
+    rows = (out / "spectrum.csv").read_text().splitlines()[2:]
+    assert len(rows) == len(report["payload"]["records"])
+    assert len(rows) == (378 if window[1] == 2.0 else 400)
+
+
 def test_bound_check_certified_construct_pipeline(tmp_path):
     out = tmp_path / "o"
     cfg = parse_config(_cfg(command="construct", x=1.5707963267948966,
@@ -237,6 +258,33 @@ def test_bound_check_certified_construct_pipeline(tmp_path):
     assert payload["bound"]["lhs"] == pytest.approx(1.0, abs=0.02)
     assert payload["bound"]["satisfied"] is True
     assert abs(payload["fitted_exponent"] - 0.625) <= 0.05 * 0.625
+
+
+@pytest.mark.parametrize("family,key,value", [
+    ("coulomb", "omega", 1.0), ("table", "delta", 0.5),
+    ("random_sign", "omega", 1.0), ("resonant", "seed", 3),
+    ("alternating", "seed", 3),
+])
+def test_fields_no_formula_reads_are_rejected(family, key, value):
+    pot = {"family": family, "c": 1.0, "values": [0.5], key: value}
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(_cfg(command="prufer", potential=pot, phi=1.0, N=10,
+                          x_values=[1.0]))
+    assert exc.value.field == f"potential.{key}"
+    # the family that reads the field accepts it, in any spelling
+    owner = "Random-Sign" if key == "seed" else "RESONANT"
+    cfg = parse_config(_cfg(command="prufer", potential=dict(pot, family=owner),
+                            phi=1.0, N=10, x_values=[1.0]))
+    assert cfg.potential.table == (0.5,)
+
+
+def test_envelope_range_next_to_c_is_rejected():
+    doc = dict(command="bound-check", potential={"family": "coulomb", "c": 1.0},
+               phi=1.0, N=100, x_values=[1.0], envelope_range=[1, 50])
+    assert parse_config(_cfg(**doc)).envelope_range == (1, 50)
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(_cfg(**doc, C=1.0))
+    assert exc.value.field == "envelope_range"
 
 
 def test_table_values_file(tmp_path):

@@ -348,8 +348,9 @@ def test_sum_entry_points_reject_bad_input(alpha, n_max, data):
     assert all(math.isfinite(v) for v in sups)
 
 
-# One valid, small config per CLI command.  The property below replaces one
-# field (top level or inside "potential") with an arbitrary JSON value.
+# One valid, small config per CLI command, two for bound-check.  The property
+# below replaces one field (top level or inside "potential") with an
+# arbitrary JSON value.
 CLI_CONFIGS = {
     "spectrum": {"command": "spectrum",
                  "potential": {"family": "coulomb", "c": 1.0, "n0": 2},
@@ -364,8 +365,13 @@ CLI_CONFIGS = {
                                   "seed": 3},
                     "phi": 1.0, "N": 24, "x_values": [1.0],
                     "window": [-1.0, 1.0], "checkpoints": [12, 24],
-                    "certified_only": False, "C": 1.0,
-                    "envelope_range": [1, 24]},
+                    "certified_only": False, "C": 1.0},
+    # envelope_range is rejected next to C, so it gets a config of its own
+    "bound-check-envelope": {"command": "bound-check",
+                             "potential": {"family": "alternating",
+                                           "c": 1.0},
+                             "phi": 1.0, "N": 24, "window": [-1.0, 1.0],
+                             "envelope_range": [1, 24]},
     "lemma-sums": {"command": "lemma-sums",
                    "potential": {"family": "table", "values": [0.5, -0.25]},
                    "phi": 1.0, "N": 32, "x_values": [1.0, 2.0]},
