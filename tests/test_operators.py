@@ -125,6 +125,14 @@ def test_envelope_resonant_direct_scan_oracle():
     assert 0.0 < got <= 2.5 * (1 + 1e-15)
 
 
+def test_envelope_of_a_late_range_and_of_explicit_values():
+    # n*|V(n)| is weighted by the site itself, not by its place in the range
+    p = make_potential("coulomb", c=1.0, values=[3.0, 0.0, 0.5])
+    assert envelope_constant(p, 1, 100) == 3.0
+    assert envelope_constant(p, 2, 100) == 1.5
+    assert envelope_constant(p, 40, 60) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_envelope_monotone_in_upper_end():
     p = make_potential("resonant", c=1.3, omega=1.7, delta=0.4)
     vals = [envelope_constant(p, 1, hi) for hi in (10, 100, 1000, 10 ** 4)]
