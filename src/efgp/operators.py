@@ -1,9 +1,10 @@
 """Half-line potentials with Coulomb-type decay and their truncated Jacobi form.
 
-A potential is a deterministic rule n -> V(n) for n >= 1.  Every analytic
-family satisfies n*|V(n)| <= amplitude, so the amplitude doubles as a decay
-envelope; :func:`envelope_constant` measures the empirical envelope over a
-range.  :func:`build_jacobi` folds the phase boundary condition
+A potential is a deterministic rule n -> V(n) for n >= 1.  The formula of
+every analytic family satisfies n*|V(n)| <= amplitude, so the amplitude
+doubles as a decay envelope unless explicit head values exceed it;
+:func:`envelope_constant` measures the empirical envelope over a range.
+:func:`build_jacobi` folds the phase boundary condition
 y(0) sin(phi) + y(1) cos(phi) = 0 into row one of a symmetric tridiagonal
 matrix with unit off-diagonal.
 """
@@ -102,7 +103,7 @@ class Potential:
 
     family:    one of coulomb | alternating | resonant | random_sign | table;
                table is the coulomb formula c/n, with c = 0 unless given
-    amplitude: scale c; for the analytic families n*|V(n)| <= c
+    amplitude: scale c; the formulas satisfy n*|V(n)| <= c
     omega:     radians per step (resonant only)
     delta:     phase offset (resonant only)
     seed:      key of the sign stream (random_sign only)

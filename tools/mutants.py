@@ -18,7 +18,6 @@ Run from the repository root:
 
     python tools/mutants.py             # every entry
     python tools/mutants.py ID [ID ...] # the named entries
-    python tools/mutants.py --list
 
 The exit status is 0 when every entry run is killed, and 1 otherwise.
 """
@@ -157,17 +156,12 @@ def run(mutant: Mutant, root: Path = ROOT) -> tuple:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("ids", nargs="*", help="entries to run (default: all)")
-    ap.add_argument("--list", action="store_true", help="list the entries")
     args = ap.parse_args(argv)
     by_id = {m.id: m for m in MUTANTS}
     unknown = [i for i in args.ids if i not in by_id]
     if unknown:
         ap.error(f"unknown mutant id(s): {', '.join(unknown)}")
     chosen = [by_id[i] for i in args.ids] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.id}\t{m.file}\t{' '.join(m.tests)}")
-        return 0
     bad = 0
     for m in chosen:
         verdict, seconds, output = run(m, ROOT)
