@@ -1,9 +1,10 @@
-"""The mutant table in tools/mutants.py stays applicable: every entry's old
-text occurs exactly once in its file, and every node it names is a test
+"""The mutant table in tools/mutants.py stays applicable: every entry's edit
+applies to a copy of its file, and every node it names is a test
 function.  The mutants themselves run outside tier-1
 (python tools/mutants.py)."""
 
 import ast
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,11 +13,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 import mutants  # noqa: E402
 
 
-def test_every_entry_applies_once_and_names_existing_tests():
+def test_every_entry_applies_once_and_names_existing_tests(tmp_path):
     assert len({m.id for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
-        text = (ROOT / m.file).read_text(encoding="utf-8")
-        assert text.count(m.old) == 1, m.id
+        copy = tmp_path / m.id / m.file
+        copy.parent.mkdir(parents=True)
+        shutil.copy2(ROOT / m.file, copy)
+        mutants.apply(tmp_path / m.id, m)
         assert m.old != m.new, m.id
         for node in m.tests:
             path, name = node.split("::")

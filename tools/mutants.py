@@ -4,27 +4,27 @@ Each entry names a file, an exact old text that occurs exactly once in it,
 the new text, and the test node ids that must fail once the edit is made.
 The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` (whose
 ``pythonpath = ["src"]`` resolves against the copy) to a temporary
-directory, applies one edit there and runs the named nodes with
-``python -m pytest -p no:cacheprovider`` in a fresh interpreter.  A mutant
-is killed when every named node fails (for a parametrized node, at least
-one of its cases).  It survives when a named node passes, and it is an
-error when its old text does not occur exactly once or pytest cannot run
-the nodes (an unknown node id, a collection error).
+directory and runs the named nodes there with
+``python -m pytest -p no:cacheprovider`` in a fresh interpreter, first
+unedited, where they must all pass, then after applying the one edit.  A
+mutant is killed when every named node fails (for a parametrized node, at
+least one of its cases).  It survives when a named node passes, and it is an
+error when its old text does not occur exactly once, when a node fails or
+is skipped in the unedited copy, or when pytest cannot run the nodes (an
+unknown node id, a collection error).
 
 A refactor that moves or rewrites a mutated line must update its entry in
 the same change; an entry is never deleted to get a clean run.
 
-Run from the repository root:
+Run every entry from the repository root:
 
-    python tools/mutants.py             # every entry
-    python tools/mutants.py ID [ID ...] # the named entries
+    python tools/mutants.py
 
-The exit status is 0 when every entry run is killed, and 1 otherwise.
+The exit status is 0 when every entry is killed, and 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -121,6 +121,21 @@ def apply(root: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
+def _pytest(work: Path, nodes: tuple) -> tuple:
+    """(exit code, nodes reported failed, nodes reported skipped, output)
+    of one pytest run of nodes in the tree at work."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfs", "-p", "no:cacheprovider",
+         *nodes],
+        cwd=work, capture_output=True, text=True)
+    # "FAILED node[param] - message" and "SKIPPED [1] file:line: reason"
+    # lines of the short summary
+    lines = proc.stdout.splitlines()
+    failed = [ln.split()[1] for ln in lines if ln.startswith("FAILED ")]
+    skipped = [ln for ln in lines if ln.startswith("SKIPPED ")]
+    return proc.returncode, failed, skipped, proc.stdout + proc.stderr
+
+
 def run(mutant: Mutant, root: Path = ROOT) -> tuple:
     """(verdict, seconds, pytest output) of one mutant of the tree at root;
     the verdict is killed, survived or error."""
@@ -134,42 +149,31 @@ def run(mutant: Mutant, root: Path = ROOT) -> tuple:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, work / name)
+        code, _, skipped, output = _pytest(work, mutant.tests)
+        if code != 0 or skipped:
+            return ("error", time.perf_counter() - t0,
+                    "unedited copy: the named nodes must all pass\n" + output)
         try:
             apply(work, mutant)
         except ValueError as exc:
             return "error", time.perf_counter() - t0, str(exc)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             *mutant.tests],
-            cwd=work, capture_output=True, text=True)
-    output = proc.stdout + proc.stderr
-    if proc.returncode not in (0, 1):
+        code, failed, _, output = _pytest(work, mutant.tests)
+    if code not in (0, 1):
         return "error", time.perf_counter() - t0, output
-    # "FAILED node[param] - message" lines of the short summary
-    failed = [ln.split()[1] for ln in proc.stdout.splitlines()
-              if ln.startswith("FAILED ")]
     caught = all(any(f == node or f.startswith(node + "[") for f in failed)
                  for node in mutant.tests)
     return ("killed" if caught else "survived"), time.perf_counter() - t0, output
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("ids", nargs="*", help="entries to run (default: all)")
-    args = ap.parse_args(argv)
-    by_id = {m.id: m for m in MUTANTS}
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown:
-        ap.error(f"unknown mutant id(s): {', '.join(unknown)}")
-    chosen = [by_id[i] for i in args.ids] or list(MUTANTS)
+def main() -> int:
     bad = 0
-    for m in chosen:
+    for m in MUTANTS:
         verdict, seconds, output = run(m, ROOT)
         print(f"{verdict:8s} {m.id} ({seconds:.1f} s)", flush=True)
         if verdict != "killed":
             bad += 1
             print(output.strip()[-2000:])
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 

@@ -1,6 +1,7 @@
 """Self-test of the mutant runner on a two-file tree of its own: a mutant
-that no test catches is reported as surviving, and a broken entry as an
-error.  Run from the repository root: python -m pytest tools/test_mutants.py
+that no test catches is reported as surviving, and a broken entry, or one
+whose nodes do not pass unedited, as an error.  Run from the repository
+root: python -m pytest tools/test_mutants.py
 """
 
 from pathlib import Path
@@ -10,8 +11,11 @@ import mutants
 TREE = {
     "pyproject.toml": '[tool.pytest.ini_options]\npythonpath = ["src"]\n',
     "src/toy.py": "def f():\n    return 1\n",
-    "tests/test_toy.py": ("from toy import f\n\n\n"
-                          "def test_f():\n    assert f() in (1, 2)\n"),
+    "tests/test_toy.py": ("import pytest\nfrom toy import f\n\n\n"
+                          "def test_f():\n    assert f() in (1, 2)\n\n\n"
+                          "def test_broken():\n    assert f() == 2\n\n\n"
+                          "@pytest.mark.skip\ndef test_skipped():\n"
+                          "    assert f() == 1\n"),
 }
 
 
@@ -35,6 +39,11 @@ def test_verdicts(tmp_path):
     assert verdict == "error" and "occurs 0 times" in why
     assert mutants.run(_mutant("return 3", node="tests/test_toy.py::test_g"),
                        root)[0] == "error"
+    # a node that fails, or is skipped, without any edit catches nothing
+    for node in ("tests/test_toy.py::test_broken",
+                 "tests/test_toy.py::test_skipped"):
+        verdict, _, why = mutants.run(_mutant("return 3", node=node), root)
+        assert verdict == "error" and "unedited copy" in why, node
     # the runner edits only its copy
     assert (root / "src/toy.py").read_text() == TREE["src/toy.py"]
 
@@ -42,6 +51,6 @@ def test_verdicts(tmp_path):
 def test_survivor_fails_the_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mutants, "ROOT", _tree(tmp_path))
     monkeypatch.setattr(mutants, "MUTANTS", (_mutant("return 2"),))
-    assert mutants.main([]) == 1
+    assert mutants.main() == 1
     out = capsys.readouterr().out
     assert "survived toy" in out and "0 of 1 mutants killed" in out
