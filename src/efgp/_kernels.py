@@ -10,13 +10,14 @@ zero entries.  One resumable driver (:func:`_forward_windows`) runs B
 blocks, one per energy E_b, with log-scale rescaling, each rescaled
 exactly where it would be alone, and yields their pairs window by window:
 consecutive stretches of sites whose ends the caller chooses, so no caller
-needs to hold a pair array as long as the lattice.  It reads W one window
-at a time, from an array or a function of the site range, forms the
-couplings W(k) - E_b itself and solves on band buffers allocated once per
-call.  It serves the forward Prufer evolution (W = V), the backward
+needs to hold a pair array as long as the lattice.  Every window is written
+to the front of one buffer, the caller's or the driver's own.  It reads W
+one window at a time, from an array or a function of the site range, forms
+the couplings W(k) - E_b itself and solves on band buffers allocated once
+per call.  It serves the forward Prufer evolution (W = V), the backward
 resonant launch (W(k) = V(M + 1 - k) on the mirrored sites, one block,
-storing only the sites it returns) and Sturm counts (W = the diagonal, one
-block per shift).  ``analysis.lemma_sums`` consumes its windows as they
+keeping its last window, the sites it returns) and Sturm counts (W = the
+diagonal, one block per shift).  ``analysis.lemma_sums`` consumes its windows as they
 come and passes ``Potential.values``, so besides block buffers no array is
 as long as the lattice.  ``spectral.classify_spectrum`` runs one call per
 group of energies, each storing into a slice of one pair buffer that it
@@ -47,10 +48,10 @@ _CHUNK = 2 ** 14
 _BLOCK = _CHUNK // 2
 
 
-def _band(nb, n, out=None):
+def _band(nb, n, out):
     """Band storage of _recur's system for nb blocks of n rows, as an
-    (nb, n, 3) array: every entry but the couplings band[:, 1:-1, 1] is
-    set, in out (a flat float64 array of at least 3 nb n entries) if given.
+    (nb, n, 3) view of out (a flat float64 array of at least 3 nb n
+    entries): every entry but the couplings band[:, 1:-1, 1] is set.
 
     The C-ordered (row, diagonal) entries are passed to BLAS as
     Fortran-ordered lower band storage; BLAS never reads diagonal 0 (the
@@ -58,19 +59,17 @@ def _band(nb, n, out=None):
     coupling entries 0; row j+2 carries sub[b, j] on the first and 1 on the
     second subdiagonal.
     """
-    band = (np.empty((nb, n, 3)) if out is None
-            else out[:nb * n * 3].reshape(nb, n, 3))
+    band = out[:nb * n * 3].reshape(nb, n, 3)
     band[:, 0, 1] = band[:, -1, 1] = 0.0
     band[:, :-2, 2] = 1.0
     band[:, -2:, 2] = 0.0
     return band
 
 
-def _solve(band, w0, w1, out=None):
+def _solve(band, w0, w1, w):
     """w_b(0..n-1) of the blocks of the band system ``band`` (from
     :func:`_band`, couplings filled in) from (w_b(0), w_b(1)) = (w0[b],
-    w1[b]), solved in out (a C-contiguous (nb, n) array) if given."""
-    w = np.empty(band.shape[:2]) if out is None else out
+    w1[b]), solved in w (a C-contiguous (nb, n) array)."""
     w[:, 0], w[:, 1] = w0, w1
     w[:, 2:] = 0.0
     return dtbsv(2, band.reshape(-1, 3).T, w.reshape(-1), lower=1, diag=1,
@@ -83,11 +82,12 @@ def _recur(w0, w1, sub):
 
     The B blocks are laid end to end in one band system with two
     subdiagonals (:func:`_band`), uncoupled by zero entries.  Returns a
-    (B, L+2) array.
+    new (B, L+2) array.
     """
-    band = _band(sub.shape[0], sub.shape[1] + 2)
+    nb, n = sub.shape[0], sub.shape[1] + 2
+    band = _band(nb, n, np.empty(3 * nb * n))
     band[:, 1:-1, 1] = sub
-    return _solve(band, w0, w1)
+    return _solve(band, w0, w1, np.empty((nb, n)))
 
 
 def solve_forward(V, E, u0, u1):
@@ -129,12 +129,10 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     that takes a step reads V at its sites max(lo - 1, 1)..hi - 1 once, as
     a view of the array V or one call of values, so V is read once in all.
     Per window the generator yields (cur, prev, scale), each of shape
-    (B, hi - lo + 1): (u_b(n), u_b(n-1)) = exp(scale) * (cur, prev).  They
-    are views of one buffer, overwritten by the next window, or with
-    ``out``, a (3, B, M) array holding the last M sites, its columns for
-    the window's sites.  A window that ends before those sites is not
-    stored: it yields (None, None, scale).  No window may straddle the
-    first stored site.
+    (B, hi - lo + 1): (u_b(n), u_b(n-1)) = exp(scale) * (cur, prev).  One
+    output rule: every window is written to the first hi - lo + 1 columns
+    of one (3, B, W) buffer, ``out`` if given (W at least the widest
+    window), else the driver's own, and the next window overwrites it.
 
     Each block moves along its own chunks, and one band solve
     (:func:`_band`, :func:`_solve`) advances every block still short of the
@@ -175,25 +173,18 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     rows_max = min(max(_CHUNK, nb), nb * widest) + 2 * nb
     band_buf, y_buf = np.empty(3 * rows_max), np.empty(rows_max)
     band = np.empty((0, 0, 3))
-    first = 1 if out is None else n_sites + 1 - out.shape[-1]  # first stored site
-    if out is None or first > 1:  # with out, only scale needs a buffer
-        buf = np.empty((3 if out is None else 1, nb, widest))
+    buf = np.empty((3, nb, widest)) if out is None else out
     grow = _CHUNK  # sets the next chunk length
     lo = 1
     for hi in ends:
-        if out is None:
-            cur, prev, scale = buf[:, :, :hi - lo + 1]
-        elif lo >= first:
-            cur, prev, scale = out[:, :, lo - first:hi + 1 - first]
-        else:  # a window before the stored sites
-            cur, prev, scale = None, None, buf[0, :, :hi - lo + 1]
+        cur, prev, scale = buf[:, :, :hi - lo + 1]
         # until the cumsum, scale holds increments of the log scale
         scale[...] = 0.0
         scale[:, 0] = pending
         pending[...] = 0.0
         rescaled = False
         k0 = max(lo - 1, 1)
-        if lo == 1 and cur is not None:
+        if lo == 1:
             cur[:, 0], prev[:, 0] = end_a, end_b
         # the blocks short of the window end, each at its site k with the
         # pair (a, b) = (u(k), u(k-1)) it continues from
@@ -253,7 +244,7 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
             if fewest == most and not cut.any():
                 # every block at one site and none cut: one stretch for all
                 jb = int(last[0])
-                if jb and cur is not None:
+                if jb:
                     at = int(k[0]) + 1 - lo
                     cur[ids, at:at + jb] = y[:, 2:jb + 2]
                     prev[ids, at:at + jb] = y[:, 1:jb + 1]
@@ -261,7 +252,7 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
                 for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(),
                                                k.tolist(), j.tolist(),
                                                cut.tolist(), mj.tolist()):
-                    if jb and cur is not None:
+                    if jb:
                         cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
                         prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
                     if c:
@@ -321,6 +312,9 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
     launch site M = n_launch can sit far beyond the recorded range without
     materializing a huge array.  Backwards, the forward-decaying solution
     is the growing one, so generic launch data converges onto it.
+    It is the driver on the mirrored sites: windows of _CHUNK sites up to
+    the sites kept, which form one last window, and the pairs of that
+    window are returned.
     Returns (un, um, ln_scale) for the sites n = 1..n_record <= M (slot 0 =
     nan): the pair (u(n), u(n-1)) equals exp(ln_scale[n]) * (un[n], um[n]),
     so (u(0), u(1)) = exp(ln_scale[1]) * (um[1], un[1]).  The pair is
@@ -334,15 +328,19 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
         return amp * np.sin(omega * n + delta) / n
 
     n_sites = n_launch + 1
-    first = n_sites + 1 - n_record  # the mirrored site of n = n_record
-    # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n)), so
-    # the driver stores the pairs straight into (um, un) read backwards,
-    # and the windows before the first stored site are not stored
-    um, un, ln_scale = out = np.full((3, n_record + 1), np.nan)
-    ends = _ends(0, first - 1, _CHUNK) + _ends(first - 1, n_sites, _CHUNK)
+    # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n)).
+    # The driver runs _CHUNK-wide windows up to the kept sites n_record..1,
+    # then those as one last window, each written to the front of a
+    # reversed buffer: the last one lands in (um, un) read backwards, at
+    # buffer index width - n_record + n
+    width = max(n_record, _CHUNK)
+    buf = np.empty((3, width + 1))
+    ends = _ends(0, n_sites - n_record, _CHUNK) + [n_sites]
     for _ in _forward_windows(mirrored, [E], u_next, u_launch, ends,
-                              out[:, None, :0:-1]):
+                              buf[:, None, :0:-1]):
         pass
+    um, un, ln_scale = out = buf[:, width - n_record:]
+    out[:, 0] = np.nan  # slot 0: a column of an earlier window
     return un, um, ln_scale
 
 

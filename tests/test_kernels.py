@@ -561,14 +561,15 @@ def test_window_end_cuts_fall_where_the_case_names():
         assert _rescale_sites(ln_scale).tolist() == sites
 
 
-# the first stored site of the mirrored run, 32002 - n_record, lies inside
-# a window, at the window start W + 1, at the site after it, at the last
-# site (n_record = 1) and at site 2, after a one-site window that is not
-# stored (n_record = launch)
+# the kept sites n = n_record..1 are the last window, the mirrored sites
+# 32002 - n_record..32001; the _CHUNK-wide windows before them end inside
+# the third chunk (n_record = 2000), at W, at W + 1 after a one-site
+# window, at the site before the last (n_record = 1), and at site 1, a
+# one-site window that takes no step (n_record = launch)
 @pytest.mark.parametrize("n_record", [2000, 32002 - (W + 1), 32002 - (W + 2),
                                       1, 32000])
 def test_backward_windows_match_whole_row_driver(n_record):
-    # c = 1e5 rescales all along, before the first stored site too
+    # c = 1e5 rescales all along, before the kept window too
     launch, x, delta, c = 32000, 1.1, 0.4, 1e5
     param = SpectralParam.from_x(x)
     theta = x * launch + 0.5 * delta
@@ -577,7 +578,7 @@ def test_backward_windows_match_whole_row_driver(n_record):
     args = (c, 2 * x, delta, param.E, u_next, u_launch, launch, n_record)
     want = _whole_row_backward(*args)
     if n_record < launch:
-        assert want[2][n_record] > 0.0  # rescaled before the first stored site
+        assert want[2][n_record] > 0.0  # rescaled before the kept window
     _assert_same_bits(_kernels.backward_resonant(*args), want)
 
 
