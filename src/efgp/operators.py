@@ -202,11 +202,20 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
 
 def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
     """Empirical Coulomb envelope max n*|V(n)| over [n_lo, n_hi], explicit
-    values included; :meth:`Potential.values` checks the range."""
+    values included.
+
+    V is read block by block, as :meth:`Potential.value_array` reads it,
+    so the memory does not grow with the range, and the max of the block
+    maxima is the max itself.  :meth:`Potential.values` checks the range:
+    an empty one still reads its first block."""
     _instance(p, Potential, "p")
-    v = p.values(n_lo, n_hi)
-    n = np.arange(n_lo, n_lo + v.shape[0], dtype=np.float64)
-    return float(np.max(n * np.abs(v)))
+    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
+    best = 0.0
+    for lo in range(n_lo, max(n_lo, n_hi) + 1, _kernels._BLOCK):
+        v = p.values(lo, min(lo + _kernels._BLOCK - 1, n_hi))
+        n = np.arange(lo, lo + v.shape[0], dtype=np.float64)
+        best = max(best, float(np.max(n * np.abs(v))))
+    return best
 
 
 @dataclass(frozen=True)

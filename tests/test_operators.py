@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ def test_value_array_is_values_block_by_block(family, kwargs, n):
         p = make_potential(family, n0=n0, **kwargs)
         want = np.concatenate(([0.0], p.values(1, n)))
         assert p.value_array(n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family,kwargs", [
+    ("coulomb", {"c": 1.3}),
+    ("resonant", {"c": 2.2, "omega": 2.1, "delta": 0.4}),
+    ("random_sign", {"c": 1.0, "seed": 7}),
+    # explicit values whose largest n*|V(n)|, 4.0 at site _B + 2, lies in
+    # the second block
+    ("coulomb", {"c": 1.3, "values": [0.5] * (_B + 1) + [4.0 / (_B + 2)]}),
+])
+def test_envelope_is_the_direct_max(family, kwargs):
+    p = make_potential(family, **kwargs)
+    # one site, ranges ending at and across block edges, a late start
+    for lo, hi in ((1, 1), (1, _B), (1, _B + 1), (_B, _B + 2),
+                   (_B - 5, 3 * _B + 7), (5 * _B + 3, 7 * _B - 2)):
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        want = float(np.max(n * np.abs(p.values(lo, hi))))
+        assert envelope_constant(p, lo, hi) == want, (lo, hi)
+
+
+def test_envelope_memory_does_not_grow_with_its_range():
+    p = make_potential("random_sign", c=1.0, seed=7)
+    peaks = []
+    for hi in (2 ** 17, 2 ** 20):
+        tracemalloc.start()
+        try:
+            envelope_constant(p, 1, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 ** 20, peaks
 
 
 def test_value_array_rejects_a_non_finite_block():

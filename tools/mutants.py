@@ -96,7 +96,7 @@ MUTANTS = (
         ("tests/test_analysis.py::test_lemma_sums_match_trajectory_route",)),
     Mutant(
         "envelope-sites-from-one", "src/efgp/operators.py",
-        "n = np.arange(n_lo, n_lo + v.shape[0], dtype=np.float64)",
+        "n = np.arange(lo, lo + v.shape[0], dtype=np.float64)",
         "n = np.arange(1, 1 + v.shape[0], dtype=np.float64)",
         ("tests/test_operators.py::"
          "test_envelope_of_a_late_range_and_of_explicit_values",)),
