@@ -275,6 +275,18 @@ def test_certificate_without_eligible_checkpoint():
     assert not rec.certificate.passed
 
 
+@pytest.mark.parametrize("E", [0.5, -1.3])
+def test_certificate_threshold_is_one_over_n_star(E):
+    # R is constant for the free evolution, so N* R(N*)^2 = N*: 2 and 3
+    # fail R(N*)^2 <= 1/N*, but would pass any threshold of 3/N* or more
+    spec = OperatorSpec(make_potential("coulomb", c=0.0), 1.0, 10)
+    for n_star in (2, 3):
+        cert = classify_point_spectrum(spec, E, checkpoints=[n_star]).certificate
+        assert cert.n_star == n_star
+        assert n_star * cert.rn_sq == pytest.approx(n_star, rel=1e-12)
+        assert not cert.passed
+
+
 def test_certificate_survives_overflowing_growth():
     # R(N)/R(1) ~ e^2000 before the onset at n ~ 4000: past the float range
     spec = OperatorSpec(make_potential("coulomb", c=2000.0), 1.0, 10 ** 4)

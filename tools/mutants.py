@@ -76,7 +76,8 @@ MUTANTS = (
         "passed=n_star > 0 and rn_sq <= 1.0 / n_star",
         "passed=n_star > 0 and rn_sq <= 4.0 / n_star",
         ("tests/test_spectral.py::test_classify_spectrum_matches_one_energy_route",
-         "tests/test_spectral.py::test_certificate_waits_for_hypothesis_onset")),
+         "tests/test_spectral.py::test_certificate_waits_for_hypothesis_onset",
+         "tests/test_spectral.py::test_certificate_threshold_is_one_over_n_star")),
     Mutant(
         "onset-gate-dropped", "src/efgp/spectral.py",
         "if onset == 0 or c < onset:",
