@@ -25,7 +25,7 @@ allocated once per call, so no array is as long as the lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,14 +84,7 @@ class BoundReport:
     records_used: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "C_used": self.C_used,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "records_used": self.records_used,
-        }
+        return asdict(self)
 
 
 def check_theorem(eset: EigenvalueSet, C: float,
