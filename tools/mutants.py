@@ -107,6 +107,19 @@ MUTANTS = (
         "return [-float(np.dot(t_c, d) / tt) for d in dev]",
         ("tests/test_spectral.py::"
          "test_spectrum_csv_does_not_depend_on_blas_threads",)),
+    Mutant(
+        "driver-pending-scale-dropped", "src/efgp/_kernels.py",
+        "scale[:, 0] = pending",
+        "scale[:, 0] = 0.0",
+        ("tests/test_kernels.py::"
+         "test_forward_windows_match_whole_row_driver[cut-at-window-end]",)),
+    Mutant(
+        "backward-kept-window-split", "src/efgp/_kernels.py",
+        "ends = _ends(0, n_sites - n_record, _CHUNK) + [n_sites]",
+        "ends = (_ends(0, n_sites - n_record, _CHUNK)\n"
+        "            + _ends(n_sites - n_record, n_sites, _CHUNK))",
+        ("tests/test_kernels.py::"
+         "test_backward_windows_match_whole_row_driver[32000]",)),
 )
 
 
