@@ -17,11 +17,12 @@ the couplings W(k) - E_b itself and solves on band buffers allocated once
 per call.  It serves the forward Prufer evolution (W = V), the backward
 resonant launch (W(k) = V(M + 1 - k) on the mirrored sites, one block,
 keeping its last window, the sites it returns) and Sturm counts (W = the
-diagonal, one block per shift).  ``analysis.lemma_sums`` consumes its windows as they
-come and passes ``Potential.values``, so besides block buffers no array is
-as long as the lattice.  ``spectral.classify_spectrum`` runs one call per
-group of energies, each storing into a slice of one pair buffer that it
-allocates once for all its groups.
+diagonal, one block per shift).  ``analysis.lemma_sums`` consumes its
+windows as they come and passes ``Potential.values``, so besides block
+buffers no array is as long as the lattice.
+``spectral.classify_spectrum`` runs one call per group of energies, each
+storing into a slice of one pair buffer that it allocates once for all its
+groups.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start

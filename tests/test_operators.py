@@ -232,9 +232,10 @@ def test_value_array_is_values_block_by_block(family, kwargs, n):
     ("coulomb", {"c": 1.3}),
     ("resonant", {"c": 2.2, "omega": 2.1, "delta": 0.4}),
     ("random_sign", {"c": 1.0, "seed": 7}),
-    # explicit values whose largest n*|V(n)|, 4.0 at site _B + 2, lies in
-    # the second block
-    ("coulomb", {"c": 1.3, "values": [0.5] * (_B + 1) + [4.0 / (_B + 2)]}),
+    # explicit values with n*|V(n)| = 1 up to site _B + 1 and 4 at site
+    # _B + 2, in the second block
+    ("coulomb", {"c": 1.3, "values": [1.0 / n for n in range(1, _B + 2)]
+                 + [4.0 / (_B + 2)]}),
 ])
 def test_envelope_is_the_direct_max(family, kwargs):
     p = make_potential(family, **kwargs)

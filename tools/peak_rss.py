@@ -24,8 +24,8 @@ def main(argv) -> int:
     limit, cfg = float(argv[0]), json.loads(argv[1])
     with tempfile.TemporaryDirectory(prefix="efgp-peak-rss-") as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(dict(cfg, output_dir=str(Path(tmp) / "out"))),
-                        encoding="utf-8")
+        cfg_out = dict(cfg, output_dir=str(Path(tmp) / "out"))
+        path.write_text(json.dumps(cfg_out), encoding="utf-8")
         code = subprocess.run(
             [sys.executable, "-m", "efgp.cli", str(path), "--quiet"],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).returncode
