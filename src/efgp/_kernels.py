@@ -330,10 +330,10 @@ def backward_resonant(amp, omega, delta, E, u_next, u_launch, n_launch,
 
     n_sites = n_launch + 1
     # mirrored site k = M + 2 - n holds (w(k), w(k-1)) = (u(n-1), u(n)).
-    # The driver runs _CHUNK-wide windows up to the kept sites n_record..1,
-    # then those as one last window, each written to the front of a
-    # reversed buffer: the last one lands in (um, un) read backwards, at
-    # buffer index width - n_record + n
+    # _forward_windows runs _CHUNK-wide windows up to the kept sites
+    # n_record..1, then those as one last window, each written to the front
+    # of a reversed buffer: the last one lands in (um, un) read backwards,
+    # at buffer index width - n_record + n
     width = max(n_record, _CHUNK)
     buf = np.empty((3, width + 1))
     ends = _ends(0, n_sites - n_record, _CHUNK) + [n_sites]
