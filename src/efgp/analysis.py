@@ -426,9 +426,9 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
 
     The lemma reads only theta, so no radius is formed, and no array as
     long as the lattice is held: V is read block by block
-    (``spec.potential.values``), twice.  A first pass keeps the maximum of
-    |V| per block of _kernels._BLOCK sites and reads the onsets off them
-    (``prufer._block_onsets``).  Then, per block, the blocks from the onset
+    (``spec.potential.values``), at most twice.  A first pass runs back
+    from site N in blocks of _kernels._BLOCK sites until every onset is
+    found (``prufer._block_onsets``).  Then, per block, the blocks from the onset
     n0 on aligned at n0, every parameter advances as one block of the
     streamed driver (``_kernels._forward_windows``), which reads the
     block's V and forms V - E itself, all the angles are lifted in one

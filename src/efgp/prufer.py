@@ -430,46 +430,42 @@ def _reverse_max(a):
     return np.maximum.accumulate(a[::-1])[::-1]
 
 
-def _failing_prefix(rev, s):
-    """For each entry of s, the count of leading entries of the
-    non-increasing rev failing fl(rev / s) < 1/2: the test holds on a tail,
-    so bisect, adding each power of two whose last entry still fails."""
-    n = rev.shape[0]
-    fails = np.zeros(s.shape, dtype=np.intp)
-    for k in reversed(range(n.bit_length())):
-        more = fails + (1 << k)
-        failing = ~(rev[np.minimum(more, n) - 1] / s < 0.5)
-        fails = np.where((more <= n) & failing, more, fails)
-    return fails
-
-
 def _block_onsets(values, n: int, sin_x):
     """Hypothesis onset for each sin x: the first site n from which every
     fl(|V(k)| / sin x), k >= n, stays below 1/2, or 0 if site N = n fails;
     ``values(n_lo, n_hi)`` returns V(n_lo..n_hi).
 
-    Division by sin x > 0 is monotone under rounding, so fl(max / sin x) is
-    the max of the quotients, and the sites that fail form a prefix of the
-    reverse cumulative max.  That prefix is bisected twice: over the
-    reverse max of the maxima of |V| in blocks of _kernels._BLOCK sites,
-    read block by block in one pass of values, for the last failing block,
-    then over the reverse max of |V| in that block, read again.  No array
-    as long as the lattice is formed.
+    No quotient is formed: for sin x >= 2^-1021, fl(a / sin x) < 1/2
+    exactly when a < sin x / 2.  That half is exact, since it is a normal
+    number, and a < sin x / 2 means a <= pred(sin x / 2), whose quotient by
+    sin x is at most 1/2 - 2^-54 = pred(1/2); rounding is monotone, so
+    fl(a / sin x) <= pred(1/2).  Every caller passes such a sin x:
+    ``spectral.classify_spectrum`` takes E in (-2, 2), so sin x >= 1.4e-8,
+    and ``analysis.lemma_sums`` and ``analysis.prufer_sum_diagnostics``
+    reject frequencies within 4e-10 of a multiple of pi first.
+
+    V is read once, in blocks of _kernels._BLOCK sites from site N back to
+    site 1, while some sin x has no last failing site yet.  A block whose
+    max |V| lies below the smallest of their halves is passed over; in any
+    other, each open half's count of failing sites in the block is its
+    ``np.searchsorted`` position in the negated reverse cumulative max of
+    |V|, so its last failing site is the block's first site before it plus
+    that count.  No array as long as the lattice is formed.
     """
-    s = np.reshape(np.asarray(sin_x, dtype=np.float64), -1)
+    half = np.reshape(np.asarray(sin_x, dtype=np.float64), -1) / 2.0
+    onsets = np.ones(half.shape, dtype=np.intp)
+    open_ = np.arange(half.size)  # the halves with no last failing site yet
     width = _kernels._BLOCK
-    top = np.empty(-(-n // width))
-    for b in range(top.size):
-        v = values(b * width + 1, min(b * width + width, n))
-        top[b] = max(v.max(), -v.min())
-    last = _failing_prefix(_reverse_max(top), s) - 1  # the last failing block
-    onsets = np.ones(s.shape, dtype=np.intp)
-    for b in np.unique(last[last >= 0]).tolist():
-        which = np.flatnonzero(last == b)
-        lo = b * width
-        rev = _reverse_max(np.abs(values(lo + 1, min(lo + width, n))))
-        end = lo + _failing_prefix(rev, s[which])  # the last failing site
-        onsets[which] = np.where(end < n, end + 1, 0)
+    for lo in range((n - 1) // width * width, -1, -width):
+        if open_.size == 0:
+            break
+        v = np.abs(values(lo + 1, min(lo + width, n)))
+        if v.max() < half[open_].min():
+            continue
+        last = lo + np.searchsorted(-_reverse_max(v), -half[open_], side="right")
+        found = last > lo
+        onsets[open_[found]] = np.where(last < n, last + 1, 0)[found]
+        open_ = open_[~found]
     return onsets
 
 

@@ -220,7 +220,8 @@ def classify_spectrum(spec: OperatorSpec, energies,
     (0, nan) and the certificate fails.  The decay exponent is fitted over
     [max(2, N/2), N].
 
-    V is evaluated once, and every onset is read off its block maxima.
+    V is evaluated once, and every onset is found in one backward pass
+    over it (``prufer._block_onsets``).
     The energies are evolved in groups of G = max(1, _CHUNK // N), each by
     one call of the driver (``_kernels._forward_windows``, which forms
     V - E itself) into the same (3, G, N) pair buffer; the pairs at site

@@ -326,7 +326,7 @@ def test_u_reconstruction_roundtrip():
 
 
 def _scanned_onsets(rev, sin_x):
-    """The onsets by one division scan over all sites, as _onsets bisects."""
+    """The onsets by one division scan over all sites, fl(rev / sin x) < 1/2."""
     below = rev / np.reshape(sin_x, (-1, 1)) < 0.5
     return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
 
@@ -349,6 +349,24 @@ def _onset_case(draw):
 def test_onsets_match_division_scan(case):
     rev, sin_x = case
     assert _onsets(rev, sin_x).tolist() == _scanned_onsets(rev, sin_x).tolist()
+
+
+@pytest.mark.parametrize("sin_x", [2.0 ** -k for k in range(61)] + [2.0 ** -1021])
+def test_onsets_at_the_half_of_a_power_of_two(sin_x):
+    # sin x / 2 and one ulp to either side, sin x down to the smallest
+    # value whose half is a normal number; within a block and across the
+    # first block end, on both signs
+    half = sin_x / 2
+    below, above = np.nextafter(half, 0.0), np.nextafter(half, np.inf)
+    for rev in ([half], [below], [above], [half, below], [above, half, below],
+                [above, above, half, below, below, 0.0], [below, 0.0]):
+        rev = np.array(rev)
+        assert _onsets(rev, sin_x).tolist() == _scanned_onsets(rev, sin_x).tolist()
+    for head in ([half], [above, -below], [-half, below], [below]):
+        V = np.zeros(2 * _B + 3)
+        V[_B - 1:_B - 1 + len(head)] = head
+        assert (_onsets(V, [sin_x, 2 * sin_x]).tolist()
+                == _scanned_onsets(_reverse_max(np.abs(V)), [sin_x, 2 * sin_x]).tolist())
 
 
 def _reverse_max(a):
