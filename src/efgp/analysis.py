@@ -36,6 +36,7 @@ from .errors import (
     LengthMismatch,
     NegativeConstant,
     NotUnitVectors,
+    Overflow,
     ParamOutOfRange,
     PreconditionFailed,
     RangeMismatch,
@@ -495,14 +496,24 @@ class WeightedVector:
         return np.arange(self.n0, self.n_end, dtype=np.float64)
 
 
+def _finite_float(value: float, name: str) -> float:
+    """value, or Overflow if it is not finite."""
+    if not math.isfinite(value):
+        raise Overflow(f"{name} exceeds the float range")
+    return value
+
+
 def weighted_dot(b: WeightedVector, c: WeightedVector) -> float:
-    """Scalar product sum_n n * b(n) * c(n) over the shared index range."""
+    """Scalar product sum_n n * b(n) * c(n) over the shared index range;
+    Overflow if it leaves the float range."""
     _instance(b, WeightedVector, "b")
     _instance(c, WeightedVector, "c")
     if b.n0 != c.n0 or b.n_end != c.n_end:
         raise RangeMismatch(
             f"ranges [{b.n0}, {b.n_end}) and [{c.n0}, {c.n_end}) differ")
-    return float(np.sum(b.sites * b.entries * c.entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = float(np.sum(b.sites * b.entries * c.entries))
+    return _finite_float(dot, "the weighted scalar product")
 
 
 def weighted_norm(b: WeightedVector) -> float:
@@ -530,7 +541,8 @@ def almost_orthogonality_check(g: WeightedVector, e) -> OrthogonalityReport:
     The e_j must be unit vectors (to 1e-12) and their largest pairwise
     |inner product| beta must satisfy beta < 1/m.  Comparison carries a
     1e-12 relative slack so the exact-equality Bessel case is not flipped
-    by rounding.
+    by rounding.  Overflow if a scalar product or either side leaves the
+    float range.
     """
     _instance(g, WeightedVector, "g")
     e = _instances(e, WeightedVector, "e")
@@ -547,8 +559,10 @@ def almost_orthogonality_check(g: WeightedVector, e) -> OrthogonalityReport:
     if not beta < 1.0 / m:
         raise PreconditionFailed(
             f"beta = {beta:.6g} must be < 1/{m} = {1.0 / m:.6g}")
-    lhs = float(sum(weighted_dot(g, ej) ** 2 for ej in e))
-    rhs = (1.0 + beta * m) * weighted_dot(g, g)
+    dots = [weighted_dot(g, ej) for ej in e]
+    lhs = _finite_float(sum(d * d for d in dots), "sum_j <g, e_j>^2")
+    rhs = _finite_float((1.0 + beta * m) * weighted_dot(g, g),
+                        "(1 + beta m) ||g||^2")
     return OrthogonalityReport(beta=beta, lhs=lhs, rhs=rhs,
                                holds=lhs <= rhs * (1.0 + 1e-12))
 

@@ -30,7 +30,9 @@ class PhaseOutOfRange(EfgpError):
 # --- recurrence / Prufer ---------------------------------------------------
 
 class Overflow(EfgpError):
-    """Solution amplitude left the representable range; not silently clamped."""
+    """A computed quantity left the float range: a solution amplitude, R,
+    u, the envelope n*|V(n)| or a weighted scalar product.  It is raised,
+    never carried on as inf or silently clamped."""
 
 
 class DegenerateSolution(EfgpError):

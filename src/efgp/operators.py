@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (EmptyRange, EmptyTable, ParamOutOfRange, PhaseOutOfRange,
-                     UnknownFamily)
+from .errors import (EmptyRange, EmptyTable, Overflow, ParamOutOfRange,
+                     PhaseOutOfRange, UnknownFamily)
 
 FAMILIES = ("coulomb", "alternating", "resonant", "random_sign", "table")
 
@@ -207,14 +207,20 @@ def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
     V is read block by block, as :meth:`Potential.value_array` reads it,
     so the memory does not grow with the range, and the max of the block
     maxima is the max itself.  :meth:`Potential.values` checks the range:
-    an empty one still reads its first block."""
+    an empty one still reads its first block.  Overflow names the first
+    site n whose n*|V(n)| leaves the float range."""
     _instance(p, Potential, "p")
     n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     best = 0.0
     for lo in range(n_lo, max(n_lo, n_hi) + 1, _kernels._BLOCK):
         v = p.values(lo, min(lo + _kernels._BLOCK - 1, n_hi))
         n = np.arange(lo, lo + v.shape[0], dtype=np.float64)
-        best = max(best, float(np.max(n * np.abs(v))))
+        with np.errstate(over="ignore"):
+            nv = n * np.abs(v)
+        if np.isinf(nv).any():
+            raise Overflow(f"n*|V(n)| exceeds the float range at site "
+                           f"{lo + int(np.isinf(nv).argmax())}")
+        best = max(best, float(np.max(nv)))
     return best
 
 

@@ -28,7 +28,7 @@ stored solution's): per window one step of the angle lift, ``_Lift``,
 which carries theta(1), the last principal angle and the running sum of
 the steps to the next window (for B rows at once: ``analysis.lemma_sums``
 lifts all its parameters together), and ln R from ``_ln_r``, the only
-place the radius formula is evaluated.  ``R`` and ``u_values()``
+place the radius formula is evaluated.  ``R``, ``r1`` and ``u_values()``
 raise Overflow rather than return inf.
 """
 
@@ -147,8 +147,8 @@ class PruferTrajectory:
 
     ln_R is exact even when the evolution rescaled internally; R is derived
     from it, and nu = V/sin(x) from the site-indexed V.  theta, ln_R and V
-    must be 1-D float arrays (ParamOutOfRange) of one length
-    (LengthMismatch).
+    must be 1-D float arrays (ParamOutOfRange) of one length, at least two,
+    for the sites 0 and 1 (LengthMismatch).
     """
 
     theta: np.ndarray
@@ -164,6 +164,9 @@ class PruferTrajectory:
             raise LengthMismatch(
                 f"theta, ln_R and V have lengths {self.theta.shape[0]}, "
                 f"{self.ln_R.shape[0]} and {self.V.shape[0]}")
+        if self.theta.shape[0] < 2:
+            raise LengthMismatch(f"a trajectory needs the sites 0 and 1, got "
+                                 f"{self.theta.shape[0]} entries")
 
     @property
     def n(self) -> int:
@@ -186,8 +189,12 @@ class PruferTrajectory:
 
     @property
     def r1(self) -> float:
-        """R(1), the fixed scale set by the boundary normalization."""
-        return float(math.exp(self.ln_R[1]))
+        """R(1), the fixed scale set by the boundary normalization;
+        Overflow if it leaves the float range."""
+        try:
+            return math.exp(self.ln_R[1])
+        except OverflowError:
+            raise Overflow("R(1) exceeds the float range") from None
 
     def u_values(self) -> np.ndarray:
         """Reconstruct u(0..N) from (R, theta)."""
@@ -381,17 +388,21 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     """Check the radius, ratio and angle identities along a trajectory.
 
     Residuals are absolute errors divided by (1 + local magnitudes), so the
-    thresholds are scale-free.
+    thresholds are scale-free.  The radius identity is formed on the pair
+    divided by m = max(1, |u(n)|, |u(n-1)|), with R^2/m^2 =
+    exp(2 (ln R - ln m)), so squares of a solution near the float limit do
+    not overflow; where m = 1 nothing is scaled.
     """
     _instance(sol, Solution, "sol")
     _instance(traj, PruferTrajectory, "traj")
     if traj.n != sol.n:
         raise LengthMismatch(f"solution has N={sol.n}, trajectory N={traj.n}")
     p = sol.param
-    u = sol.u
-    r_sq = np.exp(2.0 * traj.ln_R[1:])
-    rhs0 = u[1:] ** 2 + u[:-1] ** 2 - 2.0 * u[1:] * u[:-1] * p.cos_x
-    res0 = np.abs(r_sq - rhs0) / (1.0 + np.abs(r_sq) + u[1:] ** 2 + u[:-1] ** 2)
+    m = np.maximum(1.0, np.maximum(np.abs(sol.u[1:]), np.abs(sol.u[:-1])))
+    un, um = sol.u[1:] / m, sol.u[:-1] / m
+    r_sq = np.exp(2.0 * (traj.ln_R[1:] - np.log(m)))
+    rhs0 = un ** 2 + um ** 2 - 2.0 * un * um * p.cos_x
+    res0 = np.abs(r_sq - rhs0) / (m ** -2.0 + np.abs(r_sq) + un ** 2 + um ** 2)
 
     theta = traj.theta[1:]
     nu = traj.nu[1:]

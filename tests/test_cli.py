@@ -3,6 +3,7 @@ import math
 import platform
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,23 @@ def test_overflowing_bound_exit_1(tmp_path):
     # a failing stage leaves no output behind
     assert not (tmp_path / "o" / "report.json").exists()
     assert not (tmp_path / "o" / "spectrum.csv").exists()
+
+
+def test_overflowing_envelope_exit_1(tmp_path, capsys):
+    # n*|V(n)| = 2e308 at site 2: the envelope stage fails there, no inf
+    # reaches the bound, and numpy prints no warning
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(command="bound-check",
+                         potential={"family": "table",
+                                    "values": [1e308, -1e308, 1e308]},
+                         phi=1.0, N=10, x_values=[1.0],
+                         output_dir=str(tmp_path / "o")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # printed, as outside the tests
+        assert main([str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "[envelope]" in err and "site 2" in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("value", [5, None, ["t.txt"]])

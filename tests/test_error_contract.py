@@ -282,6 +282,26 @@ DOMAIN_CALLS = {
     "trajectory-unequal-lengths":
         (lambda: PruferTrajectory(np.zeros(6), np.zeros(5), np.zeros(6), _P),
          errors.LengthMismatch),
+    "trajectory-one-entry":
+        (lambda: PruferTrajectory(np.zeros(1), np.zeros(1), np.zeros(1), _P),
+         errors.LengthMismatch),
+    "trajectory-r1-overflow":
+        (lambda: PruferTrajectory(np.zeros(3), np.array([math.nan, 710.0, 0.0]),
+                                  np.zeros(3), _P).r1,
+         errors.Overflow),
+    "weighted_dot-overflow":
+        (lambda: weighted_dot(WeightedVector(np.array([1e200]), 1, 2),
+                              WeightedVector(np.array([1e200]), 1, 2)),
+         errors.Overflow),
+    "almost_orthogonality-overflow":
+        (lambda: almost_orthogonality_check(
+            WeightedVector(np.array([1e200]), 1, 2),
+            [WeightedVector(np.array([1.0]), 1, 2)]),
+         errors.Overflow),
+    "envelope-overflow":
+        (lambda: envelope_constant(
+            make_potential("table", values=[1e308, -1e308, 1e308]), 1, 3),
+         errors.Overflow),
 }
 
 

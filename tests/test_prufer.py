@@ -248,6 +248,23 @@ def test_verify_recursions_coulomb_large():
     assert rep.max_residual() <= 1e-10
 
 
+@pytest.mark.parametrize("values, x", [
+    ([12.0] * 200, 1.0),  # max |u| 5.9e205
+    ([12.0] * 280, 0.3),  # max |u| 5.9e278
+    ([30.0, -30.0] * 100, 2.0),  # max |u| 8.7e293
+])
+def test_verify_recursions_near_the_float_limit(values, x):
+    # u(n)^2 and R(n)^2 leave the float range although u does not: the
+    # radius identity must still come out finite and small
+    spec = OperatorSpec(make_potential("table", values=values), 1.0, len(values))
+    sol = solve_recurrence(spec, SpectralParam.from_x(x))
+    assert np.max(np.abs(sol.u)) > 1e200
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rep = verify_recursions(sol, to_prufer(sol))
+    for res in (rep.max_res_efgp0, rep.max_res_efgp1, rep.max_res_efgp2):
+        assert math.isfinite(res) and res <= 1e-10
+
+
 def test_verify_recursions_detects_corruption():
     sol = solve_recurrence(free_spec(200, 1.1), SpectralParam.from_x(0.7))
     traj = corrupt_theta(to_prufer(sol), 50, 0.1)

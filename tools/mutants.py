@@ -120,6 +120,21 @@ MUTANTS = (
         "            + _ends(n_sites - n_record, n_sites, _CHUNK))",
         ("tests/test_kernels.py::"
          "test_backward_windows_match_whole_row_driver[32000]",)),
+    Mutant(
+        "onset-threshold-side", "src/efgp/prufer.py",
+        'side="right")',
+        'side="left")',
+        ("tests/test_prufer.py::test_onsets_match_division_scan",)),
+    Mutant(
+        "onset-last-site-rule", "src/efgp/prufer.py",
+        "np.where(last < n, last + 1, 0)",
+        "np.where(last <= n, last + 1, 0)",
+        ("tests/test_prufer.py::test_onsets_match_division_scan",)),
+    Mutant(
+        "onset-block-skip", "src/efgp/prufer.py",
+        "if v.max() < half[open_].min():",
+        "if v.max() <= half[open_].min():",
+        ("tests/test_prufer.py::test_onsets_match_division_scan",)),
 )
 
 
