@@ -59,6 +59,16 @@ def _real_vector(a, name: str) -> np.ndarray:
     return a
 
 
+def _finite(values, name: str, first: int = 0) -> np.ndarray:
+    """values at the sites first, first + 1, ..., or Overflow naming the
+    first infinite site."""
+    inf = np.isinf(values)
+    if inf.any():
+        site = first + int(inf.argmax())
+        raise Overflow(f"{name}({site}) exceeds the float range")
+    return values
+
+
 def _instance(v, cls, name: str):
     """ParamOutOfRange unless v is a cls instance."""
     if not isinstance(v, cls):
@@ -208,7 +218,7 @@ def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
     so the memory does not grow with the range, and the max of the block
     maxima is the max itself.  :meth:`Potential.values` checks the range:
     an empty one still reads its first block.  Overflow names the first
-    site n whose n*|V(n)| leaves the float range."""
+    site whose n*|V(n)| leaves the float range."""
     _instance(p, Potential, "p")
     n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     best = 0.0
@@ -216,10 +226,7 @@ def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
         v = p.values(lo, min(lo + _kernels._BLOCK - 1, n_hi))
         n = np.arange(lo, lo + v.shape[0], dtype=np.float64)
         with np.errstate(over="ignore"):
-            nv = n * np.abs(v)
-        if np.isinf(nv).any():
-            raise Overflow(f"n*|V(n)| exceeds the float range at site "
-                           f"{lo + int(np.isinf(nv).argmax())}")
+            nv = _finite(n * np.abs(v), "n*|V|", lo)
         best = max(best, float(np.max(nv)))
     return best
 

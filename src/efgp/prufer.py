@@ -46,16 +46,7 @@ from .errors import (
     Overflow,
     ParamOutOfRange,
 )
-from .operators import OperatorSpec, _instance, _real
-
-
-def _finite(values, name: str) -> np.ndarray:
-    """Site-indexed values, or Overflow naming the first infinite site."""
-    inf = np.isinf(values)
-    if inf.any():
-        site = int(inf.argmax())
-        raise Overflow(f"{name}({site}) exceeds the float range")
-    return values
+from .operators import OperatorSpec, _finite, _instance, _real
 
 
 def _wrap_pi(a, out=None, work=None):

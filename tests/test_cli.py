@@ -592,7 +592,7 @@ def test_overflowing_envelope_exit_1(tmp_path, capsys):
         warnings.simplefilter("default")  # printed, as outside the tests
         assert main([str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert "[envelope]" in err and "site 2" in err
+    assert "[envelope] n*|V|(2) exceeds the float range" in err
     assert "RuntimeWarning" not in err
 
 
