@@ -16,7 +16,7 @@ about an ulp and reproducible bit for bit.  Sums run two at a time, as the
 real and imaginary lanes of one complex sum: the cos and sin parts of an
 oscillatory series, and pairs of the Prufer-angle sums, which take the
 sites in cache-sized blocks with the running sums carried across block
-ends, keeping per sum only its sup and dyadic maxima.  ``lemma_sums``
+ends, keeping per sum only the maxima of its dyadic bins.  ``lemma_sums``
 feeds them in one streamed pass: each block of sites reads its V, is
 evolved, lifted to the angle and summed before the next, on block buffers
 allocated once per call, so no array is as long as the lattice.
@@ -128,17 +128,28 @@ def _size(n_max) -> int:
     return n
 
 
+def _bin_maxima(run, s0: int, axis: int):
+    """(b, maxima): the maxima along axis of run, whose entries there are
+    the entries s0, s0 + 1, ... of a sequence, per dyadic bin, entry i
+    lying in bin i.bit_length() (the bins [0], [1], [2, 4), [4, 8), ...).
+    b is the bin of entry s0; the maxima are those of the bins b, b + 1,
+    ... that run touches, the first and the last possibly in part."""
+    b = s0.bit_length()
+    edges = 2 ** np.arange(b, (s0 + run.shape[axis] - 1).bit_length()) - s0
+    return b, np.maximum.reduceat(run, np.concatenate(([0], edges)), axis=axis)
+
+
 def dyadic_profile(abs_partials: np.ndarray) -> list:
     """Running sup max(abs_partials[:2^k]) for every 2^k <= len(abs_partials),
-    from exact maxima of the blocks [0, 1), [1, 2), [2, 4), ...  Entry i of
-    abs_partials is the statistic at the (i + 1)-th summed site: N = i + 1
-    for sums from site 1, N = n0 + i for sums from site n0."""
+    from the exact maxima of its whole dyadic bins [0, 1), [1, 2), [2, 4),
+    ... (:func:`_bin_maxima`).  Entry i of abs_partials is the statistic at
+    the (i + 1)-th summed site: N = i + 1 for sums from site 1, N = n0 + i
+    for sums from site n0."""
     k = abs_partials.shape[0].bit_length()
     if k == 0:
         return []
-    starts = np.concatenate(([0], 2 ** np.arange(k - 1)))
-    blocks = np.maximum.reduceat(abs_partials[:2 ** (k - 1)], starts)
-    return np.maximum.accumulate(blocks).tolist()
+    bins = _bin_maxima(abs_partials[:2 ** (k - 1)], 0, axis=0)[1]
+    return np.maximum.accumulate(bins).tolist()
 
 
 def dyadic_stabilized(profile) -> bool:
@@ -302,20 +313,20 @@ def _sin_2theta_bar(theta, x, out=None):
 
 class _LaneSums:
     """Running state of the cross and diagonal sums of the sin(2 theta_bar_j)
-    rows over the sites n0..n_max: :meth:`add` takes the next block of
-    sites, :meth:`result` gives the diagnostics once every site is added.
+    rows over the sites n0..n_max: :meth:`add` takes the next sites, in
+    runs of any length, and :meth:`result` gives the diagnostics once every
+    site is added.
 
     Each sum is one lane of a complex row (:func:`_kernels.kahan_cumsum`):
     the m diagonal lanes first, then the m(m-1)/2 cross lanes, each group
     padded with a zero lane to fill its last row.  The sites are summed in
-    pieces of _kernels._BLOCK // 2, the last one possibly shorter, so the
-    three (rows, piece) complex buffers, allocated once here, stay in a
-    core's cache beside the blocks of the driver and the lift, and every
-    piece after the first starts at n0 + a multiple of its width, inside
-    one dyadic bin.  The carry continues every sum across piece ends, so
-    each lane gets the bits of one unblocked sum.  Per lane only the
-    running sup and the maxima of the dyadic bins of :func:`dyadic_profile`
-    are kept.
+    pieces of at most _kernels._BLOCK // 2, so the three (rows, piece)
+    complex buffers, allocated once here, stay in a core's cache beside the
+    blocks of the driver and the lift.  A piece may start and end anywhere:
+    the carry continues every sum across piece ends, so each lane gets the
+    bits of one unblocked sum, and per lane only the maxima of the dyadic
+    bins of :func:`_bin_maxima` are kept, the bin past the last whole one
+    included.  The profiles and the sups are read off the bins.
     """
 
     def __init__(self, m: int, n0: int, n_max: int):
@@ -324,11 +335,9 @@ class _LaneSums:
         self.lanes = [jk for g in groups for jk in g + [None] * (len(g) % 2)]
         self.m, self.n0, self.s0 = m, n0, 0  # s0: the sites added so far
         self.rows, self.n_diag = len(self.lanes) // 2, (m + 1) // 2
-        n_bins = (n_max - n0 + 1).bit_length()
-        self.counted = 2 ** (n_bins - 1)  # dyadic bins cover entries [0, counted)
+        # (row, bin, part): the whole bins, then the bin past them
+        self.bins = np.zeros((self.rows, (n_max - n0 + 1).bit_length() + 1, 2))
         self.carry = np.zeros((2, self.rows), dtype=np.complex128)
-        self.sup = np.zeros(2 * self.rows)
-        self.bins = np.zeros((2 * self.rows, n_bins))
         # piece buffers: the terms, the sum and its scratch array, and the
         # site of each float of a complex row, advanced piece by piece
         width = self.width = min(_kernels._BLOCK // 2, n_max - n0 + 1)
@@ -342,9 +351,7 @@ class _LaneSums:
             self._add_piece([row[lo:lo + self.width] for row in sins])
 
     def _add_piece(self, sins):
-        rows, s0 = self.rows, self.s0
-        length = len(sins[0])
-        e0 = self.s0 = s0 + length
+        rows, length = self.rows, len(sins[0])
         terms = self.terms[:, :length]
         tv = terms.view(np.float64).reshape(rows, -1, 2)
         n2 = self.n2[:2 * length]
@@ -365,22 +372,15 @@ class _LaneSums:
         np.subtract(half_log, diag_rows, out=diag_rows)
         np.abs(dev, out=dev)
         self.n2 += length
-        # per part: a reduction over the middle axis runs 2 floats at a time
-        top = np.stack((dev[..., 0].max(axis=1), dev[..., 1].max(axis=1)), axis=1)
-        top = top.reshape(-1)  # lane i is (row i // 2, part i % 2)
-        np.maximum(self.sup, top, out=self.sup)
-        if s0 == 0:  # the first piece spans bins 0 .. log2 of its length
-            lim = min(e0, self.counted)
-            starts = np.concatenate(([0], 2 ** np.arange(lim.bit_length() - 1)))
-            first = np.maximum.reduceat(dev[:, :lim], starts, axis=1)
-            self.bins[:, :starts.size] = first.transpose(0, 2, 1).reshape(2 * rows, -1)
-        elif s0 < self.counted:  # inside the one bin [2^(b-1), 2^b)
-            b = s0.bit_length()
-            np.maximum(self.bins[:, b], top, out=self.bins[:, b])
+        b, top = _bin_maxima(dev, self.s0, axis=1)
+        bins = self.bins[:, b:b + top.shape[1]]
+        np.maximum(bins, top, out=bins)
+        self.s0 += length
 
     def result(self, hyp_ok: bool) -> SumDiagnostics:
-        profiles = np.maximum.accumulate(self.bins, axis=1).tolist()
-        sups = self.sup.tolist()
+        bins = self.bins.transpose(0, 2, 1).reshape(2 * self.rows, -1)
+        profiles = np.maximum.accumulate(bins[:, :-1], axis=1).tolist()
+        sups = bins.max(axis=1).tolist()  # lane i is (row i // 2, part i % 2)
         cross = np.zeros((self.m, self.m))
         diag, pair_sums = [], []
         for i, jk in enumerate(self.lanes):
@@ -429,13 +429,14 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     long as the lattice is held: V is read block by block
     (``spec.potential.values``), at most twice.  A first pass runs back
     from site N in blocks of _kernels._BLOCK sites until every onset is
-    found (``prufer._block_onsets``).  Then, per block, the blocks from the onset
-    n0 on aligned at n0, every parameter advances as one block of the
+    found (``prufer._block_onsets``).  Then, per block of _kernels._BLOCK
+    sites from site 1, every parameter advances as one block of the
     streamed driver (``_kernels._forward_windows``), which reads the
     block's V and forms V - E itself, all the angles are lifted in one
     step with their carried state (``prufer._Lift``), and from n0 on
-    sin(2 theta_bar) enters the carried sums (:class:`_LaneSums`).  The
-    sites before n0 are evolved and lifted but not summed.  The driver, the
+    sin(2 theta_bar) enters the carried sums (:class:`_LaneSums`): the
+    block that holds n0 from n0 on, every later block whole.  The sites
+    before n0 are evolved and lifted but not summed.  The driver, the
     lift and the sums each hold their block buffers, allocated once per
     call, so the memory used does not grow with N.
     """
@@ -448,8 +449,7 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     values = spec.potential.values
     onsets = _block_onsets(values, n, [p.sin_x for p in params])
     n0, hyp_ok = max([1] + onsets.tolist()), bool(onsets.all())
-    ends = ((_kernels._ends(0, n0 - 1, width) if n0 > 1 else [])
-            + _kernels._ends(n0 - 1, n, width))
+    ends = _kernels._ends(0, n, width)
     windows = _kernels._forward_windows(values, [p.E for p in params],
                                         *boundary_values(spec.phi), ends)
     xs = np.array([[p.x] for p in params])
@@ -460,7 +460,8 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     for hi, (cur, prev, _) in zip(ends, windows):
         t = theta[:, :hi - lo + 1]
         lift.step(cur, prev, t)
-        if lo >= n0:
+        if hi >= n0:
+            t = t[:, max(n0 - lo, 0):]
             acc.add(_sin_2theta_bar(t, xs, out=t))
         lo = hi + 1
     return acc.result(hyp_ok)

@@ -348,6 +348,10 @@ _PUMP = make_potential("table", values=[0.4 * math.sin(2.2 * k)
 @example(pot=_PUMP, phi=1.0, n=6000, xs=[1.1, 1.9])
 # onset 2: a one-site window is lifted before the sums start
 @example(pot=make_potential("table", values=[1.0]), phi=1.0, n=50, xs=[1.1])
+# onset 9001, inside the second block of lemma_sums: that block is summed
+# from its middle
+@example(pot=make_potential("random_sign", c=1.0, seed=5, values=[3.0] * 9000),
+         phi=0.7, n=20000, xs=[0.5, 1.3])
 def test_lemma_sums_match_trajectory_route(pot, phi, n, xs):
     assume(not _degenerate(xs))
     spec = OperatorSpec(pot, phi, n)
@@ -415,11 +419,19 @@ def test_lemma_sums_memory_does_not_grow_with_n():
     assert abs(peaks[1] - peaks[0]) < 256 * 2 ** 10
 
 
-def _lane_sums(sins, n0, n_max, hyp_ok):
+def _lane_sums(sins, n0, n_max, hyp_ok, cuts=()):
     """The sums of the rows sins, given over the sites n0..n_max, as
-    prufer_sum_diagnostics forms them: one _LaneSums.add of the whole rows."""
+    _LaneSums forms them: one add per run of the lengths in cuts that fits
+    in the rows, then one of the sites left (as prufer_sum_diagnostics
+    does, one add of the whole rows if cuts is empty)."""
     acc = _LaneSums(len(sins), n0, n_max)
-    acc.add(sins)
+    lo = 0
+    for length in cuts:
+        if lo + length > len(sins[0]):
+            break
+        acc.add([row[lo:lo + length] for row in sins])
+        lo += length
+    acc.add([row[lo:] for row in sins])
     return acc.result(hyp_ok)
 
 
@@ -446,17 +458,27 @@ def _unblocked_sums(sins, n0, n_max, hyp_ok):
                           diag=tuple(diag), n0=n0, hypothesis_ok=hyp_ok)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16384, 16385, 2 ** 15 + 3])
-@pytest.mark.parametrize("n0", [1, 37])
-def test_sums_match_one_sum_at_a_time(m, size, n0):
+# the runs of add calls: the whole rows (no id suffix), then cuts that
+# start runs inside dyadic bins and pieces
+_CUTS = [(), (1, 3, 4100, 5), (4095, 2), (7, 8192, 1)]
+
+
+@pytest.mark.parametrize("n0, size, m, cuts", [
+    pytest.param(n0, size, m, cuts, id="-".join(
+        map(str, (n0, size, m) + (("cut",) + cuts if cuts else ()))))
+    for cuts in _CUTS
+    for n0 in [1, 37]
+    for size in [1, 8191, 8192, 8193, 16384, 16385, 2 ** 15 + 3]
+    for m in [1, 2, 3, 4, 5]])
+def test_sums_match_one_sum_at_a_time(m, size, n0, cuts):
     # rows ending before, at and after multiples of the 4096-site pieces
     # and the dyadic bins; odd m leaves a zero padding lane in both lane
-    # groups
+    # groups.  The cuts add the rows in runs that start and end inside
+    # dyadic bins and pieces, as lemma_sums does from the block holding n0
     rng = np.random.default_rng(100 * m + size % 97 + n0)
     sins = [np.sin(rng.uniform(0.0, 7.0, size)) for _ in range(m)]
     n_max = n0 + size - 1
-    got = _lane_sums(sins, n0, n_max, True)
+    got = _lane_sums(sins, n0, n_max, True, cuts)
     want = _unblocked_sums(sins, n0, n_max, True)
     assert got.to_json_dict() == want.to_json_dict()
     assert np.array_equal(got.cross, want.cross)
