@@ -31,8 +31,9 @@ class PhaseOutOfRange(EfgpError):
 
 class Overflow(EfgpError):
     """A computed quantity left the float range: a solution amplitude, R,
-    u, the envelope n*|V(n)| or a weighted scalar product.  It is raised,
-    never carried on as inf or silently clamped."""
+    the radius of a stored solution (``to_prufer``), u, nu, the envelope
+    n*|V(n)| or a weighted scalar product.  It is raised, never carried on
+    as inf or silently clamped."""
 
 
 class DegenerateSolution(EfgpError):

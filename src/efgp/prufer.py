@@ -35,6 +35,7 @@ raise Overflow rather than return inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +139,9 @@ class PruferTrajectory:
 
     ln_R is exact even when the evolution rescaled internally; R is derived
     from it, and nu = V/sin(x) from the site-indexed V.  theta, ln_R and V
-    must be 1-D float arrays (ParamOutOfRange) of one length, at least two,
-    for the sites 0 and 1 (LengthMismatch).
+    must be 1-D float arrays, finite from site 1 on (ParamOutOfRange; slot
+    0 may hold anything), of one length, at least two, for the sites 0 and
+    1 (LengthMismatch).
     """
 
     theta: np.ndarray
@@ -158,6 +160,9 @@ class PruferTrajectory:
         if self.theta.shape[0] < 2:
             raise LengthMismatch(f"a trajectory needs the sites 0 and 1, got "
                                  f"{self.theta.shape[0]} entries")
+        for name in ("theta", "ln_R", "V"):
+            if not np.isfinite(getattr(self, name)[1:]).all():
+                raise ParamOutOfRange(f"{name} must be finite from site 1 on")
 
     @property
     def n(self) -> int:
@@ -165,8 +170,11 @@ class PruferTrajectory:
 
     @property
     def nu(self) -> np.ndarray:
-        """V(n)/sin(x), site-indexed (slot 0 = nan)."""
-        return np.concatenate(([np.nan], self.V[1:] / self.param.sin_x))
+        """V(n)/sin(x), site-indexed (slot 0 = nan); Overflow if it leaves
+        the float range at some site."""
+        with np.errstate(over="ignore"):
+            nu = _finite(self.V[1:] / self.param.sin_x, "nu", 1)
+        return np.concatenate(([np.nan], nu))
 
     @property
     def R(self) -> np.ndarray:
@@ -315,8 +323,14 @@ def _trajectory(V, param, windows, ends) -> PruferTrajectory:
 
 def to_prufer(sol: Solution) -> PruferTrajectory:
     """Prufer variables of a stored solution: :func:`_trajectory` over
-    windows of its pairs, unscaled."""
+    windows of its pairs, unscaled.
+
+    R(n) <= |u(n)| + |u(n-1)|, so no radius leaves the float range while
+    max |u| <= sys.float_info.max / 2; beyond that bound, Overflow."""
     _instance(sol, Solution, "sol")
+    if np.abs(sol.u).max() > sys.float_info.max / 2.0:
+        raise Overflow("the stored solution exceeds half the float range, "
+                       "so its radius R may not be finite")
     u, ends = sol.u[None], _kernels._ends(0, sol.n, _kernels._CHUNK)
     windows = ((u[:, lo + 1:hi + 1], u[:, lo:hi], 0.0)
                for lo, hi in zip([0] + ends, ends))
@@ -342,6 +356,14 @@ def evolve_trajectory(spec: OperatorSpec, param: SpectralParam) -> PruferTraject
     return _trajectory(V, param, windows, ends)
 
 
+def _angle_step(tb, s, nu):
+    """theta(n+1) from tb = theta(n) + x, s = sin(tb) and nu = nu(n): the
+    two-argument angle of (cos(tb) - nu s, s) on the branch closest to tb."""
+    principal = np.arctan2(s, np.cos(tb) - nu * s)
+    # nu = 0 is exactly a rotation by x; bypass the reconstruction rounding
+    return np.where(nu == 0.0, tb, tb + _wrap_pi(principal - tb))
+
+
 def prufer_step(theta_n, nu_n, x):
     """One analytic Prufer step: (amplitude ratio squared, next angle).
 
@@ -352,12 +374,9 @@ def prufer_step(theta_n, nu_n, x):
     """
     tb = np.asarray(theta_n) + x
     s = np.sin(tb)
-    c = np.cos(tb)
     nu = np.asarray(nu_n)
     ratio_sq = 1.0 - nu * np.sin(2.0 * tb) + nu * nu * s * s
-    principal = np.arctan2(s, c - nu * s)
-    # nu = 0 is exactly a rotation by x; bypass the reconstruction rounding
-    theta_next = np.where(nu == 0.0, tb, tb + _wrap_pi(principal - tb))
+    theta_next = _angle_step(tb, s, nu)
     if np.ndim(theta_n) == 0 and np.ndim(nu_n) == 0:
         return float(ratio_sq), float(theta_next)
     return ratio_sq, theta_next
@@ -381,8 +400,14 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     Residuals are absolute errors divided by (1 + local magnitudes), so the
     thresholds are scale-free.  The radius identity is formed on the pair
     divided by m = max(1, |u(n)|, |u(n-1)|), with R^2/m^2 =
-    exp(2 (ln R - ln m)), so squares of a solution near the float limit do
-    not overflow; where m = 1 nothing is scaled.
+    exp(2 (ln R - ln m)), and the ratio identity on both sides divided by
+    q^2, q = max(1, |nu(n)| / 2^510): exp(2 (ln R(n+1) - ln R(n) - ln q))
+    against 1/q^2 - (nu/q)(1/q) sin(2 theta_bar) + (nu/q)^2 sin^2(theta_bar).
+    As |nu/q| <= 2^510, neither side exceeds (1 + 2^510)^2 < 2^1021, and
+    1/q^2 >= 2^-1028 stays nonzero, so a solution near the float limit
+    or a huge nu gives finite residuals.  The 1 of each denominator becomes
+    1/m^2 and 1/q^2; where m = 1 and q = 1 nothing is scaled.  The angle is
+    predicted as :func:`prufer_step` does, without its unscaled ratio.
     """
     _instance(sol, Solution, "sol")
     _instance(traj, PruferTrajectory, "traj")
@@ -396,15 +421,19 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     res0 = np.abs(r_sq - rhs0) / (m ** -2.0 + np.abs(r_sq) + un ** 2 + um ** 2)
 
     theta = traj.theta[1:]
-    nu = traj.nu[1:]
-    ratio = np.exp(2.0 * np.diff(traj.ln_R[1:]))
-    rhs1, predicted = prufer_step(theta[:-1], nu[:-1], p.x)
-    res1 = np.abs(ratio - rhs1) / (1.0 + np.abs(ratio) + np.abs(rhs1))
+    nu = traj.nu[1:-1]
+    tb = theta[:-1] + p.x
+    s = np.sin(tb)
+    q = np.maximum(1.0, np.abs(nu) * 2.0 ** -510)
+    w, iq = nu / q, 1.0 / q
+    ratio = np.exp(2.0 * (np.diff(traj.ln_R[1:]) - np.log(q)))
+    rhs1 = iq * iq - w * iq * np.sin(2.0 * tb) + w * w * s * s
+    res1 = np.abs(ratio - rhs1) / (iq * iq + np.abs(ratio) + np.abs(rhs1))
 
     # angle identity, branch-resolved: theta(n+1) must equal the pole-free
     # step from theta(n); comparing as a wrapped difference keeps the
     # common lift magnitude out of the residual
-    res2 = np.abs(_wrap_pi(theta[1:] - predicted)) / (1.0 + np.abs(nu[:-1]))
+    res2 = np.abs(_wrap_pi(theta[1:] - _angle_step(tb, s, nu))) / (1.0 + np.abs(nu))
 
     return VerifyReport(
         max_res_efgp0=float(res0.max()),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efgp import (
@@ -302,6 +302,20 @@ DOMAIN_CALLS = {
         (lambda: envelope_constant(
             make_potential("table", values=[1e308, -1e308, 1e308]), 1, 3),
          errors.Overflow),
+    "trajectory-nan-ln_R":
+        (lambda: PruferTrajectory(np.zeros(3), np.full(3, math.nan),
+                                  np.zeros(3), _P),
+         errors.ParamOutOfRange),
+    "trajectory-inf-theta":
+        (lambda: PruferTrajectory(np.array([math.nan, 0.0, math.inf]),
+                                  np.zeros(3), np.zeros(3), _P),
+         errors.ParamOutOfRange),
+    # R(1) = |u(1) - u(0) cos x| is about 2.6e308
+    "to_prufer-radius-overflow":
+        (lambda: to_prufer(Solution(np.array([1.7e308, -1.7e308, 1.0, 0.5]),
+                                    OperatorSpec(make_potential("coulomb"), 1.0, 3),
+                                    _P)),
+         errors.Overflow),
 }
 
 
@@ -310,6 +324,61 @@ def test_out_of_domain_arguments_rejected(name):
     call, error = DOMAIN_CALLS[name]
     with pytest.raises(error):
         call()
+
+
+# table values log-uniform in +-[1e-3, 1e300], zeros mixed in
+_HUGE_VALUES = st.lists(
+    st.one_of(st.just(0.0),
+              st.builds(lambda e, sign: sign * 10.0 ** e,
+                        st.floats(-3.0, 300.0), st.sampled_from([1.0, -1.0]))),
+    min_size=1, max_size=8)
+
+
+def _or_none(call):
+    """call(), or None if it raises an EfgpError."""
+    try:
+        return call()
+    except errors.EfgpError:
+        return None
+
+
+def _assert_finite_trajectory(traj):
+    """Every float a trajectory returns is finite, but for slot 0 of its
+    arrays, or its accessor raises an EfgpError."""
+    for name in ("theta", "ln_R", "V"):
+        assert np.isfinite(getattr(traj, name)[1:]).all(), name
+    for name in ("nu", "R"):
+        values = _or_none(lambda: getattr(traj, name))
+        assert values is None or np.isfinite(values[1:]).all(), name
+    r1 = _or_none(lambda: traj.r1)
+    assert r1 is None or math.isfinite(r1)
+    u = _or_none(traj.u_values)
+    assert u is None or np.isfinite(u).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_HUGE_VALUES,
+       phi=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+       x=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+       n=st.integers(2, 40))
+# one huge V(n): nu^2 and the squared amplitude ratio leave the float range
+@example(values=[0.0, 1e160, 0.0, 0.0], phi=1.0, x=1.0, n=4)
+@example(values=[0.0, 1e210, 0.0, 0.0], phi=1.0, x=1.0, n=4)
+def test_finite_input_gives_finite_output_or_an_efgp_error(values, phi, x, n):
+    spec = OperatorSpec(make_potential("table", values=values), phi, n)
+    param = SpectralParam.from_x(x)
+    sol = _or_none(lambda: solve_recurrence(spec, param))
+    if sol is not None:
+        assert np.isfinite(sol.u).all()
+        traj = _or_none(lambda: to_prufer(sol))
+        if traj is not None:
+            _assert_finite_trajectory(traj)
+            rep = _or_none(lambda: verify_recursions(sol, traj))
+            assert rep is None or all(map(math.isfinite, (
+                rep.max_res_efgp0, rep.max_res_efgp1, rep.max_res_efgp2)))
+    traj = _or_none(lambda: evolve_trajectory(spec, param))
+    if traj is not None:
+        _assert_finite_trajectory(traj)
 
 
 def test_empty_parameter_lists_give_empty_results():

@@ -252,10 +252,12 @@ def test_verify_recursions_coulomb_large():
     ([12.0] * 200, 1.0),  # max |u| 5.9e205
     ([12.0] * 280, 0.3),  # max |u| 5.9e278
     ([30.0, -30.0] * 100, 2.0),  # max |u| 8.7e293
+    ([0.0, 1e210, 0.0, 0.0], 1.0),  # max |u| 1.6e210, nu(2)^2 out of range
 ])
 def test_verify_recursions_near_the_float_limit(values, x):
-    # u(n)^2 and R(n)^2 leave the float range although u does not: the
-    # radius identity must still come out finite and small
+    # u(n)^2 and R(n)^2 leave the float range although u does not, and so
+    # do nu^2 and R(n+1)^2/R(n)^2 after a huge V(n): the radius and ratio
+    # identities must still come out finite and small
     spec = OperatorSpec(make_potential("table", values=values), 1.0, len(values))
     sol = solve_recurrence(spec, SpectralParam.from_x(x))
     assert np.max(np.abs(sol.u)) > 1e200
