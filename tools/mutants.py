@@ -135,6 +135,32 @@ MUTANTS = (
         "if v.max() < half[open_].min():",
         "if v.max() <= half[open_].min():",
         ("tests/test_prufer.py::test_onsets_match_division_scan",)),
+    Mutant(
+        "dyadic-first-edge-late", "src/efgp/analysis.py",
+        "2 ** np.arange(b, ",
+        "2 ** np.arange(b + 1, ",
+        ("tests/test_analysis.py::test_dyadic_profile_matches_running_max",
+         "tests/test_analysis.py::"
+         "test_sums_match_one_sum_at_a_time[1-16385-3-cut-1-3-4100-5]")),
+    Mutant(
+        "onset-window-summed-whole", "src/efgp/analysis.py",
+        "t = t[:, max(n0 - lo, 0):]",
+        "t = t[:, 0:]",
+        ("tests/test_analysis.py::test_lemma_sums_match_trajectory_route",)),
+    Mutant(
+        "ratio-identity-unscaled", "src/efgp/prufer.py",
+        "q = np.maximum(1.0, np.abs(nu) * 2.0 ** -510)",
+        "q = 1.0",
+        ("tests/test_prufer.py::"
+         "test_verify_recursions_near_the_float_limit[values3-1.0]",)),
+    Mutant(
+        "trajectory-finiteness-unchecked", "src/efgp/prufer.py",
+        "if not np.isfinite(getattr(self, name)[1:]).all():",
+        "if False:",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[trajectory-inf-theta]",
+         "tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[trajectory-nan-ln_R]")),
 )
 
 
