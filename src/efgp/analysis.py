@@ -378,9 +378,10 @@ class _LaneSums:
         self.s0 += length
 
     def result(self, hyp_ok: bool) -> SumDiagnostics:
+        # lane i is (row i // 2, part i % 2)
         bins = self.bins.transpose(0, 2, 1).reshape(2 * self.rows, -1)
         profiles = np.maximum.accumulate(bins[:, :-1], axis=1).tolist()
-        sups = bins.max(axis=1).tolist()  # lane i is (row i // 2, part i % 2)
+        sups = bins.max(axis=1).tolist()
         cross = np.zeros((self.m, self.m))
         diag, pair_sums = [], []
         for i, jk in enumerate(self.lanes):

@@ -28,8 +28,8 @@ stored solution's): per window one step of the angle lift, ``_Lift``,
 which carries theta(1), the last principal angle and the running sum of
 the steps to the next window (for B rows at once: ``analysis.lemma_sums``
 lifts all its parameters together), and ln R from ``_ln_r``, the only
-place the radius formula is evaluated.  ``R``, ``r1`` and ``u_values()``
-raise Overflow rather than return inf.
+place the radius formula is evaluated.  ``nu``, ``R``, ``r1`` and
+``u_values()`` raise Overflow rather than return inf.
 """
 
 from __future__ import annotations
@@ -408,6 +408,7 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     or a huge nu gives finite residuals.  The 1 of each denominator becomes
     1/m^2 and 1/q^2; where m = 1 and q = 1 nothing is scaled.  The angle is
     predicted as :func:`prufer_step` does, without its unscaled ratio.
+    Overflow if nu leaves the float range (``PruferTrajectory.nu``).
     """
     _instance(sol, Solution, "sol")
     _instance(traj, PruferTrajectory, "traj")
