@@ -197,8 +197,6 @@ def oscillatory_partial_sums(alpha: float, gamma_rule, n_max: int) -> OscSumSeri
     """
     n_max = _size(n_max)
     alpha = _real(alpha, "alpha")
-    if not math.isfinite(alpha):
-        raise ParamOutOfRange(f"alpha must be finite, got {alpha}")
     if _dist_to_multiple(alpha, 2.0 * math.pi) < _FREQ_TOL:
         raise ResonantFrequency(f"alpha = {alpha} is congruent to 0 mod 2*pi")
     n = np.arange(1, n_max + 1, dtype=np.float64)

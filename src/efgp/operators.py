@@ -41,10 +41,17 @@ def _int(v, name: str) -> int:
 
 
 def _real(v, name: str) -> float:
-    """v as a float if it is a real number, else ParamOutOfRange."""
-    if not isinstance(v, numbers.Real):
-        raise ParamOutOfRange(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    """v as a finite float, or ParamOutOfRange: v is no real number, nan,
+    +-inf, or an integer beyond the float range (whose digits the message
+    does not show).  This is the one finiteness check of real arguments."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) else math.nan
+    except OverflowError:
+        raise ParamOutOfRange(
+            f"{name} must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(x):
+        raise ParamOutOfRange(f"{name} must be a finite real number, got {v!r}")
+    return x
 
 
 def _real_vector(a, name: str) -> np.ndarray:
@@ -134,10 +141,7 @@ class Potential:
         if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown potential family {self.family!r}")
         for name in ("amplitude", "omega", "delta"):
-            v = _real(getattr(self, name), name)
-            if not math.isfinite(v):
-                raise ParamOutOfRange(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "seed", _int(self.seed, "seed"))
         object.__setattr__(self, "onset", _int(self.onset, "onset"))
         if self.onset < 1:
@@ -146,8 +150,6 @@ class Potential:
         table = tuple(_real(v, "table value") for v in self.table)
         if self.family == "table" and not table:
             raise EmptyTable("table family requires a nonempty value sequence")
-        if not all(math.isfinite(v) for v in table):
-            raise ParamOutOfRange("table values must be finite")
         object.__setattr__(self, "table", table)
 
     def values(self, n_lo: int, n_hi: int) -> np.ndarray:
