@@ -63,7 +63,11 @@ _FREQ_TOL = 1e-9
 # --------------------------------------------------------------------------
 
 def theorem_bound(C: float) -> float:
-    """Right-hand side (C^2 + 2)/2 for envelope constant C >= 0."""
+    """Right-hand side (C^2 + 2)/2 for envelope constant C >= 0.
+
+    C must be a finite real number, else ParamOutOfRange (C = -inf
+    included); a finite C < 0 raises NegativeConstant, and a C whose
+    (C^2 + 2)/2 leaves the float range ParamOutOfRange."""
     C = _real(C, "C")
     if C < 0.0:
         raise NegativeConstant(f"envelope constant must be >= 0, got {C}")
@@ -572,7 +576,10 @@ def almost_orthogonality_check(g: WeightedVector, e) -> OrthogonalityReport:
 # --------------------------------------------------------------------------
 
 def log_bound_check(x: float, eps: float) -> tuple:
-    """(ln(1+x) >= x/(1+eps), ln(1-x) >= -x/(1-eps)) for 0 < x < eps < 1."""
+    """(ln(1+x) >= x/(1+eps), ln(1-x) >= -x/(1-eps)) for 0 < x < eps < 1.
+
+    x and eps must be finite real numbers (ParamOutOfRange); finite values
+    outside 0 < x < eps < 1 raise DomainError."""
     x, eps = _real(x, "x"), _real(eps, "eps")
     if not 0.0 < x < eps:
         raise DomainError(f"need 0 < x < eps, got x={x}, eps={eps}")

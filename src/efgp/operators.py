@@ -32,12 +32,26 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _int(v, name: str) -> int:
-    """v as an int, or ParamOutOfRange (a float size is never truncated)."""
+def _shown(v) -> str:
+    """repr(v) for an error message, or v's type name where repr refuses:
+    an int beyond sys.int_max_str_digits, alone or inside a container."""
     try:
-        return operator.index(v)
+        return repr(v)
+    except ValueError:
+        return f"<{type(v).__name__} too long to show>"
+
+
+def _int(v, name: str) -> int:
+    """v as an int in the int64 range, or ParamOutOfRange: a float size is
+    never truncated, and numpy cannot index or allocate beyond int64."""
+    try:
+        i = operator.index(v)
     except TypeError:
-        raise ParamOutOfRange(f"{name} must be an integer, got {v!r}") from None
+        i = None
+    if i is None or not -2 ** 63 <= i < 2 ** 63:
+        raise ParamOutOfRange(
+            f"{name} must be an integer in the int64 range, got {_shown(v)}")
+    return i
 
 
 def _real(v, name: str) -> float:
@@ -50,7 +64,7 @@ def _real(v, name: str) -> float:
         raise ParamOutOfRange(
             f"{name} must be finite, got an integer beyond the float range") from None
     if not math.isfinite(x):
-        raise ParamOutOfRange(f"{name} must be a finite real number, got {v!r}")
+        raise ParamOutOfRange(f"{name} must be a finite real number, got {_shown(v)}")
     return x
 
 
@@ -59,7 +73,7 @@ def _real_vector(a, name: str) -> np.ndarray:
     else ParamOutOfRange."""
     if not (isinstance(a, np.ndarray) and a.ndim == 1
             and a.dtype.kind in "iuf"):
-        raise ParamOutOfRange(f"{name} must be a 1-D real array, got {a!r}")
+        raise ParamOutOfRange(f"{name} must be a 1-D real array, got {_shown(a)}")
     a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ParamOutOfRange(f"{name} must be finite")
@@ -79,7 +93,7 @@ def _finite(values, name: str, first: int = 0) -> np.ndarray:
 def _instance(v, cls, name: str):
     """ParamOutOfRange unless v is a cls instance."""
     if not isinstance(v, cls):
-        raise ParamOutOfRange(f"{name} must be a {cls.__name__}, got {v!r}")
+        raise ParamOutOfRange(f"{name} must be a {cls.__name__}, got {_shown(v)}")
 
 
 def _instances(values, cls, name: str) -> list:
@@ -90,7 +104,7 @@ def _instances(values, cls, name: str) -> list:
         out = None
     if out is None or not all(isinstance(v, cls) for v in out):
         raise ParamOutOfRange(
-            f"{name} must be an iterable of {cls.__name__}, got {values!r}")
+            f"{name} must be an iterable of {cls.__name__}, got {_shown(values)}")
     return out
 
 
@@ -139,7 +153,7 @@ class Potential:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise UnknownFamily(f"unknown potential family {self.family!r}")
+            raise UnknownFamily(f"unknown potential family {_shown(self.family)}")
         for name in ("amplitude", "omega", "delta"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "seed", _int(self.seed, "seed"))
@@ -203,11 +217,11 @@ def make_potential(family: str, *, c: float = 0.0, omega: float = 0.0,
     """Build a Potential from a family name in any case, with - for _;
     ``values`` become the explicit V(1..k) of any family.  Potential checks
     the parameters."""
-    fam = str(family).lower().replace("-", "_")
+    fam = family.lower().replace("-", "_") if isinstance(family, str) else family
     try:
         table = tuple(() if values is None else values)
     except TypeError:
-        raise ParamOutOfRange(f"values must be a sequence, got {values!r}") from None
+        raise ParamOutOfRange(f"values must be a sequence, got {_shown(values)}") from None
     return Potential(family=fam, amplitude=c, omega=omega, delta=delta,
                      seed=seed, table=table, onset=n0)
 
@@ -235,7 +249,11 @@ def envelope_constant(p: Potential, n_lo: int, n_hi: int) -> float:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Potential + boundary phase phi in (0, pi) + truncation length N."""
+    """Potential + boundary phase phi in (0, pi) + truncation length N.
+
+    phi must be a finite real number and N an integer in the int64 range
+    (ParamOutOfRange); a finite phi outside (0, pi) raises PhaseOutOfRange
+    and N < 2 ParamOutOfRange."""
 
     potential: Potential
     phi: float

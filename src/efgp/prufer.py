@@ -66,6 +66,14 @@ def _param_fields(x: float) -> tuple:
     return x, 2.0 * math.cos(x), math.sin(x)
 
 
+def _energy(E) -> float:
+    """E as a float in (-2, 2), else ParamOutOfRange."""
+    E = _real(E, "E")
+    if not -2.0 < E < 2.0:
+        raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
+    return E
+
+
 @dataclass(frozen=True)
 class SpectralParam:
     """Spectral parameter x in (0, pi) with E = 2 cos(x).
@@ -91,10 +99,7 @@ class SpectralParam:
 
     @classmethod
     def from_energy(cls, E: float) -> "SpectralParam":
-        E = _real(E, "E")
-        if not -2.0 < E < 2.0:
-            raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
-        return cls.from_x(math.acos(E / 2.0))
+        return cls.from_x(math.acos(_energy(E) / 2.0))
 
     @property
     def cos_x(self) -> float:
@@ -112,8 +117,9 @@ def _float_vector(a, name: str):
 class Solution:
     """Raw solution values u(0..N) for one operator and spectral parameter.
 
-    u must be a 1-D float array of N + 1 values: ParamOutOfRange if it is
-    not an array of that kind, LengthMismatch if its length is not N + 1.
+    u must be a finite 1-D float array of N + 1 values: ParamOutOfRange if
+    it is not an array of that kind or holds nan or +-inf, LengthMismatch if
+    its length is not N + 1.
     """
 
     u: np.ndarray
@@ -127,6 +133,8 @@ class Solution:
         if self.u.shape[0] != self.spec.n + 1:
             raise LengthMismatch(f"u has {self.u.shape[0]} values, "
                                  f"N = {self.spec.n} needs {self.spec.n + 1}")
+        if not np.isfinite(self.u).all():
+            raise ParamOutOfRange("u must be finite")
 
     @property
     def n(self) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +33,10 @@ from .errors import (
     ZeroInitial,
 )
 from .operators import (JacobiMatrix, OperatorSpec, Potential, _instance,
-                        _instances, _int, _real, make_potential)
+                        _instances, _int, _real, _shown, make_potential)
 from .prufer import (
     SpectralParam,
+    _energy,
     _onsets,
     _ln_r,
     _param_fields,
@@ -75,7 +75,7 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
     try:
         lo, hi = window
     except (TypeError, ValueError):
-        raise ParamOutOfRange(f"window must be a pair, got {window!r}") from None
+        raise ParamOutOfRange(f"window must be a pair, got {_shown(window)}") from None
     lo, hi = _real(lo, "window[0]"), _real(hi, "window[1]")
     d = _checked_diagonal(J, lo, hi)
     c_lo, c_hi = (int(c) for c in _kernels.sturm_counts(d, np.array([lo, hi])))
@@ -121,7 +121,10 @@ class EigenvalueSet:
 
 
 def theorem_weight(E: float) -> float:
-    """Weight 1 - E^2/4 of an eigenvalue; equals sin^2(x) for E = 2cos(x)."""
+    """Weight 1 - E^2/4 of an eigenvalue; equals sin^2(x) for E = 2cos(x).
+
+    E must be a finite real number (ParamOutOfRange otherwise, nan and
+    +-inf included)."""
     E = _real(E, "E")
     return 1.0 - E * E / 4.0
 
@@ -132,16 +135,23 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
 
 
 def _checked_records(records) -> list:
-    """records as a list of EigenvalueRecords whose E and weight are real
-    numbers and whose certificate is a Certificate, else ParamOutOfRange."""
+    """records as a list of EigenvalueRecords whose E and weight are finite
+    real numbers and whose certificate is a Certificate, else
+    ParamOutOfRange."""
     records = _instances(records, EigenvalueRecord, "records")
-    # one check per type, not per record: classify gives one per energy
-    reals = {type(r.E) for r in records} | {type(r.weight) for r in records}
+    reals = [r.E for r in records] + [r.weight for r in records]
+    # one check per type and one array, not a check per record: classify
+    # gives one record per energy
     certs = {type(r.certificate) for r in records}
-    if not (all(issubclass(t, numbers.Real) for t in reals)
-            and all(issubclass(t, Certificate) for t in certs)):
-        raise ParamOutOfRange("records need a real E and weight and a "
-                              "Certificate")
+    ok = (all(issubclass(t, numbers.Real) for t in set(map(type, reals)))
+          and all(issubclass(t, Certificate) for t in certs))
+    try:
+        ok = ok and np.isfinite(np.array(reals, dtype=float)).all()
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ParamOutOfRange("records need a finite real E and weight and "
+                              "a Certificate")
     return records
 
 
@@ -191,9 +201,10 @@ def _checked_checkpoints(n: int, checkpoints) -> list:
     if checkpoints is None:
         return default_checkpoints(n)
     try:
-        cps = sorted(operator.index(c) for c in checkpoints)
+        cps = sorted(_int(c, "checkpoint") for c in checkpoints)
     except TypeError:
-        raise ParamOutOfRange("checkpoints must be integers") from None
+        raise ParamOutOfRange(f"checkpoints must be an iterable of integers, "
+                              f"got {_shown(checkpoints)}") from None
     if not cps:
         raise ParamOutOfRange("need at least one checkpoint")
     if cps[0] < 2 or cps[-1] > n:
@@ -230,13 +241,10 @@ def classify_spectrum(spec: OperatorSpec, energies,
     """
     _instance(spec, OperatorSpec, "spec")
     try:
-        es = [_real(E, "E") for E in energies]
+        es = [_energy(E) for E in energies]
     except TypeError:
         raise ParamOutOfRange(
-            f"energies must be an iterable of reals, got {energies!r}") from None
-    for E in es:
-        if not -2.0 < E < 2.0:
-            raise ParamOutOfRange(f"E must lie in (-2, 2), got {E}")
+            f"energies must be an iterable of reals, got {_shown(energies)}") from None
     n = spec.n
     cps = _checked_checkpoints(n, checkpoints)
     # (x, E, sin x) of SpectralParam.from_energy, without an object each
@@ -343,10 +351,8 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     0.1 <~ |pi - 2x| * N <~ 10, the fit window sees neither regime and the
     fitted exponent can miss the law by far more than 5%.
     """
-    x, c, n = _real(x, "x"), _real(c, "c"), _int(n, "N")
-    if not 0.0 < x < math.pi:
-        raise ParamOutOfRange(f"x must lie in (0, pi), got {x}")
-    param = SpectralParam.from_x(x)
+    param, c, n = SpectralParam.from_x(x), _real(c, "c"), _int(n, "N")
+    x = param.x
     if c <= 2.0 * param.sin_x:
         raise SubcriticalAmplitude(
             f"need c > 2 sin(x) = {2.0 * param.sin_x:.6g}, got {c}")

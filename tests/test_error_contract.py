@@ -1,6 +1,7 @@
 """Property tests of the error contract: only EfgpError leaves the public
 API, and the CLI turns every config into exit code 0, 1 or 2."""
 
+import contextlib
 import json
 import math
 import signal
@@ -58,18 +59,30 @@ CHECKPOINTS = st.one_of(st.none(),
                                  max_size=4))
 
 
-# sizes and integer parameters: floats, nan and inf must not be truncated
+# sizes and integer parameters: floats, nan and inf must not be truncated,
+# and integers beyond int64 are rejected (only those: a large size inside
+# int64 would be allocated)
 SIZES = st.one_of(st.integers(-3, 120), st.floats(),
-                  st.sampled_from([10.5, math.nan, math.inf, -math.inf]))
-# real parameters (E, window ends, c, omega, delta, ...): real numbers
-# or not numbers at all
+                  st.sampled_from([10.5, math.nan, math.inf, -math.inf]),
+                  st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 5000]))
+# real parameters (E, window ends, c, omega, delta, ...): real numbers,
+# integers beyond the float range (10**5000 also beyond the digits str()
+# allows) or not numbers at all
 REALS = st.one_of(st.floats(), st.text(max_size=3), st.none(),
-                  st.complex_numbers())
+                  st.complex_numbers(),
+                  st.sampled_from([10 ** 400, -10 ** 400, 10 ** 5000]))
 
 
 @settings(derandomize=True, deadline=None)
 @given(diag=st.lists(ENTRIES, max_size=20), E=REALS, lo=REALS, hi=REALS,
        checkpoints=CHECKPOINTS, size=SIZES, real=REALS)
+# integers beyond the float range and beyond int64, and ones too long for str()
+@example(diag=[0.0], E=10 ** 400, lo=-10 ** 400, hi=1.0, checkpoints=None,
+         size=2 ** 63, real=10 ** 400)
+@example(diag=[0.0], E=0.5, lo=0.0, hi=10 ** 5000, checkpoints=[10 ** 5000],
+         size=-2 ** 63 - 1, real=-10 ** 400)
+@example(diag=[0.0], E=10 ** 5000, lo=0.0, hi=1.0, checkpoints=[10],
+         size=10 ** 5000, real=10 ** 5000)
 def test_only_efgp_errors_escape(diag, E, lo, hi, checkpoints, size, real):
     coulomb = make_potential("coulomb", c=1.0)
 
@@ -316,6 +329,116 @@ DOMAIN_CALLS = {
                                     OperatorSpec(make_potential("coulomb"), 1.0, 3),
                                     _P)),
          errors.Overflow),
+    # real arguments: integers beyond the float range, nan and +-inf
+    "make_potential-huge-int-c":
+        (lambda: make_potential("coulomb", c=10 ** 400), errors.ParamOutOfRange),
+    "make_potential-huge-int-value":
+        (lambda: make_potential("table", values=[10 ** 400]),
+         errors.ParamOutOfRange),
+    "spectral_param-huge-int-x": (lambda: SpectralParam(10 ** 400),
+                                  errors.ParamOutOfRange),
+    "from_energy-huge-int": (lambda: SpectralParam.from_energy(-10 ** 400),
+                             errors.ParamOutOfRange),
+    "operator_spec-huge-int-phi":
+        (lambda: OperatorSpec(_SPEC.potential, 10 ** 400, 10),
+         errors.ParamOutOfRange),
+    "theorem_bound-huge-int": (lambda: theorem_bound(10 ** 400),
+                               errors.ParamOutOfRange),
+    "check_theorem-huge-int-C":
+        (lambda: check_theorem(make_eigenvalue_set([]), 10 ** 400),
+         errors.ParamOutOfRange),
+    "theorem_weight-huge-int": (lambda: theorem_weight(-10 ** 400),
+                                errors.ParamOutOfRange),
+    "partial_sums-huge-int-alpha":
+        (lambda: oscillatory_partial_sums(10 ** 400, None, 10),
+         errors.ParamOutOfRange),
+    "resonance_construct-huge-int-x":
+        (lambda: resonance_construct(10 ** 400, 2.2, 100),
+         errors.ParamOutOfRange),
+    "log_bound-huge-int": (lambda: log_bound_check(0.25, 10 ** 400),
+                           errors.ParamOutOfRange),
+    "classify_spectrum-huge-int-E":
+        (lambda: classify_spectrum(_SPEC, [10 ** 400]), errors.ParamOutOfRange),
+    "sturm_count-huge-int": (lambda: sturm_count(_J4, 10 ** 400),
+                             errors.ParamOutOfRange),
+    "window-huge-int-end":
+        (lambda: eigenvalues_in_window(_J4, (0.0, 10 ** 400)),
+         errors.ParamOutOfRange),
+    "theorem_weight-inf": (lambda: theorem_weight(math.inf),
+                           errors.ParamOutOfRange),
+    "theorem_weight-minus-inf": (lambda: theorem_weight(-math.inf),
+                                 errors.ParamOutOfRange),
+    "theorem_weight-nan": (lambda: theorem_weight(math.nan),
+                           errors.ParamOutOfRange),
+    # non-finite arguments that raised PhaseOutOfRange, DomainError and
+    # NegativeConstant
+    "operator_spec-nan-phi": (lambda: OperatorSpec(_SPEC.potential, math.nan, 10),
+                              errors.ParamOutOfRange),
+    "log_bound-nan-x": (lambda: log_bound_check(math.nan, 0.5),
+                        errors.ParamOutOfRange),
+    "log_bound-inf-eps": (lambda: log_bound_check(0.25, math.inf),
+                          errors.ParamOutOfRange),
+    "theorem_bound-minus-inf": (lambda: theorem_bound(-math.inf),
+                                errors.ParamOutOfRange),
+    # integers beyond int64
+    "values-beyond-int64": (lambda: _SPEC.potential.values(1, 2 ** 70),
+                            errors.ParamOutOfRange),
+    "value_array-beyond-int64": (lambda: _SPEC.potential.value_array(2 ** 70),
+                                 errors.ParamOutOfRange),
+    "envelope-beyond-int64":
+        (lambda: envelope_constant(_SPEC.potential, 2 ** 70, 2 ** 70),
+         errors.ParamOutOfRange),
+    "classify_spectrum-N-beyond-int64":
+        (lambda: classify_spectrum(OperatorSpec(_SPEC.potential, 1.0, 2 ** 70),
+                                   [0.5]),
+         errors.ParamOutOfRange),
+    "seed-beyond-int64":
+        (lambda: make_potential("random_sign", c=1.0, seed=2 ** 64),
+         errors.ParamOutOfRange),
+    # arguments with more digits than str() shows: the message must not fail
+    "to_prufer-long-int": (lambda: to_prufer(10 ** 5000), errors.ParamOutOfRange),
+    "lemma_sums-long-int": (lambda: lemma_sums(_SPEC, 10 ** 5000),
+                            errors.ParamOutOfRange),
+    "classify_spectrum-long-int": (lambda: classify_spectrum(_SPEC, 10 ** 5000),
+                                   errors.ParamOutOfRange),
+    "classify_spectrum-long-int-checkpoint":
+        (lambda: classify_spectrum(_SPEC, [0.5], [10 ** 5000]),
+         errors.ParamOutOfRange),
+    "window-long-int": (lambda: eigenvalues_in_window(_J4, 10 ** 5000),
+                        errors.ParamOutOfRange),
+    "jacobi-long-int": (lambda: JacobiMatrix(10 ** 5000), errors.ParamOutOfRange),
+    "weighted_vector-long-int": (lambda: WeightedVector(10 ** 5000, 0, 1),
+                                 errors.ParamOutOfRange),
+    "make_eigenvalue_set-long-int":
+        (lambda: make_eigenvalue_set([10 ** 5000]), errors.ParamOutOfRange),
+    "potential-long-int-family": (lambda: Potential(10 ** 5000),
+                                  errors.UnknownFamily),
+    "make_potential-long-int-family": (lambda: make_potential(10 ** 5000),
+                                       errors.UnknownFamily),
+    # hand-built solutions and records with nan, +-inf or a huge integer
+    "solution-nan-u":
+        (lambda: Solution(np.array([1.0, 1.0, math.nan, 1.0, 1.0, 1.0]),
+                          _SPEC5, _P),
+         errors.ParamOutOfRange),
+    "solution-inf-u":
+        (lambda: Solution(np.array([1.0, 1.0, 1.0, 1.0, 1.0, -math.inf]),
+                          _SPEC5, _P),
+         errors.ParamOutOfRange),
+    "make_eigenvalue_set-nan-E":
+        (lambda: make_eigenvalue_set([_record(), _record(E=math.nan)]),
+         errors.ParamOutOfRange),
+    "make_eigenvalue_set-inf-weight":
+        (lambda: make_eigenvalue_set([_record(weight=math.inf)]),
+         errors.ParamOutOfRange),
+    "make_eigenvalue_set-huge-int-E":
+        (lambda: make_eigenvalue_set([_record(E=10 ** 400)]),
+         errors.ParamOutOfRange),
+    "check_theorem-nan-weight":
+        (lambda: check_theorem(EigenvalueSet((_record(weight=math.nan),)), 1.0),
+         errors.ParamOutOfRange),
+    "check_theorem-inf-weight":
+        (lambda: check_theorem(EigenvalueSet((_record(weight=math.inf),)), 1.0),
+         errors.ParamOutOfRange),
 }
 
 
@@ -385,11 +508,18 @@ def test_empty_parameter_lists_give_empty_results():
     assert classify_spectrum(_SPEC, []) == []
 
 
+@contextlib.contextmanager
 def _time_limit(seconds):
+    """TimeoutError if the block runs longer than seconds."""
     def expired(signum, frame):
         raise TimeoutError(f"no result within {seconds} s")
-    signal.signal(signal.SIGALRM, expired)
+    previous = signal.signal(signal.SIGALRM, expired)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("call", [
@@ -399,14 +529,14 @@ def _time_limit(seconds):
 def test_overflowing_shift_rejected(call):
     # -1e308 - 1.7e308 is -inf: the count must refuse it, not loop on it
     J = JacobiMatrix(np.array([0.0, -1e308, 0.0]))
-    previous = signal.getsignal(signal.SIGALRM)
-    _time_limit(5.0)
-    try:
-        with pytest.raises(errors.ParamOutOfRange):
-            call(J)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    with _time_limit(5.0), pytest.raises(errors.ParamOutOfRange):
+        call(J)
+
+
+def test_envelope_beyond_int64_rejected_at_once():
+    # a range end of 2**63 must be refused, not read in 2**50 blocks
+    with _time_limit(5.0), pytest.raises(errors.ParamOutOfRange):
+        envelope_constant(_SPEC.potential, 1, 2 ** 63)
 
 
 SUM_SIZES = st.one_of(st.integers(-3, 40), st.floats())
