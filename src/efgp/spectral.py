@@ -139,9 +139,9 @@ def _checked_records(records) -> list:
     real numbers and whose certificate is a Certificate, else
     ParamOutOfRange."""
     records = _instances(records, EigenvalueRecord, "records")
-    reals = [r.E for r in records] + [r.weight for r in records]
     # one check per type and one array, not a check per record: classify
     # gives one record per energy
+    reals = [r.E for r in records] + [r.weight for r in records]
     certs = {type(r.certificate) for r in records}
     ok = (all(issubclass(t, numbers.Real) for t in set(map(type, reals)))
           and all(issubclass(t, Certificate) for t in certs))
