@@ -161,6 +161,30 @@ MUTANTS = (
          "test_out_of_domain_arguments_rejected[trajectory-inf-theta]",
          "tests/test_error_contract.py::"
          "test_out_of_domain_arguments_rejected[trajectory-nan-ln_R]")),
+    Mutant(
+        "real-finiteness-unchecked", "src/efgp/operators.py",
+        "if not math.isfinite(x):",
+        "if False:",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[theorem_weight-inf]",)),
+    Mutant(
+        "int64-bound-dropped", "src/efgp/operators.py",
+        "if i is None or not -2 ** 63 <= i < 2 ** 63:",
+        "if i is None:",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[values-beyond-int64]",)),
+    Mutant(
+        "solution-finiteness-unchecked", "src/efgp/prufer.py",
+        "if not np.isfinite(self.u).all():",
+        "if False:",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[solution-nan-u]",)),
+    Mutant(
+        "record-finiteness-unchecked", "src/efgp/spectral.py",
+        "ok = ok and np.isfinite(np.array(reals, dtype=float)).all()",
+        "ok = ok and np.array(reals, dtype=float).size >= 0",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[check_theorem-nan-weight]",)),
 )
 
 
