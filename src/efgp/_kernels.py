@@ -1,5 +1,14 @@
 """Numeric kernels: the three-term recurrence, Sturm counts and the
-compensated prefix sum.
+compensated prefix sum, and the two compiled LAPACK/BLAS routines the
+toolkit calls.
+
+The routines are BLAS ``dtbsv`` (the recurrence's band solve) and LAPACK
+``dstevd`` (the window eigenvalues, ``spectral.eigenvalues_in_window``),
+taken from scipy's own compiled wrapper modules ``_fblas`` and
+``_flapack`` in the installed scipy/linalg directory.  They are loaded by
+path (:func:`_scipy_linalg_extension`), so ``scipy/linalg/__init__.py``
+never runs: importing it costs about 0.3 s, most of it scipy's array-API
+layer, which imports numpy.f2py, numpy.testing, numpy.ma and more.
 
 The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
 (w(0), w(1)), is forward substitution in a unit lower-triangular band
@@ -31,10 +40,41 @@ lift, ``prufer._Lift``, window by window: in ``prufer._trajectory`` for
 one trajectory, and in ``analysis.lemma_sums`` for all its parameters.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
+
+
+def _scipy_linalg_extension(name):
+    """scipy's compiled module scipy/linalg/<name>, loaded from its file
+    without importing the scipy.linalg package.
+
+    The module is created under the private name efgp._kernels.<name> and
+    is not entered in sys.modules, so it shadows no scipy module; a later
+    ``import scipy.linalg`` loads scipy's own copy as usual.  ImportError,
+    naming the directory searched, if the file is missing.
+    """
+    # find_spec imports the scipy package (scipy/__init__.py), not its
+    # linalg subpackage, and finds the directory the way import would
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    for directory in where:
+        finder = importlib.machinery.FileFinder(
+            directory, (importlib.machinery.ExtensionFileLoader,
+                        importlib.machinery.EXTENSION_SUFFIXES))
+        # the file is found by the name's last part, which also names
+        # the module's init function
+        spec = finder.find_spec(f"{__name__}.{name}")
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled module {name} in {', '.join(where)}")
+
+
+dtbsv = _scipy_linalg_extension("_fblas").dtbsv
+dstevd = _scipy_linalg_extension("_flapack").dstevd
 
 # Rescale the evolving pair once its larger entry leaves this band; the
 # log-scale accumulator keeps ln R exact.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,19 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _SIGN_BIT = np.uint64(1 << 63)
 
 
+# error messages show a few entries of a container and at most about 80
+# characters of any one value, so a long argument is never repr'd whole
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 80
+
+
 def _shown(v) -> str:
-    """repr(v) for an error message, or v's type name where repr refuses:
-    an int beyond sys.int_max_str_digits, alone or inside a container."""
+    """A shortened repr(v) for an error message (reprlib), or v's type name
+    where repr refuses: an int beyond sys.int_max_str_digits, alone or
+    inside a container."""
     try:
-        return repr(v)
+        return _REPR.repr(v)
     except ValueError:
         return f"<{type(v).__name__} too long to show>"
 

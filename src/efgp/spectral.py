@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
 from . import _kernels
 from .errors import (
@@ -68,9 +67,12 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
     The window is the index set fixed by Sturm counts at its ends:
     indices [count(lo), count(hi)), so an eigenvalue exactly at lo is kept
     and one exactly at hi is dropped.  The values are those entries of one
-    call to LAPACK's all-eigenvalue driver (scipy's default for
-    eigvalsh_tridiagonal).  That costs O(N^2) whatever the window's width;
-    the windows this toolkit runs are the full band (-2, 2) or wider.
+    call to LAPACK's all-eigenvalue driver ``dstevd`` (``_kernels.dstevd``):
+    the call that scipy 1.17's eigvalsh_tridiagonal makes by default, with
+    its 1 x 1 shortcut, pinned whatever scipy's default becomes.  A nonzero
+    info raises NoConvergence.  That costs O(N^2) whatever the window's
+    width; the windows this toolkit runs are the full band (-2, 2) or
+    wider.
     """
     try:
         lo, hi = window
@@ -81,10 +83,12 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
     c_lo, c_hi = (int(c) for c in _kernels.sturm_counts(d, np.array([lo, hi])))
     if c_hi <= c_lo:
         return np.empty(0)
-    try:
-        return eigvalsh_tridiagonal(d, np.ones(d.size - 1))[c_lo:c_hi]
-    except LinAlgError as exc:
-        raise NoConvergence(f"eigvalsh_tridiagonal: {exc}") from exc
+    if d.size == 1:  # dstevd rejects the empty off-diagonal
+        return d.copy()
+    w, _, info = _kernels.dstevd(d, np.ones(d.size - 1), compute_v=0)
+    if info != 0:
+        raise NoConvergence(f"LAPACK dstevd returned info = {info}")
+    return w[c_lo:c_hi]
 
 
 @dataclass(frozen=True)

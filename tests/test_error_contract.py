@@ -439,6 +439,16 @@ DOMAIN_CALLS = {
     "check_theorem-inf-weight":
         (lambda: check_theorem(EigenvalueSet((_record(weight=math.inf),)), 1.0),
          errors.ParamOutOfRange),
+    # finite weights whose sum leaves the float range
+    "check_theorem-overflowing-lhs":
+        (lambda: check_theorem(EigenvalueSet((_record(E=0.5, weight=1e308),
+                                              _record(E=0.6, weight=1e308))),
+                               1.0),
+         errors.Overflow),
+    "check_theorem-overflowing-margin":
+        (lambda: check_theorem(EigenvalueSet((_record(weight=-1.7e308),)),
+                               1.3e154),
+         errors.Overflow),
 }
 
 
@@ -447,6 +457,17 @@ def test_out_of_domain_arguments_rejected(name):
     call, error = DOMAIN_CALLS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("value", [[1.0] * 10 ** 6, "a" * 10 ** 6,
+                                   [[[[1.0] * 10 ** 4] * 10] * 10] * 10],
+                         ids=["list", "text", "nested-lists"])
+def test_error_messages_show_a_long_argument_in_part(value):
+    # the whole repr of a million-entry list made a 5,000,049-character
+    # message
+    with pytest.raises(errors.ParamOutOfRange) as exc:
+        lemma_sums(_SPEC5, value)
+    assert len(str(exc.value)) < 1000
 
 
 # table values log-uniform in +-[1e-3, 1e300], zeros mixed in

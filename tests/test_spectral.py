@@ -181,12 +181,47 @@ def test_empty_jacobi_rejected():
 
 
 def test_window_lapack_failure_is_no_convergence(monkeypatch):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("stemr did not converge")
+    def failing(d, e, compute_v=1):
+        # dstevd's outputs when its QL/QR iteration fails: info > 0
+        return np.sort(d), np.zeros((1, 1)), 1
 
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", failing)
+    monkeypatch.setattr(_kernels, "dstevd", failing)
     with pytest.raises(errors.NoConvergence):
         eigenvalues_in_window(free_jacobi(5), (-2.0, 2.0))
+
+
+def _scipy_window(d, lo, hi):
+    """The window's entries of scipy's default tridiagonal eigenvalue call,
+    over the index set of the Sturm counts at its ends."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    c_lo, c_hi = _kernels.sturm_counts(d, np.array([lo, hi]))
+    if c_hi <= c_lo:
+        return np.empty(0)
+    return eigvalsh_tridiagonal(d, np.ones(d.size - 1))[c_lo:c_hi]
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(0.0, 5.0), lo=st.floats(-8.0, 8.0),
+       width=st.floats(0.0, 16.0))
+@example(n=1, seed=0, spread=1.0, lo=-2.0, width=4.0)
+@example(n=2, seed=0, spread=1.0, lo=-4.0, width=8.0)
+def test_window_matches_scipy_eigvalsh_tridiagonal(n, seed, spread, lo, width):
+    d = np.random.default_rng(seed).uniform(-spread, spread, n)
+    got = eigenvalues_in_window(JacobiMatrix(d), (lo, lo + width))
+    want = _scipy_window(d, lo, lo + width)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_window_bound_spectrum_matches_scipy_eigvalsh_tridiagonal(n):
+    # window-bound's engineered resonant potential
+    pot = make_potential("resonant", c=2.2, omega=2.0 * PI / 3.0,
+                         delta=1.3575974530435633)
+    jac = build_jacobi(OperatorSpec(pot, 2.4891024719091113, n))
+    got = eigenvalues_in_window(jac, (-2.0, 2.0))
+    want = _scipy_window(jac.diagonal, -2.0, 2.0)
+    assert got.size > 0 and got.tobytes() == want.tobytes()
 
 
 def test_window_coulomb_n2000_matches_dense():

@@ -185,6 +185,23 @@ MUTANTS = (
         "ok = ok and np.array(reals, dtype=float).size >= 0",
         ("tests/test_error_contract.py::"
          "test_out_of_domain_arguments_rejected[check_theorem-nan-weight]",)),
+    Mutant(
+        "kernels-import-scipy-linalg", "src/efgp/_kernels.py",
+        'dtbsv = _scipy_linalg_extension("_fblas").dtbsv',
+        "from scipy.linalg.blas import dtbsv",
+        ("tests/test_imports.py::test_cli_runs_without_scipy_linalg",)),
+    Mutant(
+        "window-one-site-shortcut-dropped", "src/efgp/spectral.py",
+        "if d.size == 1:",
+        "if False:",
+        ("tests/test_spectral.py::"
+         "test_window_matches_scipy_eigvalsh_tridiagonal",)),
+    Mutant(
+        "window-lapack-info-ignored", "src/efgp/spectral.py",
+        "if info != 0:",
+        "if False:",
+        ("tests/test_spectral.py::"
+         "test_window_lapack_failure_is_no_convergence",)),
 )
 
 
