@@ -102,20 +102,18 @@ def check_theorem(eset: EigenvalueSet, C: float,
     negative weight and could hide a violation.  With certified_only (the
     default) only records whose tail-norm certificate passed contribute;
     raw truncation eigenvalues would otherwise trivially overfill the left
-    side.  Overflow if the weights' sum or the margin leaves the float
-    range.
+    side.  Weights and verdicts are derived from each record's E and
+    certificate evidence, so every summed weight lies in (0, 1] and the
+    sum and margin stay finite.
     """
     _instance(eset, EigenvalueSet, "eset")
     rhs = theorem_bound(C)
     records = [r for r in _checked_records(eset.records)
                if -2.0 < r.E < 2.0
                and (not certified_only or r.certificate.passed)]
-    # finite weights can still sum past the float range (hand-built
-    # records; a computed weight is at most 1)
-    lhs = _finite_float(float(sum(float(r.weight) for r in records)), "lhs")
+    lhs = float(sum(r.weight for r in records))
     return BoundReport(lhs=lhs, rhs=rhs, C_used=float(C),
-                       satisfied=lhs <= rhs,
-                       margin=_finite_float(rhs - lhs, "margin"),
+                       satisfied=lhs <= rhs, margin=rhs - lhs,
                        records_used=len(records))
 
 

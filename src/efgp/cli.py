@@ -60,7 +60,7 @@ class ExperimentConfig:
 
 
 # Largest N and envelope_range end.  lemma-sums holds no array this long
-# and has run at it in 62 MB; the other commands hold several float64
+# and has run at it in 43 MB; the other commands hold several float64
 # arrays this long per energy, 800 MB each.
 MAX_N = 10 ** 8
 
@@ -339,9 +339,8 @@ def _classify_records(spec, energies, checkpoints):
     inside = iter(spectral.classify_spectrum(
         spec, [E for E in energies if -2.0 < E < 2.0], checkpoints))
     return [next(inside) if -2.0 < E < 2.0 else spectral.EigenvalueRecord(
-        E=float(E), x=None, weight=spectral.theorem_weight(E),
-        certificate=spectral.Certificate(n_star=0, rn_sq=float("nan"),
-                                         passed=False))
+        E=float(E), certificate=spectral.Certificate(n_star=0,
+                                                     rn_sq=float("nan")))
         for E in energies]
 
 

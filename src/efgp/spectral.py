@@ -93,28 +93,46 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Tail-norm checkpoint result in the R(1)-normalized scale."""
+    """Tail-norm checkpoint evidence in the R(1)-normalized scale: the
+    eligible checkpoint N* with the best margin and R(N*)^2 there, or
+    (0, nan) when no checkpoint was eligible."""
 
     n_star: int
     rn_sq: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """The certificate rule: R(N*)^2 <= 1/N* at an eligible N*."""
+        n_star, rn_sq = self.n_star, self.rn_sq
+        return n_star > 0 and rn_sq <= 1.0 / n_star
 
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
     """One candidate eigenvalue with its decay evidence.
 
-    weight = 1 - E^2/4 = sin^2(x); decay_exponent is the negated
-    least-squares slope of ln R against ln n (positive means decay), None
-    when the fit window holds fewer than two sites.
+    Only measurements are stored: weight, x and certificate.passed follow
+    from E and the certificate's (N*, R(N*)^2), so a record cannot
+    contradict itself.  decay_exponent is the negated least-squares slope
+    of ln R against ln n (positive means decay), None when the fit window
+    holds fewer than two sites; r1 is R(1), None outside (-2, 2).
     """
 
     E: float
-    x: Optional[float]
-    weight: float
     certificate: Certificate
     decay_exponent: Optional[float] = None
     r1: Optional[float] = None
+
+    @property
+    def weight(self) -> float:
+        """1 - E^2/4 = sin^2(x) (:func:`theorem_weight`)."""
+        return theorem_weight(self.E)
+
+    @property
+    def x(self) -> Optional[float]:
+        """acos(E/2) for E inside (-2, 2), else None."""
+        E = _real(self.E, "E")
+        return math.acos(E / 2.0) if -2.0 < E < 2.0 else None
 
 
 @dataclass(frozen=True)
@@ -138,24 +156,39 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
     return (not rec.certificate.passed, rec.certificate.n_star * rec.certificate.rn_sq)
 
 
+def _all_types(values, cls) -> bool:
+    # one issubclass per type, not an isinstance per value
+    return all(issubclass(t, cls) for t in set(map(type, values)))
+
+
 def _checked_records(records) -> list:
-    """records as a list of EigenvalueRecords whose E and weight are finite
-    real numbers and whose certificate is a Certificate, else
-    ParamOutOfRange."""
+    """records as a list of EigenvalueRecords with a finite real E and a
+    Certificate whose n_star is an integer in the int64 range and whose
+    rn_sq is a real number in the float range (nan and +-inf allowed),
+    else ParamOutOfRange.  So the derived weight, x and certificate.passed
+    never raise."""
     records = _instances(records, EigenvalueRecord, "records")
-    # one check per type and one array, not a check per record: classify
-    # gives one record per energy
-    reals = [r.E for r in records] + [r.weight for r in records]
-    certs = {type(r.certificate) for r in records}
-    ok = (all(issubclass(t, numbers.Real) for t in set(map(type, reals)))
-          and all(issubclass(t, Certificate) for t in certs))
+    certs = _instances([r.certificate for r in records], Certificate,
+                       "certificates")
+    # one check per field and type and one array, not a check per record:
+    # classify gives one record per energy
+    es = [r.E for r in records]
+    n_stars = [c.n_star for c in certs]
+    rn_sqs = [c.rn_sq for c in certs]
+    # passed divides by n_star and compares rn_sq
+    ok = (_all_types(es, numbers.Real)
+          and _all_types(n_stars, numbers.Integral)
+          and _all_types(rn_sqs, numbers.Real)
+          and -2 ** 63 <= min(n_stars, default=0)
+          and max(n_stars, default=0) < 2 ** 63)
     try:
-        ok = ok and np.isfinite(np.array(reals, dtype=float)).all()
+        ok = ok and np.isfinite(
+            np.array(es + rn_sqs, dtype=float)[:len(es)]).all()
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
-        raise ParamOutOfRange("records need a finite real E and weight and "
-                              "a Certificate")
+        raise ParamOutOfRange("records need a finite real E and a Certificate "
+                              "of an int64 n_star and a real rn_sq")
     return records
 
 
@@ -227,11 +260,10 @@ def classify_spectrum(spec: OperatorSpec, energies,
     eligible checkpoint N*, with R measured relative to R(1).  A checkpoint
     is eligible from the hypothesis onset on, the first site from which
     |nu| = |V|/sin x stays below 1/2: before it R may merely dip during a
-    slow rotation.  The recorded (N*, R(N*)^2) pair is the eligible
-    checkpoint with the best margin, so passed <=> rn_sq <= 1/n_star holds
-    for the stored values either way; with no eligible checkpoint it is
-    (0, nan) and the certificate fails.  The decay exponent is fitted over
-    [max(2, N/2), N].
+    slow rotation.  The record stores only the evidence: E, the eligible
+    checkpoint with the best margin and its R(N*)^2, (0, nan) when none
+    is eligible, the decay exponent, fitted over [max(2, N/2), N], and
+    R(1).  Its weight, x and certificate.passed are derived from them.
 
     V is evaluated once, and every onset is found in one backward pass
     over it (``prufer._block_onsets``).
@@ -251,8 +283,8 @@ def classify_spectrum(spec: OperatorSpec, energies,
             f"energies must be an iterable of reals, got {_shown(energies)}") from None
     n = spec.n
     cps = _checked_checkpoints(n, checkpoints)
-    # (x, E, sin x) of SpectralParam.from_energy, without an object each
-    xs, e_x, sin_x = np.array(
+    # (E, sin x) of SpectralParam.from_energy, without an object each
+    _, e_x, sin_x = np.array(
         [_param_fields(math.acos(E / 2.0)) for E in es]).reshape(-1, 3).T
     V = spec.potential.value_array(n)
     fit_lo = max(2, n // 2)
@@ -283,8 +315,8 @@ def classify_spectrum(spec: OperatorSpec, energies,
         ln_rel = ln_r - ln_r[:, :1]
         decay = (_decay_exponents(ln_rel[:, 1 + len(cps):], fit_lo)
                  if fit_sites.size else [None] * k)
-        for x, E, onset, at_cps, ln_r1, dec in zip(
-                xs[at].tolist(), es[at], onsets[at].tolist(),
+        for E, onset, at_cps, ln_r1, dec in zip(
+                es[at], onsets[at].tolist(),
                 ln_rel[:, 1:1 + len(cps)].tolist(), ln_r[:, 0].tolist(), decay):
             best = (None, 0, math.nan)
             for c, v in zip(cps, at_cps):
@@ -300,11 +332,7 @@ def classify_spectrum(spec: OperatorSpec, energies,
             _, n_star, rn_sq = best
             records.append(EigenvalueRecord(
                 E=E,
-                x=x,
-                weight=theorem_weight(E),
-                certificate=Certificate(
-                    n_star=n_star, rn_sq=rn_sq,
-                    passed=n_star > 0 and rn_sq <= 1.0 / n_star),
+                certificate=Certificate(n_star=n_star, rn_sq=rn_sq),
                 decay_exponent=dec,
                 r1=math.exp(ln_r1),
             ))

@@ -104,10 +104,9 @@ def test_check_theorem_negative_control_uncertified():
     # closed form: sum_k sin^2(k pi/101) = 101/2 - 1/2 + 1/2 = 50.5
     jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=0.0), PI / 2, 100))
     eigs = eigenvalues_in_window(jac, (-2.0, 2.0))
-    recs = [EigenvalueRecord(
-        E=float(e), x=None, weight=theorem_weight(e),
-        certificate=Certificate(n_star=100, rn_sq=1.0, passed=False))
-        for e in eigs]
+    recs = [EigenvalueRecord(E=float(e),
+                             certificate=Certificate(n_star=100, rn_sq=1.0))
+            for e in eigs]
     eset = make_eigenvalue_set(recs)
     rep = check_theorem(eset, 0.0, certified_only=False)
     oracle = sum(math.sin(k * PI / 101) ** 2 for k in range(1, 101))
@@ -123,8 +122,7 @@ def test_check_theorem_negative_control_uncertified():
 def test_check_theorem_monotone():
     def rec(e):
         return EigenvalueRecord(
-            E=e, x=None, weight=theorem_weight(e),
-            certificate=Certificate(n_star=10, rn_sq=0.01, passed=True))
+            E=e, certificate=Certificate(n_star=10, rn_sq=0.01))
 
     s1 = make_eigenvalue_set([rec(0.1)])
     s2 = make_eigenvalue_set([rec(0.1), rec(0.7)])
@@ -138,14 +136,32 @@ def test_check_theorem_sums_only_inside_the_band(certified_only):
     # lower the left side
     def rec(e):
         return EigenvalueRecord(
-            E=e, x=None, weight=theorem_weight(e),
-            certificate=Certificate(n_star=10, rn_sq=0.01, passed=True))
+            E=e, certificate=Certificate(n_star=10, rn_sq=0.01))
 
     eset = make_eigenvalue_set([rec(e) for e in (-3.0, -2.0, 0.0, 1.0, 2.0,
                                                  7.0)])
     rep = check_theorem(eset, 0.0, certified_only=certified_only)
     assert rep.lhs == 1.75 and rep.records_used == 2
     assert not rep.satisfied
+
+
+def test_hand_built_records_cannot_contradict_their_evidence():
+    # R(N*)^2 = 5 at N* = 100 fails R(N*)^2 <= 1/N*, and a record's weight
+    # is 1 - E^2/4 of its own E: there is no field that could claim
+    # otherwise
+    failing = EigenvalueRecord(E=0.3, certificate=Certificate(n_star=100,
+                                                              rn_sq=5.0))
+    assert not failing.certificate.passed
+    rep = check_theorem(make_eigenvalue_set([failing]), 1.0)
+    assert rep.records_used == 0 and rep.lhs == 0.0
+    near_edge = EigenvalueRecord(E=1.9, certificate=Certificate(n_star=100,
+                                                                rn_sq=0.001))
+    rep = check_theorem(make_eigenvalue_set([failing, near_edge]), 1.0)
+    assert rep.records_used == 1
+    assert rep.lhs == 1.0 - 1.9 * 1.9 / 4.0
+    assert rep.lhs == pytest.approx(0.0975, rel=1e-12)
+    assert near_edge.x == math.acos(0.95)
+    assert EigenvalueRecord(E=2.5, certificate=failing.certificate).x is None
 
 
 # --- oscillatory sums ------------------------------------------------------
@@ -503,6 +519,11 @@ def test_degenerate_frequencies_rejected():
         prufer_sum_diagnostics(free_trajs([PI / 2], n), n)  # 2x = pi
     with pytest.raises(errors.LengthMismatch):
         prufer_sum_diagnostics(free_trajs([PI / 3], 100), 200)
+    with pytest.raises(errors.LengthMismatch, match="trajectory"):
+        prufer_sum_diagnostics([], n)
+    spec = OperatorSpec(make_potential("coulomb", c=0.0), PI / 2, n)
+    with pytest.raises(errors.LengthMismatch, match="spectral parameter"):
+        lemma_sums(spec, [])
 
 
 # --- weighted space --------------------------------------------------------
@@ -565,6 +586,8 @@ def test_not_unit_vectors_rejected():
     g = WeightedVector(np.ones(10), 1, 11)
     with pytest.raises(errors.NotUnitVectors):
         almost_orthogonality_check(g, [v])
+    with pytest.raises(errors.NotUnitVectors, match="zero vector"):
+        normalize_weighted(WeightedVector(np.zeros(10), 1, 11))
 
 
 def test_precondition_beta_too_large():
@@ -575,6 +598,8 @@ def test_precondition_beta_too_large():
     e2 = normalize_weighted(WeightedVector(bumped, 1, 11))
     with pytest.raises(errors.PreconditionFailed):
         almost_orthogonality_check(e1, [e1, e2])
+    with pytest.raises(errors.PreconditionFailed, match="at least one"):
+        almost_orthogonality_check(e1, [])
 
 
 def test_orthogonality_with_trajectory_vectors():

@@ -603,3 +603,75 @@ def test_values_file_must_be_a_string(value):
                           potential={"family": "table", "values_file": value},
                           phi=1.0, N=10, x_values=[1.0]))
     assert exc.value.field == "potential.values_file"
+
+
+_PRUFER = {"command": "prufer", "potential": {"family": "coulomb"},
+           "phi": 1.0, "N": 10, "x_values": [1.0]}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"potential": {"family": "random_sign", "seed": 1.5}}, "potential.seed"),
+    ({"potential": {"family": "table", "values": [1.0],
+                    "values_file": "t.txt"}}, "potential.values"),
+    # the family needs values: make_potential's error, under the field
+    ({"potential": {"family": "table"}}, "potential"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"command": "bound-check", "checkpoints": [5, 3]}, "checkpoints"),
+], ids=["float-seed", "values-and-values-file", "table-without-values",
+        "output-dir-number", "decreasing-checkpoints"])
+def test_parse_rejects_with_field(changes, field):
+    with pytest.raises(errors.ValidationError) as exc:
+        parse_config(json.dumps({**_PRUFER, **changes}))
+    assert exc.value.field == field
+
+
+def test_parse_rejects_unusable_values_file(tmp_path):
+    def parse(path):
+        with pytest.raises(errors.ValidationError) as exc:
+            parse_config(_cfg(**{**_PRUFER, "potential": {
+                "family": "table", "values_file": str(path)}}))
+        assert exc.value.field == "potential.values_file"
+        return exc.value.reason
+
+    assert parse(tmp_path / "missing.txt").startswith("unreadable")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.5\n# comment\nhalf\n")
+    assert parse(bad) == "line 3 is not a number: 'half'"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"prufer"', "3"])
+def test_parse_rejects_a_config_that_is_not_an_object(text):
+    with pytest.raises(errors.ParseError, match="JSON object"):
+        parse_config(text)
+
+
+def test_unreadable_config_path_exits_1(tmp_path, capsys):
+    assert main([str(tmp_path / "missing.json"), "--quiet"]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_output_dir_option_overrides_the_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(_cfg(**_PRUFER, output_dir=str(tmp_path / "config_dir")))
+    assert main([str(path), "--quiet", "--output-dir",
+                 str(tmp_path / "option_dir")]) == 0
+    assert (tmp_path / "option_dir" / "report.json").is_file()
+    assert not (tmp_path / "config_dir").exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_progress_lines_without_quiet(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "o"
+    common = {"potential": {"family": "coulomb", "c": 0.0}, "phi": PI / 2,
+              "N": 5, "window": [-2.0, 2.0], "output_dir": str(out)}
+    path.write_text(_cfg(command="spectrum", **common))
+    assert main([str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "spectrum: 5 eigenvalues in window",
+        f"report written to {out / 'report.json'}"]
+    path.write_text(_cfg(command="bound-check", C=0.0, **common))
+    assert main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "bound-check: lhs=0 rhs=1 satisfied=True"
+    assert lines[1] == f"report written to {out / 'report.json'}"

@@ -182,11 +182,11 @@ _P = SpectralParam.from_x(1.0)
 _TRAJ = evolve_trajectory(_SPEC, _P)
 _SOL = solve_recurrence(_SPEC, _P)
 _SPEC5 = OperatorSpec(make_potential("coulomb", c=1.0), 1.0, 5)
-_CERT = Certificate(n_star=100, rn_sq=0.001, passed=True)
+_CERT = Certificate(n_star=100, rn_sq=0.001)
 
 
-def _record(E=0.5, weight=0.9375, certificate=_CERT):
-    return EigenvalueRecord(E=E, x=None, weight=weight, certificate=certificate)
+def _record(E=0.5, certificate=_CERT):
+    return EigenvalueRecord(E=E, certificate=certificate)
 
 # library objects of the wrong type: a spec, parameters, trajectories or a
 # Jacobi diagonal that is not a 1-D real array
@@ -240,15 +240,30 @@ WRONG_TYPE_CALLS = {
         lambda: PruferTrajectory(np.zeros(6), np.zeros(6), np.zeros((6, 1)), _P),
     "trajectory-float-param":
         lambda: PruferTrajectory(np.zeros(6), np.zeros(6), np.zeros(6), 1.0),
-    # records whose E or weight is no real number, or with no Certificate
+    # records whose E is no real number, with no Certificate, or whose
+    # certificate holds no integer n_star or no real rn_sq
     "make_eigenvalue_set-text-E":
         lambda: make_eigenvalue_set([_record(E="a"), _record()]),
-    "make_eigenvalue_set-text-weight":
-        lambda: make_eigenvalue_set([_record(weight="a")]),
     "make_eigenvalue_set-no-certificate":
         lambda: make_eigenvalue_set([_record(certificate=None)]),
-    "check_theorem-text-weight":
-        lambda: check_theorem(EigenvalueSet((_record(weight="a"),)), 1.0),
+    "make_eigenvalue_set-text-n_star":
+        lambda: make_eigenvalue_set([_record(
+            certificate=Certificate(n_star="a", rn_sq=0.001))]),
+    "make_eigenvalue_set-float-n_star":
+        lambda: make_eigenvalue_set([_record(
+            certificate=Certificate(n_star=100.0, rn_sq=0.001))]),
+    "make_eigenvalue_set-text-rn_sq":
+        lambda: make_eigenvalue_set([_record(
+            certificate=Certificate(n_star=100, rn_sq="a"))]),
+    "check_theorem-text-n_star":
+        lambda: check_theorem(EigenvalueSet((_record(
+            certificate=Certificate(n_star="a", rn_sq=0.001)),)), 1.0),
+    "check_theorem-float-n_star":
+        lambda: check_theorem(EigenvalueSet((_record(
+            certificate=Certificate(n_star=100.0, rn_sq=0.001)),)), 1.0),
+    "check_theorem-text-rn_sq":
+        lambda: check_theorem(EigenvalueSet((_record(
+            certificate=Certificate(n_star=100, rn_sq="a")),)), 1.0),
     "check_theorem-no-certificate":
         lambda: check_theorem(EigenvalueSet((_record(certificate=None),)), 1.0),
     "check_theorem-float-record":
@@ -427,28 +442,27 @@ DOMAIN_CALLS = {
     "make_eigenvalue_set-nan-E":
         (lambda: make_eigenvalue_set([_record(), _record(E=math.nan)]),
          errors.ParamOutOfRange),
-    "make_eigenvalue_set-inf-weight":
-        (lambda: make_eigenvalue_set([_record(weight=math.inf)]),
-         errors.ParamOutOfRange),
     "make_eigenvalue_set-huge-int-E":
         (lambda: make_eigenvalue_set([_record(E=10 ** 400)]),
          errors.ParamOutOfRange),
-    "check_theorem-nan-weight":
-        (lambda: check_theorem(EigenvalueSet((_record(weight=math.nan),)), 1.0),
+    "check_theorem-inf-E":
+        (lambda: check_theorem(EigenvalueSet((_record(E=math.inf),)), 1.0),
          errors.ParamOutOfRange),
-    "check_theorem-inf-weight":
-        (lambda: check_theorem(EigenvalueSet((_record(weight=math.inf),)), 1.0),
+    # n_star beyond int64: 1.0 / n_star would raise OverflowError
+    "make_eigenvalue_set-huge-int-n_star":
+        (lambda: make_eigenvalue_set([_record(
+            certificate=Certificate(n_star=10 ** 400, rn_sq=0.0))]),
          errors.ParamOutOfRange),
-    # finite weights whose sum leaves the float range
-    "check_theorem-overflowing-lhs":
-        (lambda: check_theorem(EigenvalueSet((_record(E=0.5, weight=1e308),
-                                              _record(E=0.6, weight=1e308))),
-                               1.0),
-         errors.Overflow),
-    "check_theorem-overflowing-margin":
-        (lambda: check_theorem(EigenvalueSet((_record(weight=-1.7e308),)),
-                               1.3e154),
-         errors.Overflow),
+    # a numpy n_star made np.int64 * 10**400 raise OverflowError
+    "check_theorem-huge-int-rn_sq":
+        (lambda: check_theorem(EigenvalueSet((_record(
+            certificate=Certificate(n_star=np.int64(100), rn_sq=10 ** 400)),)),
+            1.0),
+         errors.ParamOutOfRange),
+    "check_theorem-n_star-beyond-int64":
+        (lambda: check_theorem(EigenvalueSet((_record(
+            certificate=Certificate(n_star=2 ** 63, rn_sq=0.0)),)), 1.0),
+         errors.ParamOutOfRange),
 }
 
 

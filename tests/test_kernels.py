@@ -1,6 +1,7 @@
 """Kernels against independent references: plain-Python loops of the
 rescaled recurrences, an extended-precision recurrence, and each other."""
 
+import importlib.util
 import itertools
 import math
 import time
@@ -590,3 +591,11 @@ def test_sturm_count_windows_match_whole_row_driver(n):
     shifts = np.array([2.0, 0.0, 39.5, 40.0, 41.2])
     got = _kernels.sturm_counts(d, shifts)
     assert got.tolist() == _whole_row_sturm(d, shifts).tolist()
+
+
+def test_missing_scipy_extension_names_the_directory():
+    with pytest.raises(ImportError) as exc:
+        _kernels._scipy_linalg_extension("_no_such")
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    assert "_no_such" in str(exc.value)
+    assert all(directory in str(exc.value) for directory in where)

@@ -212,6 +212,19 @@ def test_prufer_step_right_angle():
         assert ratio == pytest.approx(1 + nu * nu, rel=1e-12)
 
 
+def test_prufer_step_on_arrays_equals_scalar_calls():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-10.0, 10.0, 64)
+    nu = rng.uniform(-3.0, 3.0, 64)
+    nu[:4] = (0.0, 0.5, -0.5, 1.0)
+    ratio, nxt = prufer_step(theta, nu, 1.1)
+    assert isinstance(ratio, np.ndarray) and isinstance(nxt, np.ndarray)
+    for j in range(theta.size):
+        # bit for bit: the same operations, one element at a time
+        assert (float(ratio[j]), float(nxt[j])) == prufer_step(
+            float(theta[j]), float(nu[j]), 1.1)
+
+
 def test_prufer_step_reproduces_trajectory():
     # cross-implementation oracle: stepping (R, theta) analytically must
     # match the transformation of the directly-evolved solution

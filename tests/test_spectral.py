@@ -326,8 +326,8 @@ def test_certificate_survives_overflowing_growth():
     # R(N)/R(1) ~ e^2000 before the onset at n ~ 4000: past the float range
     spec = OperatorSpec(make_potential("coulomb", c=2000.0), 1.0, 10 ** 4)
     rec = classify_point_spectrum(spec, 0.0)
-    assert rec.certificate == Certificate(n_star=10 ** 4, rn_sq=math.inf,
-                                          passed=False)
+    assert rec.certificate == Certificate(n_star=10 ** 4, rn_sq=math.inf)
+    assert not rec.certificate.passed
 
 
 def test_classify_n2_has_no_decay_fit():
@@ -368,9 +368,7 @@ def _classify_reference(spec, E, checkpoints=None):
         y = ln_rel[fit_lo:]
         decay = -float(np.sum(t_c * (y - y.mean())) / np.sum(t_c * t_c))
     return EigenvalueRecord(
-        E=float(E), x=param.x, weight=spectral.theorem_weight(E),
-        certificate=Certificate(n_star=n_star, rn_sq=rn_sq,
-                                passed=n_star > 0 and rn_sq <= 1.0 / n_star),
+        E=float(E), certificate=Certificate(n_star=n_star, rn_sq=rn_sq),
         decay_exponent=decay, r1=traj.r1)
 
 
@@ -412,6 +410,13 @@ def test_classify_spectrum_matches_one_energy_route(pot, phi, n, es, cps):
     got = classify_spectrum(spec, es, cps)
     assert got == [classify_point_spectrum(spec, E, cps) for E in es]
     assert got == [_classify_reference(spec, E, cps) for E in es]
+    # the derived fields, against the rule and formulas written out
+    for rec in got:
+        cert = rec.certificate
+        assert cert.passed == (cert.n_star > 0
+                               and cert.rn_sq <= 1.0 / cert.n_star)
+        assert rec.weight == 1.0 - rec.E * rec.E / 4.0
+        assert rec.x == math.acos(rec.E / 2.0)
 
 
 def test_classify_spectrum_validates_inputs():
@@ -422,6 +427,10 @@ def test_classify_spectrum_validates_inputs():
             classify_spectrum(spec, es)
     with pytest.raises(errors.ParamOutOfRange):
         classify_spectrum(spec, [], checkpoints=[1])
+    with pytest.raises(errors.ParamOutOfRange, match="iterable of integers"):
+        classify_spectrum(spec, [0.5], checkpoints=100)
+    with pytest.raises(errors.ParamOutOfRange, match="at least one checkpoint"):
+        classify_spectrum(spec, [0.5], checkpoints=[])
 
 
 def test_classify_many_energies_stays_cheap():
@@ -599,14 +608,14 @@ def test_resonance_construct_is_one_backward_pass(monkeypatch):
 
 
 def test_eigenvalue_set_merges_duplicates():
-    def rec(e, passed, margin):
+    def rec(e, margin):
+        # passed <=> margin = N* R(N*)^2 <= 1
         return EigenvalueRecord(
-            E=e, x=None, weight=1 - e * e / 4,
-            certificate=Certificate(n_star=100, rn_sq=margin / 100, passed=passed))
+            E=e, certificate=Certificate(n_star=100, rn_sq=margin / 100))
 
-    a = rec(0.5, False, 2.0)
-    b = rec(0.5 + 1e-10, True, 0.5)
-    c = rec(0.9, False, 3.0)
+    a = rec(0.5, 2.0)
+    b = rec(0.5 + 1e-10, 0.5)
+    c = rec(0.9, 3.0)
     eset = make_eigenvalue_set([c, a, b])
     assert len(eset.records) == 2
     assert eset.records[0].certificate.passed  # kept the better certificate

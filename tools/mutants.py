@@ -73,8 +73,8 @@ MUTANTS = (
         ("tests/test_cli.py::test_envelope_range_next_to_c_is_rejected",)),
     Mutant(
         "certificate-rule-loosened", "src/efgp/spectral.py",
-        "passed=n_star > 0 and rn_sq <= 1.0 / n_star",
-        "passed=n_star > 0 and rn_sq <= 4.0 / n_star",
+        "return n_star > 0 and rn_sq <= 1.0 / n_star",
+        "return n_star > 0 and rn_sq <= 4.0 / n_star",
         ("tests/test_spectral.py::test_classify_spectrum_matches_one_energy_route",
          "tests/test_spectral.py::test_certificate_waits_for_hypothesis_onset",
          "tests/test_spectral.py::test_certificate_threshold_is_one_over_n_star")),
@@ -181,10 +181,28 @@ MUTANTS = (
          "test_out_of_domain_arguments_rejected[solution-nan-u]",)),
     Mutant(
         "record-finiteness-unchecked", "src/efgp/spectral.py",
-        "ok = ok and np.isfinite(np.array(reals, dtype=float)).all()",
-        "ok = ok and np.array(reals, dtype=float).size >= 0",
+        "ok = ok and np.isfinite(",
+        "ok = ok and np.isreal(",
         ("tests/test_error_contract.py::"
-         "test_out_of_domain_arguments_rejected[check_theorem-nan-weight]",)),
+         "test_out_of_domain_arguments_rejected[make_eigenvalue_set-nan-E]",
+         "tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[check_theorem-inf-E]")),
+    Mutant(
+        "derived-weight-constant", "src/efgp/spectral.py",
+        "return theorem_weight(self.E)",
+        "return 1.0",
+        ("tests/test_analysis.py::test_check_theorem_sums_only_inside_the_band",)),
+    Mutant(
+        "certificate-fields-unchecked", "src/efgp/spectral.py",
+        "          and _all_types(n_stars, numbers.Integral)\n"
+        "          and _all_types(rn_sqs, numbers.Real)\n"
+        "          and -2 ** 63 <= min(n_stars, default=0)\n"
+        "          and max(n_stars, default=0) < 2 ** 63)",
+        ")",
+        ("tests/test_error_contract.py::"
+         "test_wrong_library_types_rejected[make_eigenvalue_set-text-n_star]",
+         "tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[check_theorem-n_star-beyond-int64]")),
     Mutant(
         "kernels-import-scipy-linalg", "src/efgp/_kernels.py",
         'dtbsv = _scipy_linalg_extension("_fblas").dtbsv',
