@@ -68,7 +68,9 @@ def _real(v, name: str) -> float:
     +-inf, or an integer beyond the float range (whose digits the message
     does not show).  This is the one finiteness check of real arguments."""
     try:
-        x = float(v) if isinstance(v, numbers.Real) else math.nan
+        # float and int first: the numbers.Real check alone takes about
+        # 0.4 us, and a record's weight and x pass here once per read
+        x = float(v) if isinstance(v, (float, int, numbers.Real)) else math.nan
     except OverflowError:
         raise ParamOutOfRange(
             f"{name} must be finite, got an integer beyond the float range") from None
