@@ -22,6 +22,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 from typing import Optional
 
@@ -277,15 +278,17 @@ def parse_config(text: str) -> ExperimentConfig:
 # output helpers
 # --------------------------------------------------------------------------
 
-# the text of every value of a column, by the one type its values share
+# the text of every value of a column, by the one type its values share;
+# a column of texts is written as it is
 _FORMATTERS = {float: float.__repr__, int: int.__repr__,
-               bool: ("false", "true").__getitem__}
+               bool: ("false", "true").__getitem__, str: str}
 
 
 def _write_csv(path: Path, names, columns, stamp: str):
     """A stamp line, the header ``names`` and one line per row of the
     equal-length ``columns``.  The values of a column are all float, all
-    int or all bool, and are written by that type's _FORMATTERS entry."""
+    int, all bool or all str, and are written by that type's _FORMATTERS
+    entry."""
     # empty columns (no rows) have no type to look up
     rows = zip(*(map(_FORMATTERS[type(col[0])], col)
                  for col in columns if len(col)))
@@ -293,29 +296,105 @@ def _write_csv(path: Path, names, columns, stamp: str):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class _Encoded(str):
+    """JSON text as _json_text writes it at depth 0; _json_text indents it
+    to where it lands.  Its only raw newlines are its line breaks, since a
+    JSON string escapes its own."""
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` for obj
+    on a line that begins with ``pad``, a newline and an indent; obj's
+    items go on lines indented two spaces more.
+
+    The leaves are written by json's own C string quoting and by
+    ``int.__repr__`` and ``float.__repr__``, so int and float subclasses
+    are written as json writes them.  TypeError where json.dumps raises it,
+    and on a dict key that is not a str."""
+    if isinstance(obj, str):
+        return obj.replace("\n", pad) if type(obj) is _Encoded else _quoted(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be str")
+        items = [_quoted(k) + ": " + _json_text(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(_json_text(obj) + "\n", encoding="utf-8")
 
 
-def _record_fields(rec: spectral.EigenvalueRecord) -> dict:
-    """The reported fields of a record, None where it has none (x and r1
-    outside (-2, 2), decay_exponent without a fit window)."""
-    cert = rec.certificate
-    return {"E": rec.E, "weight": rec.weight, "x": rec.x,
-            "certificate_N": cert.n_star, "certificate_RNsq": cert.rn_sq,
-            "certificate_passed": cert.passed,
-            "decay_exponent": rec.decay_exponent, "r1": rec.r1}
+# a record's reported fields: spectrum.csv's columns, then r1, which only
+# report.json holds
+_RECORD_KEYS = ("E", "weight", "x", "certificate_N", "certificate_RNsq",
+                "certificate_passed", "decay_exponent", "r1")
+_SPECTRUM_COLS = _RECORD_KEYS[:7]
+# the column texts of the non-finite floats, and their report.json text
+# (strict JSON has no NaN/Infinity tokens)
+_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
+# the _RECORD_KEYS indices in report.json's (sorted) key order
+_JSON_ORDER = sorted(range(len(_RECORD_KEYS)), key=_RECORD_KEYS.__getitem__)
+# one record object of report.json's records list, %s for each value
+_RECORD_ROW = _json_text(dict.fromkeys(_RECORD_KEYS, _Encoded("%s")), "\n  ")
 
 
-def _json_fields(fields: dict) -> dict:
-    # strict JSON has no NaN/Infinity tokens: non-finite floats become null
-    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in fields.items()}
+def _record_texts(records) -> tuple:
+    """The records' fields, one column per _RECORD_KEYS entry, as values
+    and as their _FORMATTERS texts.  A value is nan where a record has
+    none (x and r1 outside (-2, 2), decay_exponent without a fit window)."""
+    certs = [r.certificate for r in records]
+    columns = [[r.E for r in records], [r.weight for r in records],
+               [math.nan if v is None else v for v in (r.x for r in records)],
+               [c.n_star for c in certs], [c.rn_sq for c in certs],
+               [c.passed for c in certs],
+               [math.nan if r.decay_exponent is None else r.decay_exponent
+                for r in records],
+               [math.nan if r.r1 is None else r.r1 for r in records]]
+    return columns, [list(map(_FORMATTERS[type(col[0])], col)) if col else []
+                     for col in columns]
 
 
-_SPECTRUM_COLS = ("E", "weight", "x", "certificate_N", "certificate_RNsq",
-                  "certificate_passed", "decay_exponent")
+def _record_dicts(columns, texts) -> list:
+    """The records of the report: None where a value is not finite."""
+    return [dict(zip(_RECORD_KEYS, row)) for row in zip(*(
+        [None if t in _NONFINITE else v for v, t in zip(col, tcol)]
+        for col, tcol in zip(columns, texts)))]
+
+
+def _write_spectrum(path: Path, records, stamp: str) -> tuple:
+    """Write spectrum.csv of records; return them as report dicts and as
+    report.json's records list (an _Encoded text).  Each value is
+    formatted once, and both files are written from that text."""
+    columns, texts = _record_texts(records)
+    _write_csv(path, _SPECTRUM_COLS, texts[:len(_SPECTRUM_COLS)], stamp)
+    rows = zip(*(map(_NONFINITE.get, texts[i], texts[i])
+                 for i in _JSON_ORDER))
+    body = ",\n  ".join(map(_RECORD_ROW.__mod__, rows))
+    return (_record_dicts(columns, texts),
+            _Encoded(f"[\n  {body}\n]" if body else "[]"))
 
 
 class _Stages:
@@ -372,6 +451,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             print(msg)
 
     payload: dict = {}
+    records_json = None
 
     if cfg.command in ("spectrum", "bound-check"):
         spec = OperatorSpec(cfg.potential, cfg.phi, cfg.n)
@@ -396,11 +476,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             report = stages.run("check_theorem", analysis.check_theorem,
                                 eset, c_used, cfg.certified_only)
         # written only once every stage has succeeded
-        fields = [_record_fields(r) for r in eset.records]
-        _write_csv(out_dir / "spectrum.csv", _SPECTRUM_COLS,
-                   [[math.nan if f[k] is None else f[k] for f in fields]
-                    for k in _SPECTRUM_COLS], stamp)
-        record_dicts = [_json_fields(f) for f in fields]
+        record_dicts, records_json = _write_spectrum(
+            out_dir / "spectrum.csv", eset.records, stamp)
         if report is None:
             note(f"spectrum: {len(energies)} eigenvalues in window")
             payload = {"count": len(record_dicts), "records": record_dicts}
@@ -463,7 +540,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
                           "c": res.potential.amplitude,
                           "omega": res.potential.omega,
                           "delta": res.potential.delta},
-            "record": _json_fields(_record_fields(record)),
+            "record": _record_dicts(*_record_texts([record]))[0],
             "bound": bound.to_json_dict(),
         }
         note(f"construct: fitted exponent {res.fitted_exponent:.4f} "
@@ -481,7 +558,9 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
         "payload": payload,
         "exit_code": exit_code,
     }
-    _write_json(out_dir / "report.json", report)
+    # report.json's records are the texts spectrum.csv was written from
+    _write_json(out_dir / "report.json", report if records_json is None else
+                {**report, "payload": {**payload, "records": records_json}})
     return report
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efgp import (
     OperatorSpec,
@@ -20,7 +22,14 @@ from efgp import (
     evolve_trajectory,
     make_potential,
 )
-from efgp.cli import MAX_N, _write_csv, main, parse_config, run
+from efgp.cli import (
+    MAX_N,
+    _json_text,
+    _write_csv,
+    main,
+    parse_config,
+    run,
+)
 
 PI = math.pi
 
@@ -326,9 +335,11 @@ def _fmt_row_wise(v) -> str:
     return str(v)
 
 
-# values of the types the writers meet, with nan, +-inf and -0.0
+# values of the types the writers meet, with nan, +-inf and -0.0, and
+# texts, which spectrum.csv's columns are
 _CELLS = [True, False, 0, -7, 2 ** 70, -(2 ** 63),
-          0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+          0.1, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
+          "0.5", "nan", "-inf"]
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 12])
@@ -344,6 +355,112 @@ def test_csv_columns_match_row_wise_formatting(tmp_path, n_rows):
         ",".join(_fmt_row_wise(v) for v in row) for row in zip(*columns)]) + "\n"
     _write_csv(tmp_path / "t.csv", names, columns, "stamp")
     assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+
+
+_TEXTS = st.one_of(
+    st.sampled_from(['"', "\\", '\\"', "\n", "\x00", "\x1f", "\x7f", "é",
+                     "\u2028", "\ud800", "😀", "", "nan"]),
+    st.text(st.characters(exclude_categories=())))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([2 ** 70, -2 ** 63, 0]), st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+    st.floats(), st.floats().map(np.float64), _TEXTS)
+
+
+def _trees(leaves):
+    # nested dicts, lists and tuples, empty ones at every depth
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.tuples(kids, kids),
+        st.dictionaries(_TEXTS, kids, max_size=4)), max_leaves=20)
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_trees(_LEAVES))
+@example({"b": [], "a": {"d": {}, "c": [[], (), {}]}, "": ()})
+@example([np.float64(0.0), np.float64("nan"), np.float64(-1e300)])
+@example({"x": [1, 2.5, [True, None], {"é\n": "\"\\"}]})
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == _dumps(tree)
+
+
+# leaves json.dumps rejects (np.int64 is no int subclass)
+_BAD_LEAVES = st.sampled_from([np.int64(3), np.bool_(True), {1, 2},
+                               frozenset(), b"bytes", object()])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_trees(st.one_of(_LEAVES, _BAD_LEAVES)))
+@example({"a": [np.int64(-2 ** 63)]})
+def test_json_writer_raises_type_error_where_json_dumps_does(tree):
+    try:
+        want = _dumps(tree)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_text(tree)
+    else:
+        assert _json_text(tree) == want
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+def test_json_writer_rejects_keys_that_are_not_str(key):
+    with pytest.raises(TypeError):
+        _json_text({"a": [{key: 1}]})
+
+
+def _reencoded(text):
+    # what json writes for the value the text holds
+    return _dumps(json.loads(text)) + "\n"
+
+
+def test_report_json_records_match_spectrum_csv(tmp_path):
+    # a window past the band lists records with null x, r1 and R(N*)^2,
+    # and the x values add in-band candidates to the window's
+    out = tmp_path / "o"
+    report = run(parse_config(_cfg(
+        command="bound-check", potential={"family": "coulomb", "c": 5.0},
+        phi=PI / 2, N=50, window=[-4.0, 6.0], x_values=[0.5, 1.5, 3.0],
+        output_dir=str(out))))
+    text = (out / "report.json").read_text()
+    assert text == _reencoded(text)
+    assert report == json.loads(text)
+    records = report["payload"]["records"]
+    assert sum(r["x"] is None for r in records) == 9
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    names = lines[1].split(",")
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        for name, cell in zip(names, row, strict=True):
+            value = rec[name]
+            if value is None:
+                assert cell in ("nan", "inf", "-inf"), (name, cell)
+            else:
+                assert cell == json.dumps(value), (name, cell, value)
+
+
+def test_diagnostics_json_is_json_dumps_text(tmp_path):
+    out = tmp_path / "o"
+    report = run(parse_config(_cfg(
+        command="lemma-sums", potential={"family": "coulomb", "c": 1.0},
+        phi=PI / 2, N=3000, x_values=[PI / 3, PI / 4],
+        output_dir=str(out))))
+    text = (out / "diagnostics.json").read_text()
+    assert text == _reencoded(text)
+    assert json.loads(text)["c1"] == report["payload"]["c1"]
+    text = (out / "report.json").read_text()
+    assert text == _reencoded(text)
+
+
+def test_committed_diagnostics_reencode_to_the_same_bytes():
+    path = (Path(__file__).resolve().parent.parent / "results"
+            / "lemma-sums-1e8" / "diagnostics.json")
+    text = path.read_text(encoding="utf-8")
+    assert _json_text(json.loads(text)) + "\n" == text
 
 
 def test_report_json_stable_and_versioned(tmp_path):

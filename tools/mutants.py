@@ -220,6 +220,28 @@ MUTANTS = (
         "if False:",
         ("tests/test_spectral.py::"
          "test_window_lapack_failure_is_no_convergence",)),
+    Mutant(
+        "json-keys-unsorted", "src/efgp/cli.py",
+        "for k in sorted(obj)]",
+        "for k in obj]",
+        ("tests/test_cli.py::test_json_writer_matches_json_dumps",
+         "tests/test_cli.py::test_report_json_records_match_spectrum_csv")),
+    Mutant(
+        "json-float-subclass-rejected", "src/efgp/cli.py",
+        "if isinstance(obj, float):",
+        "if type(obj) is float:",
+        ("tests/test_cli.py::test_json_writer_matches_json_dumps",)),
+    Mutant(
+        "record-nonfinite-not-null", "src/efgp/cli.py",
+        "map(_NONFINITE.get, texts[i], texts[i])",
+        "iter(texts[i])",
+        ("tests/test_cli.py::test_report_json_records_match_spectrum_csv",
+         "tests/test_cli.py::test_report_json_strict_with_out_of_band_records")),
+    Mutant(
+        "record-json-key-order", "src/efgp/cli.py",
+        "_JSON_ORDER = sorted(range(len(_RECORD_KEYS)), key=_RECORD_KEYS.__getitem__)",
+        "_JSON_ORDER = range(len(_RECORD_KEYS))",
+        ("tests/test_cli.py::test_report_json_records_match_spectrum_csv",)),
 )
 
 
