@@ -23,15 +23,16 @@ needs to hold a pair array as long as the lattice.  Every window is written
 to the front of one buffer, the caller's or the driver's own.  It reads W
 one window at a time, from an array or a function of the site range, forms
 the couplings W(k) - E_b itself and solves on band buffers allocated once
-per call.  It serves the forward Prufer evolution (W = V), the backward
-resonant launch (W(k) = V(M + 1 - k) on the mirrored sites, one block,
-keeping its last window, the sites it returns) and Sturm counts (W = the
-diagonal, one block per shift).  ``analysis.lemma_sums`` consumes its
-windows as they come and passes ``Potential.values``, so besides block
-buffers no array is as long as the lattice.
+per call; the band's buffer ends in a contiguous stretch for |solution|,
+which the rescale test reads.  It serves the forward Prufer evolution
+(W = V), the backward resonant launch (W(k) = V(M + 1 - k) on the mirrored
+sites, one block, keeping its last window, the sites it returns) and Sturm
+counts (W = the diagonal, one block per shift).  ``analysis.lemma_sums``
+consumes its windows as they come and passes ``Potential.values``, so
+besides block buffers no array is as long as the lattice.
 ``spectral.classify_spectrum`` runs one call per group of energies, each
 storing into a slice of one pair buffer that it allocates once for all its
-groups.
+groups and reads in place.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -179,11 +180,12 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     (:func:`_band`, :func:`_solve`) advances every block still short of the
     window end by one chunk, of at most about _CHUNK rows in all; its band
     and solution live in buffers allocated once per call, and |solution|
-    in the band's diagonal 0, which BLAS never reads.  The couplings
-    V(n) - E_b of a chunk are formed in one place: from a slice of the
-    window's V when every block is at one site, else from sites clipped to
-    the window, with a zero filler past a block's end.  A block's chunk is
-    cut at its first site whose max(|u(n)|, |u(n-1)|) leaves
+    in a contiguous stretch after the band in the band's buffer, so the
+    test whether every pair stays inside the band reads it at unit stride.
+    The couplings V(n) - E_b of a chunk are formed in one place: from a
+    slice of the window's V when every block is at one site, else from
+    sites clipped to the window, with a zero filler past a block's end.  A
+    block's chunk is cut at its first site whose max(|u(n)|, |u(n-1)|) leaves
     [_RESCALE_LO, _RESCALE_HI] (unless it is 0; at n = N only if it is
     inf), or one site earlier if it is inf; the pair there is stored,
     divided by that maximum, and the block's next chunk, a quarter longer
@@ -212,7 +214,8 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     # of one solve at most max(_CHUNK, nb) of them, plus two rows each
     offsets = np.arange(max(min(_CHUNK, widest), nb) + 1)
     rows_max = min(max(_CHUNK, nb), nb * widest) + 2 * nb
-    band_buf, y_buf = np.empty(3 * rows_max), np.empty(rows_max)
+    # the band, then |solution| in a contiguous stretch of the same buffer
+    band_buf, y_buf = np.empty(4 * rows_max), np.empty(rows_max)
     band = np.empty((0, 0, 3))
     buf = np.empty((3, nb, widest)) if out is None else out
     grow = _CHUNK  # sets the next chunk length
@@ -262,7 +265,8 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
                 i += int(over[i:-1].argmax()) + 1
                 y[i:] = _solve(band[i:], b[i:], a[i:], y[i:])
                 over[i:] = ~np.isfinite(y[i:, -1])
-            ay = np.abs(y, out=band[..., 0])  # diagonal 0 is never read
+            # the last y.size entries of band_buf lie past the band
+            ay = np.abs(y, out=band_buf[-y.size:].reshape(y.shape))
             rows = offsets[:n_act]
             if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:
                 # every pair stays inside the band: no block is cut

@@ -47,8 +47,8 @@ from .operators import (OperatorSpec, _instance, _instances, _int, _real,
 from .prufer import (
     PruferTrajectory,
     SpectralParam,
-    _block_onsets,
     _Lift,
+    _potential_onsets,
     boundary_values,
     common_onset,
 )
@@ -432,9 +432,10 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
 
     The lemma reads only theta, so no radius is formed, and no array as
     long as the lattice is held: V is read block by block
-    (``spec.potential.values``), at most twice.  A first pass runs back
-    from site N in blocks of _kernels._BLOCK sites until every onset is
-    found (``prufer._block_onsets``).  Then, per block of _kernels._BLOCK
+    (``spec.potential.values``), at most twice.  A first pass finds every
+    onset from the sites before the envelope bound |V(n)| <= |c|/n falls
+    below every sin x / 2 (``prufer._potential_onsets``), a few sites on
+    the usual potentials.  Then, per block of _kernels._BLOCK
     sites from site 1, every parameter advances as one block of the
     streamed driver (``_kernels._forward_windows``), which reads the
     block's V and forms V - E itself, all the angles are lifted in one
@@ -452,7 +453,7 @@ def lemma_sums(spec: OperatorSpec, params) -> SumDiagnostics:
     _check_frequencies([p.x for p in params])
     n, width = spec.n, _kernels._BLOCK
     values = spec.potential.values
-    onsets = _block_onsets(values, n, [p.sin_x for p in params])
+    onsets = _potential_onsets(spec.potential, n, [p.sin_x for p in params])
     n0, hyp_ok = max([1] + onsets.tolist()), bool(onsets.all())
     ends = _kernels._ends(0, n, width)
     windows = _kernels._forward_windows(values, [p.E for p in params],

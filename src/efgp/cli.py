@@ -413,14 +413,16 @@ class _Stages:
             self.timings[name] = time.perf_counter() - t0
 
 
-def _classify_records(spec, energies, checkpoints):
-    """Records in input order; energies outside (-2, 2) stay uncertified."""
+def _classify_set(spec, energies, checkpoints):
+    """The eigenvalue set of the energies' records; energies outside
+    (-2, 2) stay uncertified."""
     inside = iter(spectral.classify_spectrum(
         spec, [E for E in energies if -2.0 < E < 2.0], checkpoints))
-    return [next(inside) if -2.0 < E < 2.0 else spectral.EigenvalueRecord(
-        E=float(E), certificate=spectral.Certificate(n_star=0,
-                                                     rn_sq=float("nan")))
-        for E in energies]
+    return spectral.make_eigenvalue_set([
+        next(inside) if -2.0 < E < 2.0 else spectral.EigenvalueRecord(
+            E=float(E), certificate=spectral.Certificate(n_star=0,
+                                                         rn_sq=float("nan")))
+        for E in energies])
 
 
 # --------------------------------------------------------------------------
@@ -462,9 +464,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
             eigs = stages.run("bisection", spectral.eigenvalues_in_window,
                               jac, cfg.window)
             energies.extend(float(v) for v in eigs)
-        records = stages.run("classify", _classify_records, spec, energies,
-                             cfg.checkpoints)
-        eset = spectral.make_eigenvalue_set(records)
+        eset = stages.run("classify", _classify_set, spec, energies,
+                          cfg.checkpoints)
         report = None
         if cfg.command == "bound-check":
             if cfg.C is not None:

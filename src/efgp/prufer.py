@@ -509,6 +509,29 @@ def _block_onsets(values, n: int, sin_x):
     return onsets
 
 
+def _potential_onsets(potential, n: int, sin_x):
+    """:func:`_block_onsets` of the Potential's V(1..N), read only where an
+    onset can lie.
+
+    Past its explicit values every family has |V(n)| <= fl(|c|/n): c/n up
+    to sign, or fl(c sin(.))/n with |fl(c sin(.))| <= |c|, or 0 before its
+    onset, and rounding is monotone.  So with m the first site where
+    fl(|c|/m) < min(sin x)/2, every site after H = max(len(table), m - 1)
+    passes for every sin x: only V(1..H) is read, and an onset 0 there
+    (site H fails) is H + 1.  H >= N reads V(1..N), and so does an m that
+    fails its check.
+    """
+    c, half = abs(potential.amplitude), min(sin_x) / 2.0
+    # m = floor(c / half) + 1 up to the rounding of c / half, checked
+    m = int(min(c / half, n)) + 1
+    m += not c / m < half
+    h = max(len(potential.table), m - 1) if c / m < half else n
+    onsets = _block_onsets(potential.values, min(h, n), sin_x)
+    if h < n:
+        onsets[onsets == 0] = h + 1
+    return onsets
+
+
 def _onsets(V, sin_x):
     """:func:`_block_onsets` of the values V(1..N) held in V."""
     return _block_onsets(lambda n_lo, n_hi: V[n_lo - 1:n_hi], V.shape[0], sin_x)

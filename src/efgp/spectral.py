@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -218,19 +219,25 @@ def default_checkpoints(n: int) -> list:
     return [q for q in pts if 2 <= q <= n]
 
 
-def _decay_exponents(ln_r: np.ndarray, n_lo: int) -> list:
+def _centred_log_sites(n_lo: int, n_hi: int) -> tuple:
+    """(t_c, tt) of the decay fit over the sites n_lo..n_hi: t_c = t - mean(t)
+    for t = ln n, and tt = sum(t_c^2), the same for every row fitted."""
+    t = np.log(np.arange(n_lo, n_hi + 1))
+    t_c = t - t.mean()
+    return t_c, np.sum(t_c * t_c)
+
+
+def _decay_exponents(ln_r: np.ndarray, t_c: np.ndarray, tt: float) -> list:
     """Negated least-squares slopes of ln R against ln n, one per row of
-    ln_r, given on the sites n_lo, n_lo + 1, ...; the bits of a row do not
-    depend on the memory layout of ln_r, its other rows or the BLAS thread
-    count."""
+    ln_r, given on the sites of (t_c, tt) = :func:`_centred_log_sites`; the
+    bits of a row do not depend on the memory layout of ln_r, its other
+    rows or the BLAS thread count."""
     # row sums run in another order on other layouts; BLAS dot products
     # split long vectors among its threads, so numpy's pairwise sums are used
     ln_r = np.ascontiguousarray(ln_r)
-    t = np.log(np.arange(n_lo, n_lo + ln_r.shape[1]))
-    t_c = t - t.mean()
-    tt = np.sum(t_c * t_c)
     dev = ln_r - ln_r.mean(axis=1, keepdims=True)
-    return [-float(v / tt) for v in np.sum(dev * t_c, axis=1)]
+    dev *= t_c
+    return (np.sum(dev, axis=1) / -tt).tolist()
 
 
 def _checked_checkpoints(n: int, checkpoints) -> list:
@@ -266,14 +273,19 @@ def classify_spectrum(spec: OperatorSpec, energies,
     R(1).  Its weight, x and certificate.passed are derived from them.
 
     V is evaluated once, and every onset is found in one backward pass
-    over it (``prufer._block_onsets``).
+    over it (``prufer._block_onsets``); one array comparison of onsets and
+    checkpoints marks the eligible ones.
     The energies are evolved in groups of G = max(1, _CHUNK // N), each by
     one call of the driver (``_kernels._forward_windows``, which forms
-    V - E itself) into the same (3, G, N) pair buffer; the pairs at site
-    1, the checkpoints and the fit window are gathered into one more
-    buffer, and ln R is formed only there.  Both buffers are allocated
-    once per call, so no group allocates an output of its own.  Each
-    record equals the one a single-energy evolution gives.
+    V - E itself) into the same (3, G, N) pair buffer, allocated once per
+    call.  ln R is formed only where it is read: over the fit window, from
+    the pair buffer in place, and at the checkpoints, whose pairs each
+    group copies into one small (3, len(energies), len(checkpoints))
+    buffer.  ln R(1) is that of the start pair (u(1), u(0)), which the
+    driver stores at site 1 unscaled.  The fit's centred ln n and its
+    sum of squares are formed once per call (:func:`_centred_log_sites`).
+    R(N*)^2 and R(1) are taken with ``math.exp``.  Each record equals the
+    one a single-energy evolution gives.
     """
     _instance(spec, OperatorSpec, "spec")
     try:
@@ -286,56 +298,52 @@ def classify_spectrum(spec: OperatorSpec, energies,
     # (E, sin x) of SpectralParam.from_energy, without an object each
     _, e_x, sin_x = np.array(
         [_param_fields(math.acos(E / 2.0)) for E in es]).reshape(-1, 3).T
+    cos_x, sin_x = e_x[:, None] / 2.0, sin_x[:, None]
     V = spec.potential.value_array(n)
     fit_lo = max(2, n // 2)
     # a slope needs at least two sites (the window is a single site at N=2)
-    fit_sites = np.arange(fit_lo, n + 1) if n > fit_lo else np.arange(0)
-    sites = np.concatenate(([1], cps, fit_sites))
+    fit = _centred_log_sites(fit_lo, n) if n > fit_lo else None
     u0, u1 = boundary_values(spec.phi)
-    onsets = _onsets(V[1:], sin_x)
+    # the driver stores site 1 as the start pair (u(1), u(0)) at scale 0
+    ln_r1 = _ln_r(u1, u0, 0.0, cos_x, sin_x)
+    onsets = _onsets(V[1:], sin_x[:, 0])[:, None]
+    # a checkpoint is eligible from the energy's onset on, never without one
+    eligible = (onsets != 0) & (onsets <= cps)
     group = max(1, _kernels._CHUNK // n)
-    # every group stores into buffers allocated once: the pairs at sites
-    # 1..N and the pairs at the sites read
-    size = min(group, len(es))
-    pairs = np.empty((3, size, n))
-    taken = np.empty(3 * size * sites.size)
-    records = []
+    # the pairs at sites 1..N of a group, and at the checkpoints of all
+    pairs = np.empty((3, min(group, len(es)), n))
+    at_cps, cols = np.empty((3, len(es), len(cps))), np.subtract(cps, 1)
+    decay = [None] * len(es)
     for g in range(0, len(es), group):
         at = slice(g, g + group)
-        k = len(es[at])
-        out = pairs[:, :k]
+        out = pairs[:, :len(es[at])]
         for _ in _kernels._forward_windows(V, e_x[at], u0, u1, [n], out):
             pass
-        # the sites are in range, so mode="clip" only lets take write into
-        # its C-contiguous out without a buffer
-        un, um, ln_scale = np.take(
-            out, sites - 1, axis=2, mode="clip",
-            out=taken[:3 * k * sites.size].reshape(3, k, -1))
-        ln_r = _ln_r(un, um, ln_scale, e_x[at, None] / 2.0, sin_x[at, None])
-        ln_rel = ln_r - ln_r[:, :1]
-        decay = (_decay_exponents(ln_rel[:, 1 + len(cps):], fit_lo)
-                 if fit_sites.size else [None] * k)
-        for E, onset, at_cps, ln_r1, dec in zip(
-                es[at], onsets[at].tolist(),
-                ln_rel[:, 1:1 + len(cps)].tolist(), ln_r[:, 0].tolist(), decay):
-            best = (None, 0, math.nan)
-            for c, v in zip(cps, at_cps):
-                if onset == 0 or c < onset:
-                    continue
-                try:
-                    rn_sq = math.exp(2.0 * v)
-                except OverflowError:  # R grew past the float range by site c
-                    rn_sq = math.inf
-                margin = c * rn_sq  # <= 1 means the certificate holds here
-                if best[0] is None or margin < best[0]:
-                    best = (margin, c, rn_sq)
-            _, n_star, rn_sq = best
-            records.append(EigenvalueRecord(
-                E=E,
-                certificate=Certificate(n_star=n_star, rn_sq=rn_sq),
-                decay_exponent=dec,
-                r1=math.exp(ln_r1),
-            ))
+        at_cps[:, at] = out[:, :, cols]
+        if fit is not None:  # ln R/R(1) over the fit window, read in place
+            ln_fit = _ln_r(*out[:, :, fit_lo - 1:], cos_x[at], sin_x[at])
+            ln_fit -= ln_r1[at]
+            decay[at] = _decay_exponents(ln_fit, *fit)
+    records = []
+    for E, ok, ln_rel, r1, dec in zip(
+            es, eligible.tolist(), (_ln_r(*at_cps, cos_x, sin_x) - ln_r1).tolist(),
+            ln_r1[:, 0].tolist(), decay):
+        best = (None, 0, math.nan)
+        for c, v in compress(zip(cps, ln_rel), ok):
+            try:
+                rn_sq = math.exp(2.0 * v)
+            except OverflowError:  # R grew past the float range by site c
+                rn_sq = math.inf
+            margin = c * rn_sq  # <= 1 means the certificate holds here
+            if best[0] is None or margin < best[0]:
+                best = (margin, c, rn_sq)
+        _, n_star, rn_sq = best
+        records.append(EigenvalueRecord(
+            E=E,
+            certificate=Certificate(n_star=n_star, rn_sq=rn_sq),
+            decay_exponent=dec,
+            r1=math.exp(r1),
+        ))
     return records
 
 
@@ -405,7 +413,7 @@ def resonance_construct(x: float, c: float, n: int) -> ResonanceConstruction:
     fit_lo = min(1000, max(10, n // 100))
     ln_r = _ln_r(un[fit_lo:], um[fit_lo:], ln_scale[fit_lo:], param.cos_x,
                  param.sin_x)
-    fitted = _decay_exponents(ln_r[None], fit_lo)[0]
+    fitted = _decay_exponents(ln_r[None], *_centred_log_sites(fit_lo, n))[0]
     phi = math.atan2(-un[1], um[1]) % math.pi
     if phi == 0.0:
         raise ZeroInitial("degenerate boundary pair: no admissible phase")

@@ -3,6 +3,7 @@ import math
 import platform
 import re
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from efgp import (
     errors,
     evolve_trajectory,
     make_potential,
+    spectral,
 )
 from efgp.cli import (
     MAX_N,
@@ -140,6 +142,27 @@ def test_spectrum_with_no_records(tmp_path):
     assert len(lines) == 2 and lines[0].startswith("# efgp ")
     assert lines[1] == ("E,weight,x,certificate_N,certificate_RNsq,"
                         "certificate_passed,decay_exponent")
+
+
+def test_classify_stage_times_the_eigenvalue_set(tmp_path, monkeypatch):
+    # the records are merged into the eigenvalue set inside the classify
+    # stage, so a slow merge shows in report.json's classify time
+    merge = spectral.make_eigenvalue_set
+
+    def slow(records):
+        time.sleep(0.05)
+        return merge(records)
+
+    monkeypatch.setattr(spectral, "make_eigenvalue_set", slow)
+    cfg = parse_config(_cfg(command="spectrum",
+                            potential={"family": "coulomb", "c": 1.0},
+                            phi=1.0, N=10, window=[-1.0, 1.0],
+                            output_dir=str(tmp_path / "o")))
+    timings = run(cfg)["timings"]
+    assert list(timings) == ["build_jacobi", "bisection", "classify"]
+    assert timings["classify"] >= 0.05
+    written = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert written["timings"] == timings
 
 
 def test_lemma_sums_degenerate_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from efgp import OperatorSpec, _kernels, make_potential, resonance_construct
 from efgp.prufer import (SpectralParam, _ln_r, _trajectory, boundary_values,
                          evolve_trajectory)
-from efgp.spectral import _decay_exponents
+from efgp.spectral import _centred_log_sites, _decay_exponents
 
 RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
@@ -300,7 +300,8 @@ def test_backward_pairs_match_mirrored_forward(c, rescales):
     fit_lo = min(1000, max(10, n // 100))
     window = [tuple(a[None, 1:] for a in (un, um, ln_scale))]
     traj = _trajectory(pot.value_array(n), param, window, [n])
-    want = _decay_exponents(traj.ln_R[None, fit_lo:], fit_lo)[0]
+    want = _decay_exponents(traj.ln_R[None, fit_lo:],
+                            *_centred_log_sites(fit_lo, n))[0]
     assert res.fitted_exponent.hex() == want.hex()
 
 

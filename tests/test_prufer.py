@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from efgp import (
     OperatorSpec,
+    Potential,
     Solution,
     SpectralParam,
     angle_increment_check,
@@ -20,7 +21,8 @@ from efgp import (
     verify_recursions,
 )
 from efgp import _kernels
-from efgp.prufer import _block_onsets, _ln_r, _onsets, boundary_values
+from efgp.prufer import (_block_onsets, _ln_r, _onsets, _potential_onsets,
+                         boundary_values)
 
 PI = math.pi
 
@@ -476,3 +478,54 @@ def test_streamed_onsets_match_in_memory_onsets(case):
     got = _block_onsets(pot.values, V.shape[0], sin_x).tolist()
     assert got == _onsets(pot.value_array(V.shape[0])[1:], sin_x).tolist()
     assert got == _bisected_onsets(_reverse_max(np.abs(V)), sin_x).tolist()
+
+
+@st.composite
+def _family_onset_case(draw):
+    """(potential, N, sin x values): any family, with or without explicit
+    values and an onset site, its amplitude 0, moderate, at a multiple of
+    the smallest sin x / 2 or so large that the bound reaches past N."""
+    sin_x = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+    family = draw(st.sampled_from(["coulomb", "alternating", "resonant",
+                                   "random_sign", "table"]))
+    # fl(c / 8) = min(sin x) / 2 exactly: site 8 of c/n fails, site 9 passes
+    c = draw(st.sampled_from([0.0, 4.0 * min(sin_x), 1e4])
+             | st.floats(-5.0, 5.0))
+    head = draw(st.lists(st.floats(-2.0, 2.0), max_size=12,
+                         min_size=int(family == "table")))
+    pot = make_potential(family, c=c, omega=draw(st.floats(0.1, 3.0)),
+                         delta=draw(st.floats(0.0, 6.3)),
+                         seed=draw(st.integers(0, 1000)), values=head,
+                         n0=draw(st.integers(1, 30)))
+    n = draw(st.sampled_from([1, 2, 8, 9, _B + 1]) | st.integers(1, 3 * _B + 5))
+    return pot, n, sin_x
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_family_onset_case())
+@example(case=(make_potential("coulomb", c=2.0), 100, [0.5]))  # onset 9 = H + 1
+@example(case=(make_potential("coulomb", c=1e4), 2 * _B + 5, [0.5]))  # H >= N
+@example(case=(make_potential("table", values=[0.0] * 20 + [1.0]), 15, [0.5]))
+@example(case=(make_potential("random_sign", c=1.0, seed=3, values=[0.1, 3.0],
+                              n0=20), 40, [0.3, 0.9]))
+def test_potential_onsets_match_the_full_pass(case):
+    pot, n, sin_x = case
+    assert (_potential_onsets(pot, n, sin_x).tolist()
+            == _block_onsets(pot.values, n, sin_x).tolist())
+
+
+def test_potential_onsets_read_only_the_head(monkeypatch):
+    # lemma-sums' x values on random_sign c = 1: 1/n < sin(0.4)/2 from
+    # n = 6 on, so of 1e6 sites only V(1..5) is read
+    pot = make_potential("random_sign", c=1.0, seed=3)
+    sin_x = [math.sin(x) for x in (0.4, 1.1, 1.9, 2.5)]
+    want = _block_onsets(pot.values, 10 ** 6, sin_x).tolist()
+    reads, values = [], Potential.values
+
+    def counting(self, n_lo, n_hi):
+        reads.append((n_lo, n_hi))
+        return values(self, n_lo, n_hi)
+
+    monkeypatch.setattr(Potential, "values", counting)
+    assert _potential_onsets(pot, 10 ** 6, sin_x).tolist() == want
+    assert reads == [(1, 5)]

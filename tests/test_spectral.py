@@ -402,6 +402,19 @@ POTENTIALS = st.one_of(
 # not (E = 1.9 does not): no stale scale or pair column in either direction
 @example(pot=make_potential("coulomb", c=200.0), phi=1.0, n=1000,
          es=[1.9] * 16 + [-1.9] * 16 + [1.9], cps=None)
+# window-bound's potential, 33 + 2 energies (groups of 16, 16 and 3) and
+# checkpoints [N/2, N]: sites N/2 and N are read both at the checkpoints and
+# in the fit window [N/2, N]
+@example(pot=make_potential("resonant", c=2.2, omega=2.0 * PI / 3.0,
+                            delta=1.3575974530435633),
+         phi=2.4891024719091113, n=1000,
+         es=[1.0] + [2.0 * math.cos(0.095 * j + 0.02) for j in range(32)],
+         cps=[498, 998])
+@example(pot=make_potential("resonant", c=2.2, omega=2.0 * PI / 3.0,
+                            delta=1.3575974530435633),
+         phi=2.4891024719091113, n=1001,
+         es=[2.0 * math.cos(0.09 * j + 0.05) for j in range(34)],
+         cps=[498, 999])
 def test_classify_spectrum_matches_one_energy_route(pot, phi, n, es, cps):
     # duplicates included; checkpoints mapped into [2, N]
     es = es + es[:2]
@@ -493,13 +506,14 @@ def _src_env(**extra):
 def test_decay_exponents_do_not_depend_on_memory_layout(shape):
     rng = np.random.default_rng(shape)
     ln_r = rng.standard_normal(shape) * 30.0 - 5.0
-    want = spectral._decay_exponents(ln_r, 7)
+    fit = spectral._centred_log_sites(7, 6 + shape[1])
+    want = spectral._decay_exponents(ln_r, *fit)
     # a strided view: every other row and column of a wider array
     wide = np.zeros((2 * shape[0], 2 * shape[1] + 1))
     wide[::2, 1::2] = ln_r
     for other in (np.asfortranarray(ln_r), wide[::2, 1::2],
                   np.asfortranarray(wide)[::2, 1::2]):
-        assert spectral._decay_exponents(other, 7) == want
+        assert spectral._decay_exponents(other, *fit) == want
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")

@@ -80,8 +80,8 @@ MUTANTS = (
          "tests/test_spectral.py::test_certificate_threshold_is_one_over_n_star")),
     Mutant(
         "onset-gate-dropped", "src/efgp/spectral.py",
-        "if onset == 0 or c < onset:",
-        "if onset == 0:",
+        "eligible = (onsets != 0) & (onsets <= cps)",
+        "eligible = (onsets != 0) & np.full(len(cps), True)",
         ("tests/test_spectral.py::test_certificate_waits_for_hypothesis_onset",
          "tests/test_spectral.py::test_certificate_without_eligible_checkpoint")),
     Mutant(
@@ -103,8 +103,8 @@ MUTANTS = (
          "test_envelope_of_a_late_range_and_of_explicit_values",)),
     Mutant(
         "decay-fit-blas-dot", "src/efgp/spectral.py",
-        "return [-float(v / tt) for v in np.sum(dev * t_c, axis=1)]",
-        "return [-float(np.dot(t_c, d) / tt) for d in dev]",
+        "    dev *= t_c\n    return (np.sum(dev, axis=1) / -tt).tolist()",
+        "    return [-float(np.dot(t_c, d) / tt) for d in dev]",
         ("tests/test_spectral.py::"
          "test_spectrum_csv_does_not_depend_on_blas_threads",)),
     Mutant(
@@ -113,6 +113,16 @@ MUTANTS = (
         "scale[:, 0] = 0.0",
         ("tests/test_kernels.py::"
          "test_forward_windows_match_whole_row_driver[cut-at-window-end]",)),
+    Mutant(
+        "rescale-lower-edge-dropped", "src/efgp/_kernels.py",
+        "if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:",
+        "if ay.max() <= _RESCALE_HI:",
+        ("tests/test_kernels.py::test_rescale_of_a_chunk_wholly_below_the_band",)),
+    Mutant(
+        "rescale-upper-edge-loosened", "src/efgp/_kernels.py",
+        "if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:",
+        "if ay.max() <= _RESCALE_HI * 1e100 and ay.min() >= _RESCALE_LO:",
+        ("tests/test_kernels.py::test_prufer_forward_matches_loop[table12-N200]",)),
     Mutant(
         "backward-kept-window-split", "src/efgp/_kernels.py",
         "ends = _ends(0, n_sites - n_record, _CHUNK) + [n_sites]",
@@ -130,6 +140,16 @@ MUTANTS = (
         "np.where(last < n, last + 1, 0)",
         "np.where(last <= n, last + 1, 0)",
         ("tests/test_prufer.py::test_onsets_match_division_scan",)),
+    Mutant(
+        "onset-bound-ignores-table", "src/efgp/prufer.py",
+        "h = max(len(potential.table), m - 1)",
+        "h = m - 1",
+        ("tests/test_prufer.py::test_potential_onsets_match_the_full_pass",)),
+    Mutant(
+        "onset-past-bound-not-set", "src/efgp/prufer.py",
+        "onsets[onsets == 0] = h + 1",
+        "pass",
+        ("tests/test_prufer.py::test_potential_onsets_match_the_full_pass",)),
     Mutant(
         "onset-block-skip", "src/efgp/prufer.py",
         "if v.max() < half[open_].min():",
