@@ -22,9 +22,11 @@ consecutive stretches of sites whose ends the caller chooses, so no caller
 needs to hold a pair array as long as the lattice.  Every window is written
 to the front of one buffer, the caller's or the driver's own.  It reads W
 one window at a time, from an array or a function of the site range, forms
-the couplings W(k) - E_b itself and solves on band buffers allocated once
-per call; the band's buffer ends in a contiguous stretch for |solution|,
-which the rescale test reads.  It serves the forward Prufer evolution
+the couplings W(k) - E_b itself and solves on the buffers of a workspace
+(:class:`_Workspace`), the caller's or a fresh one per call; the band's
+buffer ends in a contiguous stretch for |solution|, which the rescale test
+reads, and the band keeps its constant entries from one solve of a shape to
+the next.  It serves the forward Prufer evolution
 (W = V), the backward resonant launch (W(k) = V(M + 1 - k) on the mirrored
 sites, one block, keeping its last window, the sites it returns) and Sturm
 counts (W = the diagonal, one block per shift).  ``analysis.lemma_sums``
@@ -32,7 +34,8 @@ consumes its windows as they come and passes ``Potential.values``, so
 besides block buffers no array is as long as the lattice.
 ``spectral.classify_spectrum`` runs one call per group of energies, each
 storing into a slice of one pair buffer that it allocates once for all its
-groups and reads in place.
+groups and reads in place, and passes all of them one workspace; every
+other caller makes one call on a fresh workspace.
 
 Per-site arrays are indexed by the lattice site n itself: ``V[n]`` is the
 potential at site n (slot 0 unused), and outputs such as ``un[n]`` start
@@ -157,7 +160,27 @@ def _ends(start, stop, width):
     return list(range(start + width, stop, width)) + [stop]
 
 
-def _forward_windows(V, E, u0, u1, ends, out=None):
+class _Workspace:
+    """The buffers of :func:`_forward_windows`, kept across the calls that
+    share one: ``band_buf``, the band storage followed by a contiguous
+    stretch for |solution|; ``band``, the band of the last solve, an
+    (blocks, rows, 3) view of band_buf (:func:`_band`); ``y_buf``, the
+    solution; and ``offsets``, 0, 1, 2, ....  Each call grows them to its
+    size.  The band keeps its constant entries until a solve of another
+    (blocks, rows) shape, or a larger buffer, sets them again.  A fresh
+    workspace allocates what one call needs."""
+
+    def __init__(self):
+        self.y_buf = np.empty(0)
+
+    def fit(self, rows):
+        """Room for solves of at most rows rows in all."""
+        if self.y_buf.size < rows:
+            self.band_buf, self.y_buf = np.empty(4 * rows), np.empty(rows)
+            self.band, self.offsets = np.empty((0, 0, 3)), np.arange(rows)
+
+
+def _forward_windows(V, E, u0, u1, ends, out=None, work=None):
     """Rescaled pairs of u_b(n+1) = (E_b - V(n)) u_b(n) - u_b(n-1) over the
     sites n = 1..N, N = ends[-1], for the B energies E_b of the vector E,
     all from (u(0), u(1)) = (u0, u1), yielded window by window.
@@ -175,16 +198,24 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     output rule: every window is written to the first hi - lo + 1 columns
     of one (3, B, W) buffer, ``out`` if given (W at least the widest
     window), else the driver's own, and the next window overwrites it.
+    ``work`` is a :class:`_Workspace` that a caller making many calls
+    passes to each, so the band's constant entries are set once per shape;
+    by default each call gets a fresh one.  The yielded pairs do not depend
+    on it.
 
     Each block moves along its own chunks, and one band solve
     (:func:`_band`, :func:`_solve`) advances every block still short of the
-    window end by one chunk, of at most about _CHUNK rows in all; its band
-    and solution live in buffers allocated once per call, and |solution|
-    in a contiguous stretch after the band in the band's buffer, so the
-    test whether every pair stays inside the band reads it at unit stride.
-    The couplings V(n) - E_b of a chunk are formed in one place: from a
-    slice of the window's V when every block is at one site, else from
-    sites clipped to the window, with a zero filler past a block's end.  A
+    window end by one chunk, of at most about _CHUNK rows in all; its band,
+    solution and |solution| live in the workspace, |solution| in a
+    contiguous stretch after the band, so the test whether every pair stays
+    inside the band reads it at unit stride.  The couplings V(n) - E_b of a
+    chunk are formed in one place: from a slice of the window's V while
+    every block is at one site (each window starts so, and they stay so
+    until a step of the cut search), else from sites clipped to the window,
+    with a zero filler past a block's end.  While every block is at one site
+    and no pair of the solve leaves the band, a step is the couplings, the
+    solve, the band test and one stretch copied for all blocks; any other
+    step searches each block's cut.  A
     block's chunk is cut at its first site whose max(|u(n)|, |u(n-1)|) leaves
     [_RESCALE_LO, _RESCALE_HI] (unless it is 0; at n = N only if it is
     inf), or one site earlier if it is inf; the pair there is stored,
@@ -199,24 +230,24 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
     place.
     """
     values = V if callable(V) else (lambda n_lo, n_hi: V[n_lo:n_hi + 1])
-    es = np.asarray(E, dtype=np.float64).reshape(-1)
+    es = np.asarray(E, dtype=np.float64).reshape(-1, 1)
     nb = es.shape[0]
     ends = list(ends)
     n_sites = ends[-1]
-    # each block's pair (u(n), u(n-1)) at the end n of the last window,
-    # rescaled if n was a cut
-    end_a = np.full(nb, u1, dtype=np.float64)
-    end_b = np.full(nb, u0, dtype=np.float64)
-    total = np.zeros(nb)  # the log scale at the last site yielded
-    pending = np.zeros(nb)  # logs of divisors at a window's last site
     widest = max(hi - lo for lo, hi in zip([0] + ends, ends))
+    work = _Workspace() if work is None else work
     # a chunk spans at most min(_CHUNK, widest) sites, and all the blocks
-    # of one solve at most max(_CHUNK, nb) of them, plus two rows each
-    offsets = np.arange(max(min(_CHUNK, widest), nb) + 1)
-    rows_max = min(max(_CHUNK, nb), nb * widest) + 2 * nb
-    # the band, then |solution| in a contiguous stretch of the same buffer
-    band_buf, y_buf = np.empty(4 * rows_max), np.empty(rows_max)
-    band = np.empty((0, 0, 3))
+    # of one solve at most max(_CHUNK, nb) of them, plus two rows each;
+    # the offsets read (the sites of a chunk and its pairs, the blocks) are
+    # fewer
+    work.fit(min(max(_CHUNK, nb), nb * widest) + 2 * nb)
+    offsets = work.offsets
+    # each block's pair (u(n), u(n-1)) at the end n of the last window,
+    # rescaled if n was a cut; the log scale at the last site yielded; the
+    # logs of divisors at a window's last site
+    end_a, end_b = np.full(nb, u1), np.full(nb, u0)
+    total, pending = np.zeros(nb), np.zeros(nb)
+    carried = scaled = False  # pending holds a log; total does
     buf = np.empty((3, nb, widest)) if out is None else out
     grow = _CHUNK  # sets the next chunk length
     lo = 1
@@ -224,61 +255,76 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
         cur, prev, scale = buf[:, :, :hi - lo + 1]
         # until the cumsum, scale holds increments of the log scale
         scale[...] = 0.0
-        scale[:, 0] = pending
-        pending[...] = 0.0
-        rescaled = False
-        k0 = max(lo - 1, 1)
+        if carried:
+            scale[:, 0], pending[...] = pending, 0.0
+        rescaled, carried = carried, False
+        k0 = k = max(lo - 1, 1)
         if lo == 1:
-            cur[:, 0], prev[:, 0] = end_a, end_b
-        # the blocks short of the window end, each at its site k with the
-        # pair (a, b) = (u(k), u(k-1)) it continues from
-        ids = np.arange(nb if k0 < hi else 0)
+            cur[:, 0], prev[:, 0] = u1, u0
+        # the blocks short of the window end, each at its site k (one int
+        # for all until a step searches for cuts) with the pair (a, b) =
+        # (u(k), u(k-1)) it continues from and its energy e
+        ids, a, b, e = offsets[:nb if k0 < hi else 0], end_a, end_b, es
         if ids.size:
             v = values(k0, hi - 1)  # v[i] = V(k0 + i)
-        k = np.full(ids.size, k0, dtype=np.intp)
-        a, b = end_a[ids], end_b[ids]
         while ids.size:
             n_act = ids.size
+            one_site = not isinstance(k, np.ndarray)
             left = hi - k
-            fewest, most = int(left.min()), int(left.max())
+            fewest, most = (left, left) if one_site else (int(left.min()), int(left.max()))
             chunk = min(max(1, _CHUNK // n_act), grow, most)
-            last = np.minimum(left, chunk)  # the block's last site is k + last
-            if band.shape[:2] != (n_act, chunk + 2):
+            if work.band.shape[:2] != (n_act, chunk + 2):
                 # a solve of the last shape left every entry but the couplings
-                band = _band(n_act, chunk + 2, band_buf)
-            if fewest == most:  # every block at one site: one slice of v
-                sel = slice(int(k[0]) - k0, int(k[0]) - k0 + chunk)
+                work.band = _band(n_act, chunk + 2, work.band_buf)
+            band = work.band
+            w = band[:, 1:-1, 1]
+            if fewest == most:  # every block at site hi - most: one slice of v
+                np.subtract(v[hi - most - k0:hi - most - k0 + chunk], e, out=w)
             else:
                 sites = k[:, None] + offsets[:chunk]
-                sel = np.minimum(sites, hi - 1) - k0
-            w = band[:, 1:-1, 1]
-            np.subtract(v[sel], es[ids, None], out=w)
-            if chunk > fewest:
-                w[sites >= hi] = 0.0  # past a block's end: a bounded filler
+                np.subtract(v[np.minimum(sites, hi - 1) - k0], e, out=w)
+                if chunk > fewest:
+                    w[sites >= hi] = 0.0  # past a block's end: a bounded filler
             # pair at site k + j: y[:, j+1], y[:, j]
-            y = _solve(band, b, a, y_buf[:n_act * (chunk + 2)].reshape(n_act, -1))
-            # a block that left the float range ends non-finite, and so do
-            # the blocks after it, which read nan through the zero couplings
-            over = ~np.isfinite(y[:, -1])
-            i = 0
-            while over[i:-1].any():
-                i += int(over[i:-1].argmax()) + 1
-                y[i:] = _solve(band[i:], b[i:], a[i:], y[i:])
-                over[i:] = ~np.isfinite(y[i:, -1])
+            y = _solve(band, b, a, work.y_buf[:n_act * (chunk + 2)].reshape(n_act, -1))
             # the last y.size entries of band_buf lie past the band
-            ay = np.abs(y, out=band_buf[-y.size:].reshape(y.shape))
+            ay = np.abs(y, out=work.band_buf[-y.size:].reshape(y.shape))
+            inside = (np.maximum.reduce(ay, None) <= _RESCALE_HI
+                      and np.minimum.reduce(ay, None) >= _RESCALE_LO)
+            if inside and one_site:
+                # every pair inside the band and every block (all nb of them)
+                # at one site: none is cut, one stretch for all
+                cur[:, k + 1 - lo:k + chunk + 1 - lo] = y[:, 2:]
+                prev[:, k + 1 - lo:k + chunk + 1 - lo] = y[:, 1:-1]
+                a, b, k = y[:, -1].copy(), y[:, -2].copy(), k + chunk
+                grow = max(grow, chunk) * 5 // 4 + 16  # the rule below, uncut
+                if k == hi:
+                    end_a, end_b = a, b
+                    break
+                continue
+            k = np.full(n_act, k)
+            last = np.minimum(hi - k, chunk)  # the block's last site is k + last
             rows = offsets[:n_act]
-            if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:
-                # every pair stays inside the band: no block is cut
+            if inside:
                 cut, j, mj = np.zeros(n_act, dtype=bool), last, np.ones(n_act)
             else:
+                # a block that left the float range ends non-finite, and so
+                # do the blocks after it, which read nan through the zero
+                # couplings
+                over = ~np.isfinite(y[:, -1])
+                i = 0
+                while over[i:-1].any():
+                    i += int(over[i:-1].argmax()) + 1
+                    y[i:] = _solve(band[i:], b[i:], a[i:], y[i:])
+                    np.abs(y[i:], out=ay[i:])
+                    over[i:] = ~np.isfinite(y[i:, -1])
                 m = np.maximum(ay[:, 1:], ay[:, :-1])
                 off = (m > _RESCALE_HI) | ((m < _RESCALE_LO) & (m != 0.0))
                 if chunk > fewest:
                     off[offsets[:chunk + 1] > last[:, None]] = False
                 if hi == n_sites and chunk >= fewest:
                     # site n_sites is rescaled only on overflow
-                    end = np.flatnonzero(last == left)
+                    end = np.flatnonzero(last == hi - k)
                     off[end, last[end]] = ~np.isfinite(m[end, last[end]])
                 cut = off.any(axis=1)
                 j = np.where(cut, off.argmax(axis=1), last)
@@ -286,27 +332,20 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
                     j -= cut & (j > 0) & ~np.isfinite(m[rows, j])
                 # the rescaled pairs: dividing by 1 leaves the others exact
                 mj = np.where(cut, m[rows, j], 1.0)
-            if fewest == most and not cut.any():
-                # every block at one site and none cut: one stretch for all
-                jb = int(last[0])
+            for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(),
+                                           k.tolist(), j.tolist(),
+                                           cut.tolist(), mj.tolist()):
                 if jb:
-                    at = int(k[0]) + 1 - lo
-                    cur[ids, at:at + jb] = y[:, 2:jb + 2]
-                    prev[ids, at:at + jb] = y[:, 1:jb + 1]
-            else:
-                for i, bk, kb, jb, c, d in zip(rows.tolist(), ids.tolist(),
-                                               k.tolist(), j.tolist(),
-                                               cut.tolist(), mj.tolist()):
-                    if jb:
-                        cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
-                        prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
-                    if c:
-                        # ln of the divisor at the first site after the rescale
-                        if kb + jb < hi:
-                            rescaled = True
-                            scale[bk, kb + jb + 1 - lo] += math.log(d)
-                        else:
-                            pending[bk] += math.log(d)
+                    cur[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 2:jb + 2]
+                    prev[bk, kb + 1 - lo:kb + jb + 1 - lo] = y[i, 1:jb + 1]
+                if c:
+                    # ln of the divisor at the first site after the rescale
+                    if kb + jb < hi:
+                        rescaled = True
+                        scale[bk, kb + jb + 1 - lo] += math.log(d)
+                    else:
+                        carried = True
+                        pending[bk] += math.log(d)
             a, b, k = y[rows, j + 1] / mj, y[rows, j] / mj, k + j
             # a cut sets the next length from the stretch kept; a chunk
             # that ended at the window end does not shorten the next one
@@ -316,13 +355,13 @@ def _forward_windows(V, E, u0, u1, ends, out=None):
                 done = k == hi
                 end_a[ids[done]], end_b[ids[done]] = a[done], b[done]
                 going = ~done
-                ids, k, a, b = ids[going], k[going], a[going], b[going]
-        if rescaled or scale[:, 0].any():
+                ids, k, a, b, e = (x[going] for x in (ids, k, a, b, e))
+        if rescaled:
             scale[:, 0] += total
             np.cumsum(scale, axis=1, out=scale)
-        elif total.any():
+            total, scaled = scale[:, -1].copy(), True
+        elif scaled:
             scale[...] = total[:, None]
-        total = scale[:, -1].copy()
         yield cur, prev, scale
         lo = hi + 1
 

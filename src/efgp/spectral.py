@@ -234,10 +234,11 @@ def _decay_exponents(ln_r: np.ndarray, t_c: np.ndarray, tt: float) -> list:
     rows or the BLAS thread count."""
     # row sums run in another order on other layouts; BLAS dot products
     # split long vectors among its threads, so numpy's pairwise sums are used
+    # (np.add.reduce: np.sum's and np.mean's sum without their wrappers)
     ln_r = np.ascontiguousarray(ln_r)
-    dev = ln_r - ln_r.mean(axis=1, keepdims=True)
+    dev = ln_r - np.add.reduce(ln_r, axis=1, keepdims=True) / ln_r.shape[1]
     dev *= t_c
-    return (np.sum(dev, axis=1) / -tt).tolist()
+    return (np.add.reduce(dev, axis=1) / -tt).tolist()
 
 
 def _checked_checkpoints(n: int, checkpoints) -> list:
@@ -278,8 +279,10 @@ def classify_spectrum(spec: OperatorSpec, energies,
     The energies are evolved in groups of G = max(1, _CHUNK // N), each by
     one call of the driver (``_kernels._forward_windows``, which forms
     V - E itself) into the same (3, G, N) pair buffer, allocated once per
-    call.  ln R is formed only where it is read: over the fit window, from
-    the pair buffer in place, and at the checkpoints, whose pairs each
+    call, on one driver workspace for all groups, so the band's constant
+    entries are set once per shape.  ln R is formed only where it is read:
+    over the fit window, from the pair buffer in place into a (G, N - N/2 +
+    1) buffer of the call, and at the checkpoints, whose pairs each
     group copies into one small (3, len(energies), len(checkpoints))
     buffer.  ln R(1) is that of the start pair (u(1), u(0)), which the
     driver stores at site 1 unscaled.  The fit's centred ln n and its
@@ -310,18 +313,22 @@ def classify_spectrum(spec: OperatorSpec, energies,
     # a checkpoint is eligible from the energy's onset on, never without one
     eligible = (onsets != 0) & (onsets <= cps)
     group = max(1, _kernels._CHUNK // n)
-    # the pairs at sites 1..N of a group, and at the checkpoints of all
+    # a group's pairs at sites 1..N and its ln R over the fit window, the
+    # pairs at the checkpoints of all energies, and one driver workspace
     pairs = np.empty((3, min(group, len(es)), n))
+    ln_fits = np.empty((pairs.shape[1], n - fit_lo + 1))
     at_cps, cols = np.empty((3, len(es), len(cps))), np.subtract(cps, 1)
+    work = _kernels._Workspace()
     decay = [None] * len(es)
     for g in range(0, len(es), group):
         at = slice(g, g + group)
         out = pairs[:, :len(es[at])]
-        for _ in _kernels._forward_windows(V, e_x[at], u0, u1, [n], out):
+        for _ in _kernels._forward_windows(V, e_x[at], u0, u1, [n], out, work):
             pass
         at_cps[:, at] = out[:, :, cols]
         if fit is not None:  # ln R/R(1) over the fit window, read in place
-            ln_fit = _ln_r(*out[:, :, fit_lo - 1:], cos_x[at], sin_x[at])
+            ln_fit = _ln_r(*out[:, :, fit_lo - 1:], cos_x[at], sin_x[at],
+                           out=ln_fits[:out.shape[1]])
             ln_fit -= ln_r1[at]
             decay[at] = _decay_exponents(ln_fit, *fit)
     records = []
@@ -338,12 +345,10 @@ def classify_spectrum(spec: OperatorSpec, energies,
             if best[0] is None or margin < best[0]:
                 best = (margin, c, rn_sq)
         _, n_star, rn_sq = best
-        records.append(EigenvalueRecord(
-            E=E,
-            certificate=Certificate(n_star=n_star, rn_sq=rn_sq),
-            decay_exponent=dec,
-            r1=math.exp(r1),
-        ))
+        # (E, certificate, decay_exponent, r1) and (n_star, rn_sq) by
+        # position: keywords cost about 0.5 us a record, 1001 of them
+        records.append(EigenvalueRecord(E, Certificate(n_star, rn_sq), dec,
+                                        math.exp(r1)))
     return records
 
 

@@ -594,6 +594,49 @@ def test_sturm_count_windows_match_whole_row_driver(n):
     assert got.tolist() == _whole_row_sturm(d, shifts).tolist()
 
 
+def _window_rows(V, E, u0, u1, ends, work):
+    """The joined (cur, prev, scale) rows of a driver call on V's sites
+    1..N, V an array read through a values function, as the streamed
+    callers pass it."""
+    parts = [tuple(a.copy() for a in window) for window in
+             _kernels._forward_windows(lambda lo, hi: V[lo:hi + 1], E, u0, u1,
+                                       ends, None, work)]
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+def test_driver_workspace_reuse_matches_fresh_calls():
+    # one workspace drives calls of other shapes in turn, which leave its
+    # band with other shapes and constant entries: every call yields the
+    # bits of a call on a fresh workspace, and of the whole-row reference
+    u0, u1 = boundary_values(2.4891024719091113)
+    xs = 2.0 * np.cos(np.linspace(0.002, math.pi - 0.002, 1001))
+    es = [2.0 * math.cos(x) for x in BATCH_XS]
+    B = _kernels._BLOCK
+    calls = {
+        # 16 energies x 1000 sites, as classify_spectrum's groups
+        "classify": (make_potential("resonant", c=2.2, omega=2.0 * math.pi / 3.0,
+                                    delta=1.3575974530435633).value_array(1000),
+                     xs[:16], [1000]),
+        # 4 blocks in 8192-site windows, as lemma_sums
+        "lemma": (make_potential("random_sign", c=1.0, seed=3)
+                  .value_array(3 * B + 100), xs[[100, 400, 700, 900]],
+                  _kernels._ends(0, 3 * B + 100, B)),
+        "rescaling": (_table12(3000), es, _kernels._ends(0, 3000, 1000)),
+        "overflowing": (_jump1e250(), es, [_jump1e250().shape[0] - 1]),
+    }
+    work = _kernels._Workspace()
+    rescales = {}
+    for name in ("classify", "lemma", "rescaling", "overflowing", "classify"):
+        V, E, ends = calls[name]
+        got = _window_rows(V, E, u0, u1, ends, work)
+        _assert_same_bits(got, _window_rows(V, E, u0, u1, ends, None))
+        want = _whole_row_forward(V, E, u0, u1)
+        _assert_same_bits(got, tuple(a[:, 1:] for a in want))
+        rescales[name] = np.count_nonzero(np.diff(want[2][:, 1:]))
+    # the classify-shaped call takes the step with no cut, the others cut
+    assert rescales["classify"] == 0 and rescales["rescaling"] > 100
+
+
 def test_missing_scipy_extension_names_the_directory():
     with pytest.raises(ImportError) as exc:
         _kernels._scipy_linalg_extension("_no_such")

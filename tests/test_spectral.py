@@ -415,6 +415,12 @@ POTENTIALS = st.one_of(
          phi=2.4891024719091113, n=1001,
          es=[2.0 * math.cos(0.09 * j + 0.05) for j in range(34)],
          cps=[498, 999])
+# V = 2.5 throughout: below E = 0.5 the pair grows and rescales, above it
+# stays bounded, so one workspace's band meets groups that cut (E < -1)
+# between groups that take the step with no cut (E > 0.8)
+@example(pot=make_potential("table", values=[2.5] * 1000), phi=1.0, n=1000,
+         es=([0.8 + 0.07 * j for j in range(16)]
+             + [-1.0 - 0.06 * j for j in range(16)] + [1.9]), cps=[500, 1000])
 def test_classify_spectrum_matches_one_energy_route(pot, phi, n, es, cps):
     # duplicates included; checkpoints mapped into [2, N]
     es = es + es[:2]

@@ -103,26 +103,43 @@ MUTANTS = (
          "test_envelope_of_a_late_range_and_of_explicit_values",)),
     Mutant(
         "decay-fit-blas-dot", "src/efgp/spectral.py",
-        "    dev *= t_c\n    return (np.sum(dev, axis=1) / -tt).tolist()",
+        "    dev *= t_c\n    return (np.add.reduce(dev, axis=1) / -tt).tolist()",
         "    return [-float(np.dot(t_c, d) / tt) for d in dev]",
         ("tests/test_spectral.py::"
          "test_spectrum_csv_does_not_depend_on_blas_threads",)),
     Mutant(
         "driver-pending-scale-dropped", "src/efgp/_kernels.py",
-        "scale[:, 0] = pending",
-        "scale[:, 0] = 0.0",
+        "scale[:, 0], pending[...] = pending, 0.0",
+        "scale[:, 0], pending[...] = 0.0, 0.0",
         ("tests/test_kernels.py::"
          "test_forward_windows_match_whole_row_driver[cut-at-window-end]",)),
     Mutant(
         "rescale-lower-edge-dropped", "src/efgp/_kernels.py",
-        "if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:",
-        "if ay.max() <= _RESCALE_HI:",
+        "np.minimum.reduce(ay, None) >= _RESCALE_LO)",
+        "np.minimum.reduce(ay, None) >= 0.0)",
         ("tests/test_kernels.py::test_rescale_of_a_chunk_wholly_below_the_band",)),
     Mutant(
         "rescale-upper-edge-loosened", "src/efgp/_kernels.py",
-        "if ay.max() <= _RESCALE_HI and ay.min() >= _RESCALE_LO:",
-        "if ay.max() <= _RESCALE_HI * 1e100 and ay.min() >= _RESCALE_LO:",
+        "np.maximum.reduce(ay, None) <= _RESCALE_HI",
+        "np.maximum.reduce(ay, None) <= _RESCALE_HI * 1e100",
         ("tests/test_kernels.py::test_prufer_forward_matches_loop[table12-N200]",)),
+    Mutant(
+        # a workspace's band keeps the constant entries of its first shape
+        "workspace-band-shape-unchecked", "src/efgp/_kernels.py",
+        "work.band = _band(n_act, chunk + 2, work.band_buf)",
+        "work.band = (work.band_buf[:3 * n_act * (chunk + 2)]"
+        ".reshape(n_act, chunk + 2, 3) if work.band.size"
+        " else _band(n_act, chunk + 2, work.band_buf))",
+        ("tests/test_kernels.py::"
+         "test_driver_workspace_reuse_matches_fresh_calls",)),
+    Mutant(
+        # blocks that end a window in the step with no cut keep the pairs
+        # they started it from
+        "driver-end-pairs-not-stored", "src/efgp/_kernels.py",
+        "                    end_a, end_b = a, b\n",
+        "",
+        ("tests/test_kernels.py::"
+         "test_driver_workspace_reuse_matches_fresh_calls",)),
     Mutant(
         "backward-kept-window-split", "src/efgp/_kernels.py",
         "ends = _ends(0, n_sites - n_record, _CHUNK) + [n_sites]",
