@@ -281,10 +281,10 @@ def classify_spectrum(spec: OperatorSpec, energies,
     V - E itself) into the same (3, G, N) pair buffer, allocated once per
     call, on one driver workspace for all groups, so the band's constant
     entries are set once per shape.  ln R is formed only where it is read:
-    over the fit window, from the pair buffer in place into a (G, N - N/2 +
-    1) buffer of the call, and at the checkpoints, whose pairs each
-    group copies into one small (3, len(energies), len(checkpoints))
-    buffer.  ln R(1) is that of the start pair (u(1), u(0)), which the
+    over the fit window, from the pair buffer in place into a
+    (G, N - N/2 + 1) buffer of the call, and at the checkpoints, whose
+    pairs each group copies into one small (3, len(energies),
+    len(checkpoints)) buffer.  ln R(1) is that of the start pair (u(1), u(0)), which the
     driver stores at site 1 unscaled.  The fit's centred ln n and its
     sum of squares are formed once per call (:func:`_centred_log_sites`).
     R(N*)^2 and R(1) are taken with ``math.exp``.  Each record equals the
