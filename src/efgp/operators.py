@@ -132,12 +132,6 @@ def _splitmix_bits(seed: int, n: np.ndarray) -> np.ndarray:
     return z
 
 
-def random_signs(seed: int, n: np.ndarray) -> np.ndarray:
-    """Deterministic +/-1 stream keyed by seed, counter-based in n."""
-    bits = _splitmix_bits(seed, np.asarray(n))
-    return np.where((bits >> np.uint64(63)).astype(np.int64) == 0, 1.0, -1.0)
-
-
 @dataclass(frozen=True)
 class Potential:
     """Evaluation rule for V(n), n >= 1: the family's formula, then the
@@ -195,7 +189,7 @@ class Potential:
             v = c / n
         if self.family == "random_sign":
             # (-c)/n = -(c/n) exactly: flip the sign bit of c/n where the
-            # top bit of the stream marks a -1 of random_signs
+            # top bit of the splitmix64 stream at (seed, n) is set
             v.view(np.uint64)[...] ^= _splitmix_bits(self.seed, n) & _SIGN_BIT
         head = self.table[n_lo - 1:n_hi]  # only this range's explicit values
         v[:len(head)] = head
@@ -295,18 +289,6 @@ class JacobiMatrix:
         if d.size == 0:
             raise ParamOutOfRange("Jacobi matrix must not be empty")
         object.__setattr__(self, "diagonal", d)
-
-    @property
-    def size(self) -> int:
-        return self.diagonal.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        m = np.diag(self.diagonal)
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = 1.0
-        m[idx + 1, idx] = 1.0
-        return m
 
 
 def build_jacobi(spec: OperatorSpec) -> JacobiMatrix:

@@ -372,24 +372,6 @@ def _angle_step(tb, s, nu):
     return np.where(nu == 0.0, tb, tb + _wrap_pi(principal - tb))
 
 
-def prufer_step(theta_n, nu_n, x):
-    """One analytic Prufer step: (amplitude ratio squared, next angle).
-
-    ratio_sq is the one-step identity evaluated directly; theta_next is
-    reconstructed from the two-argument angle of
-    (cos(theta+x) - nu sin(theta+x), sin(theta+x)), which has no cotangent
-    poles, lifted to the branch closest to theta + x.
-    """
-    tb = np.asarray(theta_n) + x
-    s = np.sin(tb)
-    nu = np.asarray(nu_n)
-    ratio_sq = 1.0 - nu * np.sin(2.0 * tb) + nu * nu * s * s
-    theta_next = _angle_step(tb, s, nu)
-    if np.ndim(theta_n) == 0 and np.ndim(nu_n) == 0:
-        return float(ratio_sq), float(theta_next)
-    return ratio_sq, theta_next
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Maximum normalized residuals of the three Prufer identities."""
@@ -415,7 +397,7 @@ def verify_recursions(sol: Solution, traj: PruferTrajectory) -> VerifyReport:
     1/q^2 >= 2^-1028 stays nonzero, so a solution near the float limit
     or a huge nu gives finite residuals.  The 1 of each denominator becomes
     1/m^2 and 1/q^2; where m = 1 and q = 1 nothing is scaled.  The angle is
-    predicted as :func:`prufer_step` does, without its unscaled ratio.
+    predicted by the pole-free step :func:`_angle_step`.
     Overflow if nu leaves the float range (``PruferTrajectory.nu``).
     """
     _instance(sol, Solution, "sol")

@@ -56,12 +56,6 @@ def _checked_diagonal(J: JacobiMatrix, *shifts: float) -> np.ndarray:
     return d
 
 
-def sturm_count(J: JacobiMatrix, E: float) -> int:
-    """Number of eigenvalues of J strictly below E (Sturm node count)."""
-    E = _real(E, "E")
-    return int(_kernels.sturm_counts(_checked_diagonal(J, E), np.array([E]))[0])
-
-
 def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
     """Eigenvalues of J in the window, ascending.
 

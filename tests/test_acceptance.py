@@ -35,6 +35,7 @@ from efgp import (
 )
 from efgp.analysis import normalize_weighted
 from efgp.cli import main as cli_main
+from oracles import dense
 
 PI = math.pi
 
@@ -107,7 +108,7 @@ def test_criterion_3_free_spectrum_oracle():
         phi = float(rng.uniform(0.2, PI - 0.2))
         jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=c), phi, 40))
         got = eigenvalues_in_window(jac, (-2.0, 2.0))
-        w = np.linalg.eigvalsh(jac.to_dense())
+        w = np.linalg.eigvalsh(dense(jac))
         w = w[(w > -2.0) & (w < 2.0)]
         assert got.size == w.size
         worst_dense = max(worst_dense, float(np.max(np.abs(got - w))))

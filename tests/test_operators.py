@@ -15,7 +15,8 @@ from efgp import (
     make_potential,
 )
 from efgp import _kernels
-from efgp.operators import Potential, random_signs
+from efgp.operators import Potential
+from oracles import dense, random_signs
 
 PI = math.pi
 
@@ -55,7 +56,8 @@ def test_random_sign_deterministic():
 @pytest.mark.parametrize("seed", [0, 42, 2 ** 63 - 1, -2 ** 63])
 @pytest.mark.parametrize("n0", [1, 17])
 def test_random_sign_values_are_signs_times_c_over_n(c, seed, n0):
-    # the sign bit flipped on c/n gives the bits of random_signs * c / n
+    # the sign bit flipped on c/n gives the bits of (+/-1) * c / n, the
+    # signs from a SplitMix64 written apart from the program's
     p = make_potential("random_sign", c=c, seed=seed, n0=n0)
     for lo, hi in [(1, 3000), (10, 40)]:
         n = np.arange(lo, hi + 1, dtype=np.int64)
@@ -204,7 +206,7 @@ def test_apply_matches_direct_recurrence():
         v = p.values(1, 50)
         ext = np.concatenate([[-y[0] / math.tan(phi)], y, [0.0]])
         direct = ext[:-2] + ext[2:] + v * y
-        got = jac.to_dense() @ y
+        got = dense(jac) @ y
         scale = np.abs(direct) + np.abs(y) + 1.0
         assert np.max(np.abs(got - direct) / scale) <= 1e-14
 

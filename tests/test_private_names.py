@@ -1,11 +1,16 @@
-"""Source hygiene: every private helper of the package is used.
+"""Source hygiene: every private helper of the package is used, and every
+exported function is run by the package or is one of the paper's lemma
+checks.
 
 A private name (one leading underscore) is internal to ``efgp``, so a
 private top-level name or private method that no code in the package reads
-is dead: typically a helper that a deletion left behind.
+is dead: typically a helper that a deletion left behind.  An exported
+function that no module of the package reads is a second route, and
+belongs with the tests as an oracle.
 """
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -55,3 +60,22 @@ def test_every_private_name_is_read():
                 orphans.append(f"{module}: {name} (line {node.lineno})")
     assert defined > 0
     assert orphans == []
+
+
+# the paper's lemma checks: the acceptance criteria call them, no command does
+LEMMA_CHECKS = {"almost_orthogonality_check", "angle_increment_check",
+                "log_bound_check", "oscillatory_partial_sums",
+                "prufer_sum_diagnostics", "solve_recurrence", "to_prufer",
+                "verify_recursions"}
+
+
+def test_every_exported_function_is_run_or_a_lemma_check():
+    trees = [ast.parse(p.read_text(), filename=p.name)
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    reads = sum((_reads(t) for t in trees), Counter())
+    functions = {name for name in efgp.__all__
+                 if inspect.isfunction(getattr(efgp, name))}
+    assert LEMMA_CHECKS <= functions
+    unread = [name for name in sorted(functions - LEMMA_CHECKS)
+              if reads[name] == 0]
+    assert unread == []

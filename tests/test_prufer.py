@@ -15,14 +15,14 @@ from efgp import (
     errors,
     evolve_trajectory,
     make_potential,
-    prufer_step,
     solve_recurrence,
     to_prufer,
     verify_recursions,
 )
 from efgp import _kernels
 from efgp.prufer import (_block_onsets, _ln_r, _onsets, _potential_onsets,
-                         boundary_values)
+                         _wrap_pi, boundary_values)
+from oracles import prufer_step
 
 PI = math.pi
 
@@ -205,6 +205,16 @@ def test_prufer_step_identity_at_zero_nu():
     ratio, nxt = prufer_step(0.37, 0.0, 1.1)
     assert ratio == 1.0
     assert nxt == 0.37 + 1.1
+    # nu = 0 is a rotation by x, bit for bit, also on angles where the
+    # angle rebuilt from arctan2 rounds 1-2 ulp away from theta + x
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([rng.uniform(-3.0, 3.0, 32),
+                            rng.uniform(-1e4, 1e4, 32)])
+    tb = theta + 1.1
+    rebuilt = tb + _wrap_pi(np.arctan2(np.sin(tb), np.cos(tb)) - tb)
+    assert (rebuilt != tb).any()
+    ratio, nxt = prufer_step(theta, np.zeros(64), 1.1)
+    assert (ratio == 1.0).all() and nxt.tobytes() == tb.tobytes()
 
 
 def test_prufer_step_right_angle():

@@ -28,11 +28,11 @@ from efgp import (
     make_eigenvalue_set,
     make_potential,
     resonance_construct,
-    sturm_count,
 )
 from efgp.prufer import SpectralParam, common_onset, evolve_trajectory
 from efgp import _kernels, analysis, spectral
 from efgp.spectral import default_checkpoints
+from oracles import dense, sturm_count
 
 PI = math.pi
 
@@ -64,7 +64,7 @@ def test_sturm_below_gershgorin_is_zero():
 def test_sturm_matches_dense_oracle():
     p = make_potential("coulomb", c=1.0)
     jac = build_jacobi(OperatorSpec(p, PI / 2, 30))
-    w = np.linalg.eigvalsh(jac.to_dense())
+    w = np.linalg.eigvalsh(dense(jac))
     for e in (-1.5, -0.3, 0.0, 0.42, 1.9):
         assert sturm_count(jac, e) == int(np.sum(w < e))
 
@@ -90,7 +90,7 @@ def test_window_matches_dense_oracle():
     p = make_potential("coulomb", c=1.0)
     jac = build_jacobi(OperatorSpec(p, PI / 2, 40))
     got = eigenvalues_in_window(jac, (-2.0, 2.0))
-    w = np.linalg.eigvalsh(jac.to_dense())
+    w = np.linalg.eigvalsh(dense(jac))
     w = w[(w > -2.0) & (w < 2.0)]
     assert got.size == w.size
     assert np.max(np.abs(np.sort(got) - w)) <= 1e-10
@@ -139,7 +139,7 @@ def test_sturm_exact_on_small_integer_matrices():
     for n in range(1, 6):
         for diag in itertools.product(range(-2, 3), repeat=n):
             d = np.array(diag, dtype=float)
-            w = np.linalg.eigvalsh(JacobiMatrix(d).to_dense())
+            w = np.linalg.eigvalsh(dense(JacobiMatrix(d)))
             want = [int(np.sum(w < E - (1e-9 if _char_poly(diag, int(E)) == 0
                                         else 0.0)))
                     for E in shifts]
@@ -167,15 +167,9 @@ def test_window_rejects_nonfinite_diagonal(bad):
     d[2] = bad
     with pytest.raises(errors.ParamOutOfRange):
         eigenvalues_in_window(JacobiMatrix(d), (-2.0, 2.0))
-    with pytest.raises(errors.ParamOutOfRange):
-        sturm_count(JacobiMatrix(d), 0.0)
-    with pytest.raises(errors.ParamOutOfRange):
-        sturm_count(free_jacobi(5), bad)
 
 
 def test_empty_jacobi_rejected():
-    with pytest.raises(errors.ParamOutOfRange):
-        sturm_count(free_jacobi(0), 0.0)
     with pytest.raises(errors.ParamOutOfRange):
         eigenvalues_in_window(free_jacobi(0), (-2.0, 2.0))
 
@@ -226,7 +220,7 @@ def test_window_bound_spectrum_matches_scipy_eigvalsh_tridiagonal(n):
 
 def test_window_coulomb_n2000_matches_dense():
     jac = build_jacobi(OperatorSpec(make_potential("coulomb", c=2.0), 1.0, 2000))
-    w = np.linalg.eigvalsh(jac.to_dense())
+    w = np.linalg.eigvalsh(dense(jac))
     t0 = time.perf_counter()
     for lo, hi in ((-2.0, 2.0), (0.5, 0.51)):
         got = eigenvalues_in_window(jac, (lo, hi))

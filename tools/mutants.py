@@ -102,6 +102,12 @@ MUTANTS = (
         ("tests/test_operators.py::"
          "test_envelope_of_a_late_range_and_of_explicit_values",)),
     Mutant(
+        "random-sign-mixer-constant", "src/efgp/operators.py",
+        "_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)",
+        "_SM_M1 = np.uint64(0xBF58476D1CE4E5B7)",
+        ("tests/test_operators.py::"
+         "test_random_sign_values_are_signs_times_c_over_n",)),
+    Mutant(
         "decay-fit-blas-dot", "src/efgp/spectral.py",
         "    dev *= t_c\n    return (np.add.reduce(dev, axis=1) / -tt).tolist()",
         "    return [-float(np.dot(t_c, d) / tt) for d in dev]",
@@ -148,6 +154,14 @@ MUTANTS = (
         ("tests/test_kernels.py::"
          "test_backward_windows_match_whole_row_driver[32000]",)),
     Mutant(
+        # a step to an exact zero w(k+1) = 0 counts as a sign agreement
+        "sturm-zero-step-counted", "src/efgp/_kernels.py",
+        "(cur != 0.0) & (same | (prev == 0.0))",
+        "same | (prev == 0.0)",
+        ("tests/test_spectral.py::test_sturm_count_one_site",
+         "tests/test_spectral.py::test_sturm_exact_on_small_integer_matrices",
+         "tests/test_spectral.py::test_window_endpoint_rule_free_n3")),
+    Mutant(
         "onset-threshold-side", "src/efgp/prufer.py",
         'side="right")',
         'side="left")',
@@ -190,6 +204,11 @@ MUTANTS = (
         "q = 1.0",
         ("tests/test_prufer.py::"
          "test_verify_recursions_near_the_float_limit[values3-1.0]",)),
+    Mutant(
+        "angle-step-zero-nu-bypass-dropped", "src/efgp/prufer.py",
+        "return np.where(nu == 0.0, tb, tb + _wrap_pi(principal - tb))",
+        "return tb + _wrap_pi(principal - tb)",
+        ("tests/test_prufer.py::test_prufer_step_identity_at_zero_nu",)),
     Mutant(
         "trajectory-finiteness-unchecked", "src/efgp/prufer.py",
         "if not np.isfinite(getattr(self, name)[1:]).all():",
