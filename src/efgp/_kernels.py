@@ -12,8 +12,8 @@ layer, which imports numpy.f2py, numpy.testing, numpy.ma and more.
 
 The recurrence w(k+1) = (E - W(k)) w(k) - w(k-1), started from
 (w(0), w(1)), is forward substitution in a unit lower-triangular band
-system with two subdiagonals, so BLAS ``dtbsv`` solves a stretch of it in
-the same sequential order as a loop would (:func:`_recur`).  B independent
+system with two subdiagonals (:func:`_band`), so BLAS ``dtbsv`` solves a
+stretch of it in the same sequential order as a loop would.  B independent
 recurrences are B blocks laid end to end in one such system, uncoupled by
 zero entries.  One resumable driver (:func:`_forward_windows`) runs B
 blocks, one per energy E_b, with log-scale rescaling, each rescaled
@@ -26,7 +26,8 @@ the couplings W(k) - E_b itself and solves on the buffers of a workspace
 (:class:`_Workspace`), the caller's or a fresh one per call; the band's
 buffer ends in a contiguous stretch for |solution|, which the rescale test
 reads, and the band keeps its constant entries from one solve of a shape to
-the next.  It serves the forward Prufer evolution
+the next.  It serves the stored solution (``prufer.solve_recurrence``:
+W = V, one block, u = exp(scale) * cur), the forward Prufer evolution
 (W = V), the backward resonant launch (W(k) = V(M + 1 - k) on the mirrored
 sites, one block, keeping its last window, the sites it returns) and Sturm
 counts (W = the diagonal, one block per shift).  ``analysis.lemma_sums``
@@ -94,9 +95,10 @@ _BLOCK = _CHUNK // 2
 
 
 def _band(nb, n, out):
-    """Band storage of _recur's system for nb blocks of n rows, as an
-    (nb, n, 3) view of out (a flat float64 array of at least 3 nb n
-    entries): every entry but the couplings band[:, 1:-1, 1] is set.
+    """Band storage of nb recurrences w_b(j+2) = -c_b(j) w_b(j+1) - w_b(j)
+    laid end to end, n rows each, as an (nb, n, 3) view of out (a flat
+    float64 array of at least 3 nb n entries): every entry but the
+    couplings c_b = band[b, 1:-1, 1] is set.
 
     The C-ordered (row, diagonal) entries are passed to BLAS as
     Fortran-ordered lower band storage; BLAS never reads diagonal 0 (the
@@ -119,40 +121,6 @@ def _solve(band, w0, w1, w):
     w[:, 2:] = 0.0
     return dtbsv(2, band.reshape(-1, 3).T, w.reshape(-1), lower=1, diag=1,
                  overwrite_x=1).reshape(w.shape)
-
-
-def _recur(w0, w1, sub):
-    """w_b(0..L+1) of w_b(j+2) = -sub[b, j] w_b(j+1) - w_b(j), for the B
-    rows b of sub, from (w_b(0), w_b(1)) = (w0[b], w1[b]).
-
-    The B blocks are laid end to end in one band system with two
-    subdiagonals (:func:`_band`), uncoupled by zero entries.  Returns a
-    new (B, L+2) array.
-    """
-    nb, n = sub.shape[0], sub.shape[1] + 2
-    band = _band(nb, n, np.empty(3 * nb * n))
-    band[:, 1:-1, 1] = sub
-    return _solve(band, w0, w1, np.empty((nb, n)))
-
-
-def solve_forward(V, E, u0, u1):
-    """Three-term recurrence u(n+1) = (E - V(n)) u(n) - u(n-1).
-
-    V has length N+1 with V[n] the potential at site n (V[0] ignored).
-    Returns (u, flag): u[0..N], and flag = first index whose value left
-    the representable range, or -1 if none did.
-    """
-    n_max = V.shape[0] - 1
-    u = np.empty(n_max + 1)
-    u[:2] = u0, u1
-    for k in range(1, n_max, _CHUNK):
-        steps = min(_CHUNK, n_max - k)
-        y = _recur(u[k - 1], u[k], (V[k:k + steps] - E)[None])[0, 2:]
-        u[k + 1:k + 1 + steps] = y
-        bad = ~(np.abs(y) <= 1e300)  # nan compares false
-        if bad.any():
-            return u, k + 1 + int(bad.argmax())
-    return u, -1
 
 
 def _ends(start, stop, width):

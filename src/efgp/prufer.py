@@ -18,10 +18,11 @@ is the representative closest to theta(n) + x, the unique choice compatible
 with the increment bound |theta(n+1) - theta(n) - x| <= pi |nu(n)| valid
 for |nu| < 1/2.
 
-Both routes share one recurrence, solved as BLAS band systems in
-``_kernels``: ``solve_recurrence`` stores the raw solution, and
+Every route runs one recurrence driver, ``_kernels._forward_windows``,
+which yields rescaled pairs with a log scale, window by window:
+``solve_recurrence`` stores the solution u(n) = exp(scale) * cur, and
 ``evolve_trajectory`` (like ``spectral.resonance_construct`` backwards)
-gets it as rescaled pairs with a log scale, window by window.  One
+transforms the pairs as they come.  One
 transform, ``_trajectory``, takes windows of pairs of one spectral
 parameter from ``evolve_trajectory`` (the driver's) or ``to_prufer`` (a
 stored solution's): per window one step of the angle lift, ``_Lift``,
@@ -221,20 +222,30 @@ def boundary_values(phi: float) -> tuple:
 
 
 def solve_recurrence(spec: OperatorSpec, param: SpectralParam) -> Solution:
-    """Evolve the boundary-condition solution out to site N.
+    """Evolve the boundary-condition solution out to site N: the streamed
+    driver's pairs, one block, window by window, stored as
+    u(n) = exp(scale) * cur.  Where the driver never rescaled, scale is 0
+    and u holds the bits of the unscaled recurrence.
 
-    Raises Overflow if the amplitude leaves the representable range; use
+    Raises Overflow at the first site where |u| exceeds 1e300; use
     :func:`evolve_trajectory` for the rescaled log-scale evolution.
     """
     _instance(spec, OperatorSpec, "spec")
     _instance(param, SpectralParam, "param")
     V = spec.potential.value_array(spec.n)
     u0, u1 = boundary_values(spec.phi)
-    # overflow is detected and signalled by the kernel itself
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, flag = _kernels.solve_forward(V, param.E, u0, u1)
-    if flag >= 0:
-        raise Overflow(f"solution amplitude left float range at site {flag}")
+    ends = _kernels._ends(0, spec.n, _kernels._CHUNK)
+    windows = _kernels._forward_windows(V, [param.E], u0, u1, ends)
+    u = np.empty(spec.n + 1)
+    u[0] = u0
+    for lo, hi, (cur, _, scale) in zip([0] + ends, ends, windows):
+        # exp(scale) may overflow only past a site beyond 1e300, caught here
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(cur[0], np.exp(scale[0]), out=u[lo + 1:hi + 1])
+        bad = ~(np.abs(u[lo + 1:hi + 1]) <= 1e300)  # nan compares false
+        if bad.any():
+            site = lo + 1 + int(bad.argmax())
+            raise Overflow(f"solution amplitude left float range at site {site}")
     return Solution(u=u, spec=spec, param=param)
 
 

@@ -26,6 +26,19 @@ def dense(J):
     return np.diag(J.diagonal) + np.eye(n, k=1) + np.eye(n, k=-1)
 
 
+def recur(w0, w1, sub):
+    """w_b(0..L+1) of w_b(j+2) = -sub[b, j] w_b(j+1) - w_b(j), for the B
+    rows b of sub, from (w_b(0), w_b(1)) = (w0[b], w1[b]), unscaled: one
+    solve of the program's band system (``_kernels._band``,
+    ``_kernels._solve``), the B blocks laid end to end and uncoupled by
+    zero entries.  Returns a new (B, L+2) array.
+    """
+    nb, n = sub.shape[0], sub.shape[1] + 2
+    band = _kernels._band(nb, n, np.empty(3 * nb * n))
+    band[:, 1:-1, 1] = sub
+    return _kernels._solve(band, w0, w1, np.empty((nb, n)))
+
+
 def prufer_step(theta_n, nu_n, x):
     """One analytic Prufer step: (R(n+1)^2 / R(n)^2, theta(n+1)).
 

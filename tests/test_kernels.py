@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efgp import OperatorSpec, _kernels, make_potential, resonance_construct
+from efgp import (OperatorSpec, _kernels, errors, make_potential,
+                  resonance_construct, solve_recurrence)
 from efgp.prufer import (SpectralParam, _ln_r, _trajectory, boundary_values,
                          evolve_trajectory)
 from efgp.spectral import _centred_log_sites, _decay_exponents
+from oracles import recur
 
 RESCALE_HI, RESCALE_LO = 1e100, 1e-100
 
@@ -189,15 +191,16 @@ def test_rescale_at_first_site():
     _assert_same_evolution(got, want, SpectralParam.from_energy(0.5))
 
 
-def test_solve_forward_extended_precision():
+def test_solve_recurrence_extended_precision():
     n = 2 * 10 ** 5
-    V = make_potential("random_sign", c=1.0, seed=3).value_array(n)
-    E = 2.0 * math.cos(1.2)
-    u, flag = _kernels.solve_forward(V, E, 1.0, 0.5)
-    assert flag == -1
+    spec = OperatorSpec(make_potential("random_sign", c=1.0, seed=3), 1.0, n)
+    param = SpectralParam.from_x(1.2)
+    # no site beyond 1e300: the call returns rather than raise Overflow
+    u = solve_recurrence(spec, param).u
     ref = np.empty(n + 1, dtype=np.longdouble)
-    ref[0], ref[1] = 1.0, 0.5
-    Vl, El = V.astype(np.longdouble), np.longdouble(E)
+    ref[0], ref[1] = boundary_values(1.0)
+    Vl = spec.potential.value_array(n).astype(np.longdouble)
+    El = np.longdouble(param.E)
     for k in range(1, n):
         ref[k + 1] = (El - Vl[k]) * ref[k] - ref[k - 1]
     err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
@@ -226,15 +229,19 @@ def test_overflowing_step_rescales_before_it():
             np.abs(lnr - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_solve_forward_overflow_flag():
-    # the flag is the first site of the unrescaled loop beyond 1e300
-    V = _table12(2000)
-    u, flag = _kernels.solve_forward(V, 1.0, 1.0, 0.5)
-    ref = [1.0, 0.5]
+def test_solve_recurrence_overflow_site():
+    # the site named is the first of the unrescaled loop beyond 1e300
+    param = SpectralParam.from_energy(1.0)
+    potential = make_potential("table", values=[12.0] * 2000)
+    ref = list(boundary_values(1.0))
     while abs(ref[-1]) <= 1e300:
-        ref.append((1.0 - V[len(ref) - 1]) * ref[-1] - ref[-2])
-    assert flag == len(ref) - 1
-    np.testing.assert_allclose(u[:flag], ref[:-1], rtol=1e-13)
+        ref.append((param.E - 12.0) * ref[-1] - ref[-2])
+    site = len(ref) - 1
+    with pytest.raises(errors.Overflow, match=f"at site {site}$"):
+        solve_recurrence(OperatorSpec(potential, 1.0, 2000), param)
+    # up to the site before it, the solution is the loop's
+    u = solve_recurrence(OperatorSpec(potential, 1.0, site - 1), param).u
+    np.testing.assert_allclose(u, ref[:-1], rtol=1e-13)
 
 
 def test_many_rescales_stay_cheap():
@@ -417,12 +424,12 @@ def _whole_row_pairs(sub, n_sites, w0, w1, cur, prev, scale):
         w = sub(ids, np.minimum(sites, n_sites - 1) if chunk > fewest else sites)
         if chunk > fewest:
             w[sites >= n_sites] = 0.0
-        y = _kernels._recur(b, a, w)
+        y = recur(b, a, w)
         over = ~np.isfinite(y[:, -1])
         i = 0
         while over[i:-1].any():
             i += int(over[i:-1].argmax()) + 1
-            y[i:] = _kernels._recur(b[i:], a[i:], w[i:])
+            y[i:] = recur(b[i:], a[i:], w[i:])
             over[i:] = ~np.isfinite(y[i:, -1])
         ay = np.abs(y)
         rows = offsets[:n_act]

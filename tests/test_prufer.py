@@ -22,7 +22,7 @@ from efgp import (
 from efgp import _kernels
 from efgp.prufer import (_block_onsets, _ln_r, _onsets, _potential_onsets,
                          _wrap_pi, boundary_values)
-from oracles import prufer_step
+from oracles import prufer_step, recur
 
 PI = math.pi
 
@@ -126,10 +126,9 @@ def test_wronskian_constant():
     spec = OperatorSpec(p, PI / 2, 10 ** 5)
     param = SpectralParam.from_x(1.2)
     V = p.value_array(spec.n)
-    from efgp._kernels import solve_forward
-    s, f1 = solve_forward(V, param.E, 1.0, 0.0)
-    t, f2 = solve_forward(V, param.E, 0.0, 1.0)
-    assert f1 == -1 and f2 == -1
+    sub = (V[1:spec.n] - param.E)[None]
+    s, t = recur(1.0, 0.0, sub)[0], recur(0.0, 1.0, sub)[0]
+    assert np.all(np.abs(s) <= 1e300) and np.all(np.abs(t) <= 1e300)
     w = s[1:] * t[:-1] - s[:-1] * t[1:]
     assert np.max(np.abs(w - w[0])) <= 1e-12 * (1 + np.abs(w[0]))
 

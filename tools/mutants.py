@@ -2,9 +2,10 @@
 
 Each entry names a file, an exact old text that occurs exactly once in it,
 the new text, and the test node ids that must fail once the edit is made.
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` (whose
-``pythonpath = ["src"]`` resolves against the copy) to a temporary
-directory and runs the named nodes there with
+The runner copies ``src/``, ``tests/``, ``tools/`` (``tests/test_golden.py``
+imports ``tools/golden.py``) and ``pyproject.toml`` (whose
+``pythonpath = ["src"]`` resolves against the copy), those of them that
+exist, to a temporary directory and runs the named nodes there with
 ``python -m pytest -p no:cacheprovider`` in a fresh interpreter, first
 unedited, where they must all pass, then after applying the one edit.  A
 mutant is killed when every named node fails (for a parametrized node, at
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -298,6 +299,23 @@ MUTANTS = (
         "_JSON_ORDER = sorted(range(len(_RECORD_KEYS)), key=_RECORD_KEYS.__getitem__)",
         "_JSON_ORDER = range(len(_RECORD_KEYS))",
         ("tests/test_cli.py::test_report_json_records_match_spectrum_csv",)),
+    Mutant(
+        "solve-recurrence-scale-dropped", "src/efgp/prufer.py",
+        "np.multiply(cur[0], np.exp(scale[0]), out=u[lo + 1:hi + 1])",
+        "np.multiply(cur[0], 1.0, out=u[lo + 1:hi + 1])",
+        ("tests/test_mpmath_oracle.py::"
+         "test_solve_recurrence_matches_mpmath[table-rescaled]",)),
+    Mutant(
+        "solve-recurrence-overflow-bound", "src/efgp/prufer.py",
+        "bad = ~(np.abs(u[lo + 1:hi + 1]) <= 1e300)",
+        "bad = ~(np.abs(u[lo + 1:hi + 1]) <= 1e308)",
+        ("tests/test_kernels.py::test_solve_recurrence_overflow_site",)),
+    Mutant(
+        "golden-float-formatter", "src/efgp/cli.py",
+        "_FORMATTERS = {float: float.__repr__,",
+        '_FORMATTERS = {float: "%.16g".__mod__,',
+        ("tests/test_golden.py::"
+         "test_trajectory_csv_ends_at_the_payload_values",)),
 )
 
 
@@ -339,7 +357,7 @@ def run(mutant: Mutant, root: Path = ROOT) -> tuple:
             if src.is_dir():
                 shutil.copytree(src, work / name,
                                 ignore=shutil.ignore_patterns("__pycache__"))
-            else:
+            elif src.exists():
                 shutil.copy2(src, work / name)
         code, _, skipped, output = _pytest(work, mutant.tests)
         if code != 0 or skipped:
