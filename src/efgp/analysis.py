@@ -52,7 +52,7 @@ from .prufer import (
     boundary_values,
     common_onset,
 )
-from .spectral import EigenvalueSet, _checked_records
+from .spectral import EigenvalueRecord, EigenvalueSet
 
 STABILIZATION_THRESHOLD = 0.05
 _FREQ_TOL = 1e-9
@@ -103,12 +103,13 @@ def check_theorem(eset: EigenvalueSet, C: float,
     default) only records whose tail-norm certificate passed contribute;
     raw truncation eigenvalues would otherwise trivially overfill the left
     side.  Weights and verdicts are derived from each record's E and
-    certificate evidence, so every summed weight lies in (0, 1] and the
-    sum and margin stay finite.
+    certificate evidence, which the record checked when it was built, so
+    every summed weight lies in (0, 1] and the sum and margin stay finite.
+    eset.records must hold EigenvalueRecords (ParamOutOfRange otherwise).
     """
     _instance(eset, EigenvalueSet, "eset")
     rhs = theorem_bound(C)
-    records = [r for r in _checked_records(eset.records)
+    records = [r for r in _instances(eset.records, EigenvalueRecord, "records")
                if -2.0 < r.E < 2.0
                and (not certified_only or r.certificate.passed)]
     lhs = float(sum(r.weight for r in records))

@@ -69,7 +69,8 @@ def _real(v, name: str) -> float:
     does not show).  This is the one finiteness check of real arguments."""
     try:
         # float and int first: the numbers.Real check alone takes about
-        # 0.4 us, and a record's weight and x pass here once per read
+        # 0.4 us, and classify builds one record per energy, whose E passes
+        # here once, when the record is built
         x = float(v) if isinstance(v, (float, int, numbers.Real)) else math.nan
     except OverflowError:
         raise ParamOutOfRange(

@@ -90,10 +90,28 @@ def eigenvalues_in_window(J: JacobiMatrix, window: tuple) -> np.ndarray:
 class Certificate:
     """Tail-norm checkpoint evidence in the R(1)-normalized scale: the
     eligible checkpoint N* with the best margin and R(N*)^2 there, or
-    (0, nan) when no checkpoint was eligible."""
+    (0, nan) when no checkpoint was eligible.
+
+    n_star must be an integer in the int64 range and rn_sq a real number in
+    the float range (nan and +-inf allowed), else ParamOutOfRange; they are
+    stored as int and float, so passed never raises."""
 
     n_star: int
     rn_sq: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_star", _int(self.n_star, "n_star"))
+        rn_sq = self.rn_sq
+        try:
+            # float and int first, as in _real
+            rn_sq = (float(rn_sq) if isinstance(rn_sq, (float, int, numbers.Real))
+                     else None)
+        except OverflowError:  # an integer beyond the float range
+            rn_sq = None
+        if rn_sq is None:
+            raise ParamOutOfRange("rn_sq must be a real number in the float "
+                                  f"range, got {_shown(self.rn_sq)}")
+        object.__setattr__(self, "rn_sq", rn_sq)
 
     @property
     def passed(self) -> bool:
@@ -108,7 +126,9 @@ class EigenvalueRecord:
 
     Only measurements are stored: weight, x and certificate.passed follow
     from E and the certificate's (N*, R(N*)^2), so a record cannot
-    contradict itself.  decay_exponent is the negated least-squares slope
+    contradict itself.  E must be a finite real number, stored as a float,
+    and certificate a Certificate, else ParamOutOfRange, so the derived
+    values never raise.  decay_exponent is the negated least-squares slope
     of ln R against ln n (positive means decay), None when the fit window
     holds fewer than two sites; r1 is R(1), None outside (-2, 2).
     """
@@ -118,6 +138,10 @@ class EigenvalueRecord:
     decay_exponent: Optional[float] = None
     r1: Optional[float] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "E", _real(self.E, "E"))
+        _instance(self.certificate, Certificate, "certificate")
+
     @property
     def weight(self) -> float:
         """1 - E^2/4 = sin^2(x) (:func:`theorem_weight`)."""
@@ -126,8 +150,7 @@ class EigenvalueRecord:
     @property
     def x(self) -> Optional[float]:
         """acos(E/2) for E inside (-2, 2), else None."""
-        E = _real(self.E, "E")
-        return math.acos(E / 2.0) if -2.0 < E < 2.0 else None
+        return math.acos(self.E / 2.0) if -2.0 < self.E < 2.0 else None
 
 
 @dataclass(frozen=True)
@@ -151,46 +174,13 @@ def _cert_rank(rec: EigenvalueRecord) -> tuple:
     return (not rec.certificate.passed, rec.certificate.n_star * rec.certificate.rn_sq)
 
 
-def _all_types(values, cls) -> bool:
-    # one issubclass per type, not an isinstance per value
-    return all(issubclass(t, cls) for t in set(map(type, values)))
-
-
-def _checked_records(records) -> list:
-    """records as a list of EigenvalueRecords with a finite real E and a
-    Certificate whose n_star is an integer in the int64 range and whose
-    rn_sq is a real number in the float range (nan and +-inf allowed),
-    else ParamOutOfRange.  So the derived weight, x and certificate.passed
-    never raise."""
-    records = _instances(records, EigenvalueRecord, "records")
-    certs = _instances([r.certificate for r in records], Certificate,
-                       "certificates")
-    # one check per field and type and one array, not a check per record:
-    # classify gives one record per energy
-    es = [r.E for r in records]
-    n_stars = [c.n_star for c in certs]
-    rn_sqs = [c.rn_sq for c in certs]
-    # passed divides by n_star and compares rn_sq
-    ok = (_all_types(es, numbers.Real)
-          and _all_types(n_stars, numbers.Integral)
-          and _all_types(rn_sqs, numbers.Real)
-          and -2 ** 63 <= min(n_stars, default=0)
-          and max(n_stars, default=0) < 2 ** 63)
-    try:
-        ok = ok and np.isfinite(
-            np.array(es + rn_sqs, dtype=float)[:len(es)]).all()
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ParamOutOfRange("records need a finite real E and a Certificate "
-                              "of an int64 n_star and a real rn_sq")
-    return records
-
-
 def make_eigenvalue_set(records) -> EigenvalueSet:
     """Sort records by E and merge numerical duplicates (energies within
-    DISTINCT_TOL), keeping the better certificate of each merged cluster."""
-    records = _checked_records(records)
+    DISTINCT_TOL), keeping the better certificate of each merged cluster.
+
+    records must be EigenvalueRecords (ParamOutOfRange otherwise); each
+    checked its own fields when it was built."""
+    records = _instances(records, EigenvalueRecord, "records")
     ordered = sorted(records, key=lambda r: r.E)
     merged = []
     for rec in ordered:
@@ -265,7 +255,9 @@ def classify_spectrum(spec: OperatorSpec, energies,
     slow rotation.  The record stores only the evidence: E, the eligible
     checkpoint with the best margin and its R(N*)^2, (0, nan) when none
     is eligible, the decay exponent, fitted over [max(2, N/2), N], and
-    R(1).  Its weight, x and certificate.passed are derived from them.
+    R(1).  Its weight, x and certificate.passed are derived from them; the
+    record and its Certificate check these fields when they are built, as a
+    hand-built record does.
 
     V is evaluated once, and every onset is found in one backward pass
     over it (``prufer._block_onsets``); one array comparison of onsets and

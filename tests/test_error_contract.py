@@ -6,6 +6,7 @@ import json
 import math
 import signal
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,57 @@ def test_out_of_domain_arguments_rejected(name):
     call, error = DOMAIN_CALLS[name]
     with pytest.raises(error):
         call()
+
+
+# a record checks its fields when it is built, not when it is read or summed
+RECORD_CONSTRUCTOR_CALLS = {
+    "certificate-float-n_star": lambda: Certificate(n_star=1.5, rn_sq=0.0),
+    "certificate-text-n_star": lambda: Certificate(n_star="a", rn_sq=0.0),
+    "certificate-n_star-beyond-int64":
+        lambda: Certificate(n_star=2 ** 63, rn_sq=0.0),
+    "certificate-text-rn_sq": lambda: Certificate(n_star=100, rn_sq="a"),
+    "certificate-huge-int-rn_sq":
+        lambda: Certificate(n_star=100, rn_sq=10 ** 400),
+    "record-nan-E": lambda: EigenvalueRecord(E=math.nan, certificate=_CERT),
+    "record-huge-int-E": lambda: EigenvalueRecord(E=10 ** 400, certificate=_CERT),
+    "record-no-certificate": lambda: EigenvalueRecord(E=0.5, certificate=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CONSTRUCTOR_CALLS))
+def test_record_constructors_reject_bad_fields(name):
+    with pytest.raises(errors.ParamOutOfRange):
+        RECORD_CONSTRUCTOR_CALLS[name]()
+
+
+@settings(derandomize=True, deadline=None)
+@given(E=st.floats(allow_nan=False, allow_infinity=False),
+       e_type=st.sampled_from([float, np.float64, Fraction]),
+       n_star=st.integers(-2 ** 63, 2 ** 63 - 1),
+       n_type=st.sampled_from([int, np.int64]),
+       rn_sq=st.one_of(st.floats(), st.floats().map(np.float64),
+                       st.integers(-10 ** 300, 10 ** 300)))
+@example(E=1.0, e_type=np.float64, n_star=100, n_type=np.int64,
+         rn_sq=np.float64(0.001))
+@example(E=-1.5, e_type=Fraction, n_star=-2 ** 63, n_type=int, rn_sq=math.nan)
+@example(E=0.0, e_type=float, n_star=2 ** 63 - 1, n_type=int, rn_sq=-math.inf)
+def test_constructible_records_never_raise_when_read(E, e_type, n_star, n_type,
+                                                     rn_sq):
+    rec = EigenvalueRecord(E=e_type(E), certificate=Certificate(
+        n_star=n_type(n_star), rn_sq=rn_sq))
+    cert = rec.certificate
+    assert type(rec.E) is float and rec.E == E
+    assert type(cert.n_star) is int and cert.n_star == n_star
+    assert type(cert.rn_sq) is float
+    assert cert.rn_sq == float(rn_sq) or math.isnan(rn_sq)
+    x, weight, passed = rec.x, rec.weight, cert.passed
+    assert (x is None) == (not -2.0 < E < 2.0)
+    assert weight == 1.0 - E * E / 4.0 and passed in (True, False)
+    eset = make_eigenvalue_set([rec, rec])
+    assert eset.records == (rec,)
+    report = check_theorem(eset, 1.0, certified_only=False)
+    assert report.records_used == (x is not None)
+    assert check_theorem(eset, 1.0).records_used == (x is not None and passed)
 
 
 @pytest.mark.parametrize("value", [[1.0] * 10 ** 6, "a" * 10 ** 6,

@@ -238,8 +238,8 @@ MUTANTS = (
          "test_out_of_domain_arguments_rejected[solution-nan-u]",)),
     Mutant(
         "record-finiteness-unchecked", "src/efgp/spectral.py",
-        "ok = ok and np.isfinite(",
-        "ok = ok and np.isreal(",
+        '_real(self.E, "E")',
+        "float(self.E)",
         ("tests/test_error_contract.py::"
          "test_out_of_domain_arguments_rejected[make_eigenvalue_set-nan-E]",
          "tests/test_error_contract.py::"
@@ -251,15 +251,27 @@ MUTANTS = (
         ("tests/test_analysis.py::test_check_theorem_sums_only_inside_the_band",)),
     Mutant(
         "certificate-fields-unchecked", "src/efgp/spectral.py",
-        "          and _all_types(n_stars, numbers.Integral)\n"
-        "          and _all_types(rn_sqs, numbers.Real)\n"
-        "          and -2 ** 63 <= min(n_stars, default=0)\n"
-        "          and max(n_stars, default=0) < 2 ** 63)",
-        ")",
+        '_int(self.n_star, "n_star")',
+        "self.n_star",
         ("tests/test_error_contract.py::"
-         "test_wrong_library_types_rejected[make_eigenvalue_set-text-n_star]",
+         "test_wrong_library_types_rejected[make_eigenvalue_set-float-n_star]",
          "tests/test_error_contract.py::"
          "test_out_of_domain_arguments_rejected[check_theorem-n_star-beyond-int64]")),
+    Mutant(
+        "certificate-rn_sq-overflow-unchecked", "src/efgp/spectral.py",
+        "        except OverflowError:  # an integer beyond the float range\n"
+        "            rn_sq = None\n",
+        "        except ZeroDivisionError:\n"
+        "            rn_sq = None\n",
+        ("tests/test_error_contract.py::"
+         "test_out_of_domain_arguments_rejected[check_theorem-huge-int-rn_sq]",)),
+    Mutant(
+        # a record keeps the E it was given: an int or np.float64 E
+        "record-E-kept-as-given", "src/efgp/spectral.py",
+        'object.__setattr__(self, "E", _real(self.E, "E"))',
+        '_real(self.E, "E")',
+        ("tests/test_error_contract.py::"
+         "test_constructible_records_never_raise_when_read",)),
     Mutant(
         "kernels-import-scipy-linalg", "src/efgp/_kernels.py",
         'dtbsv = _scipy_linalg_extension("_fblas").dtbsv',
