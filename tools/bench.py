@@ -182,6 +182,7 @@ def _alternate(trees: dict, w: str, seeds: list, seconds: float,
                 tree = trees["parent" if name == "parent2" else name]
                 out[name].append(
                     _metrics(run_once(tree, w, seed, seconds, scale)[1]))
+                print(f"{w} seed {seed} {name}: {out[name][-1]}", flush=True)
     return out
 
 
@@ -217,7 +218,8 @@ def pair_trees(parent: Path, change: Path, control: Path, seeds: list,
             wins, holds = rule(p, c, better)
             ctl_wins, ctl_holds = rule(p2, k, better)
             rows.append({"workload": w, "metric": m, "parent": s,
-                         "change": med_c, "move": move, "better_in": wins,
+                         "change": med_c, "control": statistics.median(k),
+                         "move": move, "better_in": wins,
                          "rule": holds, "control_better_in": ctl_wins,
                          "control_rule": ctl_holds, "pairs": len(seeds),
                          "status": _status(p, c, better, bound, move)})
@@ -241,8 +243,9 @@ def table(out: dict) -> str:
     """The pair result as a markdown table and a verdict line."""
     n = out["rows"][0]["pairs"] if out["rows"] else 0
     lines = ["| workload | metric | parent median [q1, q3] | change median "
-             "| move | change better | control better | claim rule "
-             "(change / control) |", "|---|---|---|---|---|---|---|---|"]
+             "| move | change better | control median | control better "
+             "| claim rule (change / control) |",
+             "|---|---|---|---|---|---|---|---|---|"]
     for r in out["rows"]:
         p = r["parent"]
         flag = f" ({r['status']})" if r["status"] else ""
@@ -250,7 +253,7 @@ def table(out: dict) -> str:
             f"| {r['workload']} | {r['metric']} | {p['median']:.4g} "
             f"[{p['q1']:.4g}, {p['q3']:.4g}] | {r['change']:.4g} "
             f"| {100 * r['move']:+.1f}%{flag} | {r['better_in']} of {n} "
-            f"| {r['control_better_in']} of {n} "
+            f"| {r['control']:.4g} | {r['control_better_in']} of {n} "
             f"| {'holds' if r['rule'] else 'fails'} / "
             f"{'holds' if r['control_rule'] else 'fails'} |")
     met = ", ".join(f"{w} {m}" for w, m in out["claims_met"])
