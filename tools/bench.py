@@ -28,7 +28,7 @@ workload where the rule holds for the change and not for the control.
 
 Both commands take --workload (repeatable; default the declared ones).
 Exit status: 0, or 1 when a run fails or reports an incorrect result.
-The functions also take perfbench's smaller scales (workloads.SIZES, e.g.
+``pair_trees`` also takes perfbench's smaller scales (workloads.SIZES, e.g.
 "tiny"), through ``run_benchmark``, for quick runs of the protocol itself.
 """
 
@@ -143,22 +143,21 @@ def _host() -> dict:
             "platform": platform.platform()}
 
 
-def snapshot(rev: str, seeds: list, seconds: float, workloads: tuple,
-             scale: str = "full") -> dict:
+def snapshot(rev: str, seeds: list, seconds: float, workloads: tuple) -> dict:
     """The snapshot document of rev: one run per workload and seed."""
     with tempfile.TemporaryDirectory(prefix="efgp-bench-") as tmp:
         tree = Path(tmp) / "tree"
         commit = export(rev, tree)
-        doc = {"git_head": commit, "host": _host(), "scale": scale,
-               "seconds": seconds, "seeds": seeds, "workloads": {}}
+        doc = {"git_head": commit, "host": _host(), "seconds": seconds,
+               "seeds": seeds, "workloads": {}}
         for w in workloads:
             runs = []
             for seed in seeds:
-                detail, result = run_once(tree, w, seed, seconds, scale)
+                detail, result = run_once(tree, w, seed, seconds, "full")
                 doc["versions"] = {k: detail["environment"].get(k) for k in
                                    ("python", "numpy", "scipy", "backend")}
                 runs.append({"seed": seed,
-                             "command": command(w, seed, seconds, scale),
+                             "command": command(w, seed, seconds, "full"),
                              "attempted": result["attempted"],
                              "failed": result["failed"],
                              "metrics": _metrics(result)})
@@ -228,13 +227,12 @@ def pair_trees(parent: Path, change: Path, control: Path, seeds: list,
     return {"rows": rows, "claims_met": met}
 
 
-def pair(rev: str, seeds: list, seconds: float, workloads: tuple,
-         scale: str = "full") -> dict:
+def pair(rev: str, seeds: list, seconds: float, workloads: tuple) -> dict:
     """pair_trees on trees of rev, HEAD and rev again."""
     with tempfile.TemporaryDirectory(prefix="efgp-bench-") as tmp:
         trees = [Path(tmp) / name for name in ("parent", "change", "control")]
         commits = [export(r, t) for r, t in zip((rev, "HEAD", rev), trees)]
-        out = pair_trees(*trees, seeds, seconds, workloads, scale)
+        out = pair_trees(*trees, seeds, seconds, workloads)
     out["parent_commit"], out["change_commit"] = commits[0], commits[1]
     return out
 

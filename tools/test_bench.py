@@ -21,7 +21,6 @@ def _tree(dest: Path, sleep: bool = False) -> Path:
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns(
             "__pycache__", "_work"))
-    shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
     if sleep:
         path = dest / "src" / "efgp" / "spectral.py"
         text = path.read_text(encoding="utf-8")
