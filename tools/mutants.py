@@ -266,7 +266,7 @@ MUTANTS = (
         ("tests/test_error_contract.py::"
          "test_out_of_domain_arguments_rejected[check_theorem-huge-int-rn_sq]",)),
     Mutant(
-        # a record keeps the E it was given: an int or np.float64 E
+        # a record keeps the E it was given: an np.float64 or Fraction E
         "record-E-kept-as-given", "src/efgp/spectral.py",
         'object.__setattr__(self, "E", _real(self.E, "E"))',
         '_real(self.E, "E")',

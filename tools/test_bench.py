@@ -12,7 +12,8 @@ import bench
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [1, 2, 3, 4, 5]
-CLASSIFY = 'def classify_spectrum(spec: OperatorSpec, energies,\n'
+# classify_spectrum's first statement
+CLASSIFY = '    _instance(spec, OperatorSpec, "spec")\n'
 
 
 def _tree(dest: Path, sleep: bool = False) -> Path:
@@ -24,10 +25,9 @@ def _tree(dest: Path, sleep: bool = False) -> Path:
     if sleep:
         path = dest / "src" / "efgp" / "spectral.py"
         text = path.read_text(encoding="utf-8")
-        start = text.index('    """', text.index(CLASSIFY))
-        body = text.index('"""', start + 7) + 4  # past the docstring
-        path.write_text(text[:body] + '    __import__("time").sleep(0.02)\n'
-                        + text[body:], encoding="utf-8")
+        assert text.count(CLASSIFY) == 1
+        path.write_text(text.replace(CLASSIFY, '    __import__("time").sleep'
+                                     '(0.02)\n' + CLASSIFY), encoding="utf-8")
     return dest
 
 
