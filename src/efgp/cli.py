@@ -22,7 +22,6 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 from typing import Optional
 
@@ -296,55 +295,21 @@ def _write_csv(path: Path, names, columns, stamp: str):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class _Encoded(str):
-    """JSON text as _json_text writes it at depth 0; _json_text indents it
-    to where it lands.  Its only raw newlines are its line breaks, since a
-    JSON string escapes its own."""
+# report.json's payload.records until _write_json splices in the records'
+# text; no config string holds a NUL
+_RECORDS = "\0records"
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` for obj
-    on a line that begins with ``pad``, a newline and an indent; obj's
-    items go on lines indented two spaces more.
-
-    The leaves are written by json's own C string quoting and by
-    ``int.__repr__`` and ``float.__repr__``, so int and float subclasses
-    are written as json writes them.  TypeError where json.dumps raises it,
-    and on a dict key that is not a str."""
-    if isinstance(obj, str):
-        return obj.replace("\n", pad) if type(obj) is _Encoded else _quoted(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("report keys must be str")
-        items = [_quoted(k) + ": " + _json_text(obj[k], inner)
-                 for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
-
-
-def _write_json(path: Path, obj):
-    path.write_text(_json_text(obj) + "\n", encoding="utf-8")
+def _write_json(path: Path, obj, records: Optional[str] = None):
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+    ``records`` is the JSON text of a list, written at depth 0; where it is
+    given, obj's payload.records is _RECORDS, and the text takes its place,
+    indented to depth 2."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    if records is not None:
+        text = text.replace(json.dumps(_RECORDS),
+                            records.replace("\n", "\n    "), 1)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 # a record's reported fields: spectrum.csv's columns, then r1, which only
@@ -358,7 +323,8 @@ _NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
 # the _RECORD_KEYS indices in report.json's (sorted) key order
 _JSON_ORDER = sorted(range(len(_RECORD_KEYS)), key=_RECORD_KEYS.__getitem__)
 # one record object of report.json's records list, %s for each value
-_RECORD_ROW = _json_text(dict.fromkeys(_RECORD_KEYS, _Encoded("%s")), "\n  ")
+_RECORD_ROW = json.dumps(dict.fromkeys(_RECORD_KEYS, "%s"), sort_keys=True,
+                         indent=2).replace('"%s"', "%s").replace("\n", "\n  ")
 
 
 def _record_texts(records) -> tuple:
@@ -386,15 +352,14 @@ def _record_dicts(columns, texts) -> list:
 
 def _write_spectrum(path: Path, records, stamp: str) -> tuple:
     """Write spectrum.csv of records; return them as report dicts and as
-    report.json's records list (an _Encoded text).  Each value is
-    formatted once, and both files are written from that text."""
+    the JSON text of report.json's records list.  Each value is formatted
+    once, and both files are written from that text."""
     columns, texts = _record_texts(records)
     _write_csv(path, _SPECTRUM_COLS, texts[:len(_SPECTRUM_COLS)], stamp)
     rows = zip(*(map(_NONFINITE.get, texts[i], texts[i])
                  for i in _JSON_ORDER))
     body = ",\n  ".join(map(_RECORD_ROW.__mod__, rows))
-    return (_record_dicts(columns, texts),
-            _Encoded(f"[\n  {body}\n]" if body else "[]"))
+    return _record_dicts(columns, texts), f"[\n  {body}\n]" if body else "[]"
 
 
 class _Stages:
@@ -561,7 +526,8 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
     }
     # report.json's records are the texts spectrum.csv was written from
     _write_json(out_dir / "report.json", report if records_json is None else
-                {**report, "payload": {**payload, "records": records_json}})
+                {**report, "payload": {**payload, "records": _RECORDS}},
+                records_json)
     return report
 
 

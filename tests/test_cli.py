@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from efgp import (
     OperatorSpec,
@@ -26,7 +24,6 @@ from efgp import (
 )
 from efgp.cli import (
     MAX_N,
-    _json_text,
     _write_csv,
     main,
     parse_config,
@@ -380,64 +377,9 @@ def test_csv_columns_match_row_wise_formatting(tmp_path, n_rows):
     assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
-_TEXTS = st.one_of(
-    st.sampled_from(['"', "\\", '\\"', "\n", "\x00", "\x1f", "\x7f", "é",
-                     "\u2028", "\ud800", "😀", "", "nan"]),
-    st.text(st.characters(exclude_categories=())))
-_LEAVES = st.one_of(
-    st.none(), st.booleans(),
-    st.sampled_from([2 ** 70, -2 ** 63, 0]), st.integers(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
-    st.floats(), st.floats().map(np.float64), _TEXTS)
-
-
-def _trees(leaves):
-    # nested dicts, lists and tuples, empty ones at every depth
-    return st.recursive(leaves, lambda kids: st.one_of(
-        st.lists(kids, max_size=4), st.tuples(kids, kids),
-        st.dictionaries(_TEXTS, kids, max_size=4)), max_leaves=20)
-
-
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(_trees(_LEAVES))
-@example({"b": [], "a": {"d": {}, "c": [[], (), {}]}, "": ()})
-@example([np.float64(0.0), np.float64("nan"), np.float64(-1e300)])
-@example({"x": [1, 2.5, [True, None], {"é\n": "\"\\"}]})
-def test_json_writer_matches_json_dumps(tree):
-    assert _json_text(tree) == _dumps(tree)
-
-
-# leaves json.dumps rejects (np.int64 is no int subclass)
-_BAD_LEAVES = st.sampled_from([np.int64(3), np.bool_(True), {1, 2},
-                               frozenset(), b"bytes", object()])
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(_trees(st.one_of(_LEAVES, _BAD_LEAVES)))
-@example({"a": [np.int64(-2 ** 63)]})
-def test_json_writer_raises_type_error_where_json_dumps_does(tree):
-    try:
-        want = _dumps(tree)
-    except TypeError:
-        with pytest.raises(TypeError):
-            _json_text(tree)
-    else:
-        assert _json_text(tree) == want
-
-
-@pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
-def test_json_writer_rejects_keys_that_are_not_str(key):
-    with pytest.raises(TypeError):
-        _json_text({"a": [{key: 1}]})
-
-
 def _reencoded(text):
     # what json writes for the value the text holds
-    return _dumps(json.loads(text)) + "\n"
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_report_json_records_match_spectrum_csv(tmp_path):
@@ -483,7 +425,7 @@ def test_committed_diagnostics_reencode_to_the_same_bytes():
     path = (Path(__file__).resolve().parent.parent / "results"
             / "lemma-sums-1e8" / "diagnostics.json")
     text = path.read_text(encoding="utf-8")
-    assert _json_text(json.loads(text)) + "\n" == text
+    assert _reencoded(text) == text
 
 
 def test_report_json_stable_and_versioned(tmp_path):

@@ -290,16 +290,16 @@ MUTANTS = (
         ("tests/test_spectral.py::"
          "test_window_lapack_failure_is_no_convergence",)),
     Mutant(
-        "json-keys-unsorted", "src/efgp/cli.py",
-        "for k in sorted(obj)]",
-        "for k in obj]",
-        ("tests/test_cli.py::test_json_writer_matches_json_dumps",
-         "tests/test_cli.py::test_report_json_records_match_spectrum_csv")),
+        "json-dumps-unsorted", "src/efgp/cli.py",
+        "text = json.dumps(obj, sort_keys=True, indent=2)",
+        "text = json.dumps(obj, sort_keys=False, indent=2)",
+        ("tests/test_cli.py::test_report_json_records_match_spectrum_csv",
+         "tests/test_cli.py::test_diagnostics_json_is_json_dumps_text")),
     Mutant(
-        "json-float-subclass-rejected", "src/efgp/cli.py",
-        "if isinstance(obj, float):",
-        "if type(obj) is float:",
-        ("tests/test_cli.py::test_json_writer_matches_json_dumps",)),
+        "records-splice-indent", "src/efgp/cli.py",
+        'records.replace("\\n", "\\n    "), 1)',
+        'records.replace("\\n", "\\n  "), 1)',
+        ("tests/test_cli.py::test_report_json_records_match_spectrum_csv",)),
     Mutant(
         "record-nonfinite-not-null", "src/efgp/cli.py",
         "map(_NONFINITE.get, texts[i], texts[i])",
