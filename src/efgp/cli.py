@@ -141,7 +141,7 @@ def _parse_potential(obj, path: str = "potential") -> Potential:
             raise ValidationError(f"{path}.values_file", "must be a string")
         try:
             text = Path(obj["values_file"]).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # a NUL in the path, not UTF-8
             raise ValidationError(f"{path}.values_file", f"unreadable: {exc}")
         values = []
         for i, line in enumerate(text.splitlines(), 1):
@@ -202,6 +202,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "output_dir" in obj:
         if not isinstance(obj["output_dir"], str):
             raise ValidationError("output_dir", "must be a string")
+        if "\0" in obj["output_dir"]:
+            raise ValidationError("output_dir", "must not hold a NUL character")
         cfg.output_dir = obj["output_dir"]
 
     n = _need(obj, "N", "")
@@ -403,7 +405,10 @@ def run(cfg: ExperimentConfig, threads: int = 1, quiet: bool = True) -> dict:
     ``perfbench/worker.py`` passes ``threads=1``.
     """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file on the path, a NUL in it
+        raise ValidationError("output_dir", f"cannot be created: {exc}")
     # the hash identifies the experiment, not where it lands on disk
     hashed = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
     cfg_hash = hashlib.sha256(

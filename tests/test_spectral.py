@@ -559,6 +559,22 @@ def test_resonance_subcritical_rejected():
         resonance_construct(PI / 2, 1.9, 10 ** 4)
 
 
+@pytest.mark.parametrize("um1", [1.0, -1.0])
+def test_resonance_zero_u1_has_no_admissible_phase(monkeypatch, um1):
+    # u(1) = 0 makes phi = atan2(-u(1), u(0)) mod pi zero, for either sign
+    # of u(0); no boundary phase in (0, pi) gives that pair
+    backward = _kernels.backward_resonant
+
+    def zero_u1(*args):
+        un, um, ln_scale = backward(*args)
+        un[1], um[1] = 0.0, um1
+        return un, um, ln_scale
+
+    monkeypatch.setattr(_kernels, "backward_resonant", zero_u1)
+    with pytest.raises(errors.ZeroInitial):
+        resonance_construct(PI / 2, 2.5, 10 ** 4)
+
+
 def test_resonance_certificate_on_and_off_target():
     n = 10 ** 5
     res = resonance_construct(PI / 2, 2.5, n)

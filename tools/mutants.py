@@ -323,6 +323,32 @@ MUTANTS = (
         "bad = ~(np.abs(u[lo + 1:hi + 1]) <= 1e308)",
         ("tests/test_kernels.py::test_solve_recurrence_overflow_site",)),
     Mutant(
+        "values-file-value-error-escapes", "src/efgp/cli.py",
+        "except (OSError, ValueError) as exc:  # a NUL in the path, not UTF-8",
+        "except OSError as exc:",
+        ("tests/test_cli.py::test_parse_rejects_a_nul_in_a_path",
+         "tests/test_cli.py::"
+         "test_unusable_paths_exit_1_with_one_error_line[values-file-not-utf8]")),
+    Mutant(
+        "output-dir-nul-accepted", "src/efgp/cli.py",
+        'if "\\0" in obj["output_dir"]:',
+        "if False:",
+        ("tests/test_cli.py::test_parse_rejects_a_nul_in_a_path[output-dir]",)),
+    Mutant(
+        "output-dir-mkdir-error-escapes", "src/efgp/cli.py",
+        "except (OSError, ValueError) as exc:  # a file on the path, a NUL in it",
+        "except ValueError as exc:",
+        ("tests/test_cli.py::"
+         "test_output_dir_that_cannot_be_created_is_a_validation_error",
+         "tests/test_cli.py::test_unusable_paths_exit_1_with_one_error_line"
+         "[output-dir-under-a-file]")),
+    Mutant(
+        "construct-zero-u1-accepted", "src/efgp/spectral.py",
+        "if phi == 0.0:",
+        "if False:",
+        ("tests/test_spectral.py::"
+         "test_resonance_zero_u1_has_no_admissible_phase",)),
+    Mutant(
         "golden-float-formatter", "src/efgp/cli.py",
         "_FORMATTERS = {float: float.__repr__,",
         '_FORMATTERS = {float: "%.16g".__mod__,',
