@@ -17,14 +17,17 @@ runs the A/B protocol between REV (the parent) and HEAD (the change): per
 seed, one run of each, the parent first in every other pair, then the same
 between REV and a second copy of REV (the control).  It prints, per
 workload and metric, the parent's median [quartiles], the change's median,
-the move, and in how many pairs the change and the control were better
-than the parent.  A move worse than BENCHMARK.json's bound is flagged, and
+the move, in how many pairs the change and the control were better than
+the parent, and in how many the change was better than the control pair's
+parent run of the same seed (parent2).  A move worse than BENCHMARK.json's bound is flagged, and
 so is a metric whose parent runs spread wider than the bound (unresolved),
 unless every change run is better than every parent run.  The claim rule:
 the change is better in at least 9 of 10 pairs (ceil(0.9 n) of n; a tie
 counts for neither), and its median is better than the parent's by more
 than the parent's interquartile range.  A wall_s claim is met on a
-workload where the rule holds for the change and not for the control.
+workload where the rule holds for the change, holds again for the change
+against parent2, and does not hold for the control: host load that falls
+on one set of parent runs cannot meet a claim alone.
 
 Both commands take --workload (repeatable; default the declared ones).
 Exit status: 0, or 1 when a run fails or reports an incorrect result.
@@ -200,31 +203,43 @@ def _status(parent: list, change: list, better: str, bound: float,
     return ""
 
 
+def compare(w: str, runs: dict) -> list:
+    """The table rows of workload w, one per end-to-end metric, from its
+    runs as _alternate returns them."""
+    rows = []
+    for m, (better, bound) in END_TO_END.items():
+        p, p2, c, k = ([r[m] for r in runs[name]] for name in
+                       ("parent", "parent2", "change", "control"))
+        s, med_c = spread(p), statistics.median(c)
+        move = (med_c - s["median"]) / s["median"] if s["median"] else 0.0
+        wins, holds = rule(p, c, better)
+        wins2, holds2 = rule(p2, c, better)
+        ctl_wins, ctl_holds = rule(p2, k, better)
+        rows.append({"workload": w, "metric": m, "parent": s,
+                     "change": med_c, "control": statistics.median(k),
+                     "move": move, "better_in": wins, "rule": holds,
+                     "parent2_better_in": wins2, "parent2_rule": holds2,
+                     "control_better_in": ctl_wins,
+                     "control_rule": ctl_holds, "pairs": len(p),
+                     "status": _status(p, c, better, bound, move)})
+    return rows
+
+
+def claims(rows: list) -> list:
+    """(workload, metric) of each claim met among the rows."""
+    return [(r["workload"], r["metric"]) for r in rows if r["metric"] == CLAIM
+            and r["rule"] and r["parent2_rule"] and not r["control_rule"]]
+
+
 def pair_trees(parent: Path, change: Path, control: Path, seeds: list,
                seconds: float, workloads: tuple,
                scale: str = "full") -> dict:
     """The A/B table of change against parent, and of control (a copy of
     parent) against parent, per workload and metric, and the claims met."""
     trees = {"parent": parent, "change": change, "control": control}
-    rows, met = [], []
-    for w in workloads:
-        runs = _alternate(trees, w, seeds, seconds, scale)
-        for m, (better, bound) in END_TO_END.items():
-            p, p2, c, k = ([r[m] for r in runs[name]] for name in
-                           ("parent", "parent2", "change", "control"))
-            s, med_c = spread(p), statistics.median(c)
-            move = (med_c - s["median"]) / s["median"] if s["median"] else 0.0
-            wins, holds = rule(p, c, better)
-            ctl_wins, ctl_holds = rule(p2, k, better)
-            rows.append({"workload": w, "metric": m, "parent": s,
-                         "change": med_c, "control": statistics.median(k),
-                         "move": move, "better_in": wins,
-                         "rule": holds, "control_better_in": ctl_wins,
-                         "control_rule": ctl_holds, "pairs": len(seeds),
-                         "status": _status(p, c, better, bound, move)})
-            if m == CLAIM and holds and not ctl_holds:
-                met.append((w, m))
-    return {"rows": rows, "claims_met": met}
+    rows = [r for w in workloads
+            for r in compare(w, _alternate(trees, w, seeds, seconds, scale))]
+    return {"rows": rows, "claims_met": claims(rows)}
 
 
 def pair(rev: str, seeds: list, seconds: float, workloads: tuple) -> dict:
@@ -240,10 +255,12 @@ def pair(rev: str, seeds: list, seconds: float, workloads: tuple) -> dict:
 def table(out: dict) -> str:
     """The pair result as a markdown table and a verdict line."""
     n = out["rows"][0]["pairs"] if out["rows"] else 0
+    rules = ("rule", "parent2_rule", "control_rule")
     lines = ["| workload | metric | parent median [q1, q3] | change median "
-             "| move | change better | control median | control better "
-             "| claim rule (change / control) |",
-             "|---|---|---|---|---|---|---|---|---|"]
+             "| move | change better | change better than parent2 "
+             "| control median | control better "
+             "| claim rule (change / against parent2 / control) |",
+             "|---|---|---|---|---|---|---|---|---|---|"]
     for r in out["rows"]:
         p = r["parent"]
         flag = f" ({r['status']})" if r["status"] else ""
@@ -251,9 +268,9 @@ def table(out: dict) -> str:
             f"| {r['workload']} | {r['metric']} | {p['median']:.4g} "
             f"[{p['q1']:.4g}, {p['q3']:.4g}] | {r['change']:.4g} "
             f"| {100 * r['move']:+.1f}%{flag} | {r['better_in']} of {n} "
+            f"| {r['parent2_better_in']} of {n} "
             f"| {r['control']:.4g} | {r['control_better_in']} of {n} "
-            f"| {'holds' if r['rule'] else 'fails'} / "
-            f"{'holds' if r['control_rule'] else 'fails'} |")
+            f"| {' / '.join('holds' if r[k] else 'fails' for k in rules)} |")
     met = ", ".join(f"{w} {m}" for w, m in out["claims_met"])
     lines.append(f"verdict on {CLAIM}: "
                  + (f"claim met on {met}" if met else "no claim met"))

@@ -1,7 +1,8 @@
 """Self-test of tools/bench.py's pair protocol at perfbench's "tiny" sizes
 and --seconds 1: two copies of one tree meet no claim, and a time.sleep
 injected into the parent's classify makes the change meet the wall_s
-claim.  Run from the repository root: python -m pytest tools/test_bench.py
+claim; a parent slowed by load against a quiet second parent meets none.
+Run from the repository root: python -m pytest tools/test_bench.py
 (about 80 s).
 """
 
@@ -46,6 +47,32 @@ def test_rule_counts_pairs_and_the_parents_spread():
     # lower in 8 of 10 only
     assert bench.rule(parent, faster[:8] + [2.0, 2.0], "lower")[1] is False
     assert bench.rule(parent, [p + 0.6 for p in parent], "higher") == (10, True)
+
+
+def _runs(**walls) -> dict:
+    # per name, one metrics dict per seed; every metric but wall_s is 1.0
+    return {name: [{**dict.fromkeys(bench.END_TO_END, 1.0), "wall_s": v}
+                   for v in values] for name, values in walls.items()}
+
+
+def test_load_on_the_parents_runs_alone_meets_no_claim():
+    quiet = [0.050, 0.051, 0.052, 0.053, 0.054, 0.055, 0.056, 0.057, 0.058,
+             0.059]
+    # the change's runs equal the quiet parent2 and control runs; load
+    # slowed the runs of the first parent by 30%
+    runs = _runs(parent=[1.3 * v for v in quiet], parent2=quiet,
+                 change=quiet, control=quiet)
+    rows = bench.compare("window-bound", runs)
+    wall = next(r for r in rows if r["metric"] == "wall_s")
+    assert (wall["better_in"], wall["rule"]) == (10, True)
+    assert (wall["parent2_better_in"], wall["parent2_rule"]) == (0, False)
+    assert bench.claims(rows) == []
+    table = bench.table({"rows": rows, "claims_met": bench.claims(rows)})
+    assert "| 10 of 10 | 0 of 10 |" in table and "no claim met" in table
+    # a change that is faster than parent, parent2 and control meets it
+    runs["parent2"] = runs["control"] = runs["parent"]
+    assert bench.claims(bench.compare("window-bound", runs)) == [
+        ("window-bound", "wall_s")]
 
 
 def test_status_flags_a_regression_and_a_wide_spread():
