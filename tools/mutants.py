@@ -326,14 +326,14 @@ MUTANTS = (
         "values-file-value-error-escapes", "src/efgp/cli.py",
         "except (OSError, ValueError) as exc:  # a NUL in the path, not UTF-8",
         "except OSError as exc:",
-        ("tests/test_cli.py::test_parse_rejects_a_nul_in_a_path",
+        ("tests/test_cli.py::test_parse_rejects_with_field[nul-values-file]",
          "tests/test_cli.py::"
          "test_unusable_paths_exit_1_with_one_error_line[values-file-not-utf8]")),
     Mutant(
         "output-dir-nul-accepted", "src/efgp/cli.py",
         'if "\\0" in obj["output_dir"]:',
         "if False:",
-        ("tests/test_cli.py::test_parse_rejects_a_nul_in_a_path[output-dir]",)),
+        ("tests/test_cli.py::test_parse_rejects_with_field[nul-output-dir]",)),
     Mutant(
         "output-dir-mkdir-error-escapes", "src/efgp/cli.py",
         "except (OSError, ValueError) as exc:  # a file on the path, a NUL in it",
