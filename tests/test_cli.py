@@ -734,14 +734,17 @@ def test_output_dir_that_cannot_be_created_is_a_validation_error(tmp_path):
     assert exc.value.field == "output_dir"
 
 
-@pytest.mark.parametrize("changes", [
-    {"output_dir": "out\0dir"},
-    {"potential": {"family": "table", "values_file": "t\0.txt"}},
-    {"potential": {"family": "table", "values_file": "TMP/latin1.txt"}},
-    {"output_dir": "TMP/file/o"},
+@pytest.mark.parametrize("changes, field", [
+    ({"output_dir": "out\0dir"}, "output_dir"),
+    ({"potential": {"family": "table", "values_file": "t\0.txt"}},
+     "potential.values_file"),
+    ({"potential": {"family": "table", "values_file": "TMP/latin1.txt"}},
+     "potential.values_file"),
+    ({"output_dir": "TMP/file/o"}, "output_dir"),
 ], ids=["nul-output-dir", "nul-values-file", "values-file-not-utf8",
         "output-dir-under-a-file"])
-def test_unusable_paths_exit_1_with_one_error_line(tmp_path, capsys, changes):
+def test_unusable_paths_exit_1_with_one_error_line(tmp_path, capsys, changes,
+                                                   field):
     (tmp_path / "file").write_text("")
     (tmp_path / "latin1.txt").write_bytes(b"0.5\n\xe9\n")
     path = tmp_path / "cfg.json"
@@ -749,7 +752,8 @@ def test_unusable_paths_exit_1_with_one_error_line(tmp_path, capsys, changes):
         "TMP", json.dumps(str(tmp_path))[1:-1]))
     assert main([str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error in {path}: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error in {path}: {field}: ") \
+        and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 

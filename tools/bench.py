@@ -19,15 +19,16 @@ between REV and a second copy of REV (the control).  It prints, per
 workload and metric, the parent's median [quartiles], the change's median,
 the move, in how many pairs the change and the control were better than
 the parent, and in how many the change was better than the control pair's
-parent run of the same seed (parent2).  A move worse than BENCHMARK.json's bound is flagged, and
-so is a metric whose parent runs spread wider than the bound (unresolved),
-unless every change run is better than every parent run.  The claim rule:
-the change is better in at least 9 of 10 pairs (ceil(0.9 n) of n; a tie
-counts for neither), and its median is better than the parent's by more
-than the parent's interquartile range.  A wall_s claim is met on a
-workload where the rule holds for the change, holds again for the change
-against parent2, and does not hold for the control: host load that falls
-on one set of parent runs cannot meet a claim alone.
+parent run of the same seed (parent2).  A move worse than BENCHMARK.json's
+bound is flagged, and so is a metric whose parent runs spread wider than
+the bound (unresolved), unless every change run is better than every
+parent run.  The claim rule: the change is better in at least 9 of 10
+pairs (ceil(0.9 n) of n; a tie counts for neither), and its median is
+better than the parent's by more than the parent's interquartile range.
+A wall_s claim is met on a workload where the rule holds for the change,
+holds again for the change against parent2, and does not hold for the
+control: host load that falls on one set of parent runs cannot meet a
+claim alone.
 
 Both commands take --workload (repeatable; default the declared ones).
 Exit status: 0, or 1 when a run fails or reports an incorrect result.
